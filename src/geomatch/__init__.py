@@ -14,7 +14,6 @@ from .bottleneck import (
     build_sorted_matrices,
     decide,
     pd_bottleneck,
-    select_kth,
 )
 from .cover import (
     BicliqueCover,
@@ -109,7 +108,6 @@ __all__ = [
     "prune_to_forest",
     "rotate45",
     "scalar_to_json",
-    "select_kth",
     "squared_distance",
     "trivial_cover",
     "validate_cover",

@@ -53,10 +53,6 @@ class SortedMatrix:
     def shape(self) -> tuple:
         return (len(self.rows), len(self.cols))
 
-    @property
-    def total(self) -> int:
-        return len(self._a) * len(self._b)
-
     def entry(self, i: int, j: int):
         return self.rows[i] + self.sign * self.cols[j]
 
@@ -92,24 +88,21 @@ class SortedMatrix:
         return n
 
     def _row_open_range(self, ai, lo, hi) -> tuple:
-        # column index range whose entries fall strictly between lo and hi
-        return bisect_right(self._b, lo - ai), bisect_left(self._b, hi - ai)
-
-    def gather_open(self, lo, hi, out: list) -> None:
-        for ai in self._a:
-            jl, jr = self._row_open_range(ai, lo, hi)
-            out.extend(ai + self._b[j] for j in range(jl, jr))
+        # column index range whose entries fall strictly between lo and hi;
+        # the entries are compared as sums, as the staircase walks compare
+        # them, since lo - ai may round differently in float mode
+        entry = lambda bj: ai + bj
+        return bisect_right(self._b, lo, key=entry), bisect_left(self._b, hi, key=entry)
 
     def open_at(self, lo, hi, idx: int):
-        """idx-th entry (row-major) among those strictly between lo and hi;
-        returns None when idx runs past this matrix."""
+        """idx-th entry (row-major) among those strictly between lo and hi."""
         for ai in self._a:
             jl, jr = self._row_open_range(ai, lo, hi)
             cnt = jr - jl
             if idx < cnt:
                 return ai + self._b[jl + idx]
             idx -= cnt
-        return None
+        raise InternalError("open entry index ran past the matrix")
 
 
 def build_sorted_matrices(Pset, Qset) -> dict:
@@ -134,51 +127,6 @@ def build_sorted_matrices(Pset, Qset) -> dict:
     }
 
 
-def select_kth(matrices, k: int, rng: random.Random | None = None):
-    """k-th smallest entry (1-based) of the union multiset of the given
-    sorted matrices, by randomized pivoting with staircase rank counts."""
-    mats = list(matrices.values()) if isinstance(matrices, dict) else list(matrices)
-    total = sum(m.total for m in mats)
-    if not 1 <= k <= total:
-        raise InputError(f"rank {k} out of range 1..{total}")
-    if rng is None:
-        rng = random.Random(0)
-    lo = min(m.min_entry() for m in mats) - 1  # sentinel strictly below all
-    hi = max(m.max_entry() for m in mats)
-    below_lo = 0  # sum of count_le(lo)
-    while True:
-        active = sum(m.count_lt(hi) for m in mats) - below_lo
-        if active == 0:
-            return hi
-        if active <= 128:
-            vals = []
-            for m in mats:
-                m.gather_open(lo, hi, vals)
-            vals.sort()
-            idx = k - below_lo - 1
-            return vals[idx] if idx < len(vals) else hi
-        x = _open_entry(mats, lo, hi, rng.randrange(active))
-        c_le = sum(m.count_le(x) for m in mats)
-        c_lt = sum(m.count_lt(x) for m in mats)
-        if c_lt < k <= c_le:
-            return x
-        if k <= c_lt:
-            hi = x
-        else:
-            lo = x
-            below_lo = c_le
-
-
-def _open_entry(mats, lo, hi, idx: int):
-    """idx-th entry strictly between lo and hi, matrix after matrix."""
-    for m in mats:
-        x = m.open_at(lo, hi, idx)
-        if x is not None:
-            return x
-        idx -= m.count_lt(hi) - m.count_le(lo)
-    raise InternalError("active entry sampling ran out of matrices")
-
-
 def sampled_search(matrices, feasible, rng: random.Random | None = None):
     """Smallest entry x of the sorted matrices with ``feasible(x)`` true,
     for a monotone ``feasible`` that holds at the largest entry.
@@ -195,10 +143,16 @@ def sampled_search(matrices, feasible, rng: random.Random | None = None):
     lo = min(m.min_entry() for m in mats) - 1
     hi = max(m.max_entry() for m in mats)
     while True:
-        active = sum(m.count_lt(hi) - m.count_le(lo) for m in mats)
+        counts = [m.count_lt(hi) - m.count_le(lo) for m in mats]
+        active = sum(counts)
         if active == 0:
             return hi
-        x = _open_entry(mats, lo, hi, rng.randrange(active))
+        idx = rng.randrange(active)
+        for m, cnt in zip(mats, counts):
+            if idx < cnt:
+                break
+            idx -= cnt
+        x = m.open_at(lo, hi, idx)
         if feasible(x):
             hi = x
         else:
@@ -253,22 +207,32 @@ def decide(
             if p.dim != 2:
                 raise InputError("L2 decisions are planar")
         ranges = [Disk(q, None, radius_sq=lam_sq) for q in qq]
-        cover = trivial_cover(pp, ranges)
-    else:
-        if metric is Metric.L1:
-            pp_d = [rotate45(p) for p in pp]
-            qq_d = [rotate45(q) for q in qq]
-        else:
-            pp_d, qq_d = pp, qq
-        boxes = [
-            Box(
-                Point(tuple(c - lam for c in q.coords)),
-                Point(tuple(c + lam for c in q.coords)),
-            )
-            for q in qq_d
-        ]
-        cover = box_cover(pp_d, boxes)
+        return _cover_decision(trivial_cover(pp, ranges), sd, numeric, want_matching)
+    if metric is Metric.L1:
+        pp, qq = [rotate45(p) for p in pp], [rotate45(q) for q in qq]
+    return _box_decision(pp, qq, lam, sd, numeric, want_matching)
 
+
+def _box_decision(
+    points, centres, lam, sd, numeric, want_matching, extra_parts=()
+) -> DecideResult:
+    """Decision over the L-infinity balls of radius lam around the centres:
+    the box cover of the points' incidences plus ``extra_parts``, complete
+    parts given by index lists that may reach rows and columns of ``sd``
+    past the points and the centres."""
+    boxes = [
+        Box(
+            Point(tuple(c - lam for c in q.coords)),
+            Point(tuple(c + lam for c in q.coords)),
+        )
+        for q in centres
+    ]
+    parts = box_cover(points, boxes).parts + list(extra_parts)
+    cover = BicliqueCover(len(sd.supplies), len(sd.demands), parts)
+    return _cover_decision(cover, sd, numeric, want_matching)
+
+
+def _cover_decision(cover, sd, numeric, want_matching) -> DecideResult:
     net = build_network(cover, sd)
     flow = max_flow_dinitz(net, numeric)
     feasible = numeric.is_zero(sd.target - flow.value)
@@ -343,41 +307,42 @@ def bottleneck_search(
             )
         return BottleneckResult(Fraction(res.lambda_star, scale), metric, res.matching)
 
-    if metric is Metric.L2:
-        lam_sq = _l2_search(pp, qq, sd, numeric, rng)
-        res = decide(pp, qq, metric, lam_sq, sd=sd, numeric=numeric, squared=True)
-        if not res.feasible:
-            raise InternalError("bisection landed on an infeasible bound")
-        return BottleneckResult(
-            math.sqrt(float(lam_sq)), metric, res.matching, lambda_star_sq=lam_sq
-        )
-
-    if metric is Metric.L1:
-        mats = build_sorted_matrices([rotate45(p) for p in pp], [rotate45(q) for q in qq])
-    else:
-        mats = build_sorted_matrices(pp, qq)
+    squared = metric is Metric.L2
+    witness = None
 
     def feas(v) -> bool:
+        nonlocal witness
         if v < 0:
             return False
-        return decide(
-            pp, qq, metric, v, sd=sd, numeric=numeric, want_matching=False
-        ).feasible
+        res = decide(pp, qq, metric, v, sd=sd, numeric=numeric, squared=squared)
+        if res.feasible:
+            # feasible decisions only lower the bound, so the last one is the
+            # witness at the value the search returns
+            witness = res.matching
+        return res.feasible
 
-    lam = sampled_search(mats, feas, rng)
-    res = decide(pp, qq, metric, lam, sd=sd, numeric=numeric)
-    if not res.feasible:
-        raise InternalError("search landed on an infeasible bound")
-    return BottleneckResult(lam, metric, res.matching)
+    if metric is Metric.L2:
+        lam = _l2_search(pp, qq, feas, rng)
+    elif metric is Metric.L1:
+        mats = build_sorted_matrices([rotate45(p) for p in pp], [rotate45(q) for q in qq])
+        lam = sampled_search(mats, feas, rng)
+    else:
+        lam = sampled_search(build_sorted_matrices(pp, qq), feas, rng)
+    if witness is None:
+        # no decision was feasible: the search returned its largest candidate
+        # without deciding it
+        res = decide(pp, qq, metric, lam, sd=sd, numeric=numeric, squared=squared)
+        if not res.feasible:
+            raise InternalError("search landed on an infeasible bound")
+        witness = res.matching
+    if squared:
+        return BottleneckResult(math.sqrt(float(lam)), metric, witness, lambda_star_sq=lam)
+    return BottleneckResult(lam, metric, witness)
 
 
-def _l2_search(pp, qq, sd, numeric, rng):
-    def feas_sq(v) -> bool:
-        return decide(
-            pp, qq, Metric.L2, v, sd=sd, numeric=numeric, squared=True,
-            want_matching=False,
-        ).feasible
-
+def _l2_search(pp, qq, feas_sq, rng):
+    """Smallest squared distance between pp and qq at which ``feas_sq``
+    holds."""
     if len(pp) * len(qq) <= _L2_MATERIALIZE_LIMIT:
         vals = sorted(squared_distance(p, q) for p in pp for q in qq)
         return _rank_bisect(len(vals), lambda r: vals[r - 1], feas_sq)
@@ -436,58 +401,51 @@ def pd_bottleneck(
 
     Each off-diagonal point may match a point of the other diagram within
     L-infinity distance lam or its own diagonal projection; projections match
-    each other freely, contributed by one complete cover part.  The optimum is
-    found by the sampled search over the coordinate-difference candidates,
-    exactly in rational mode."""
+    each other freely, contributed by one complete cover part.  (Letting a
+    point reach any projection instead gives the same optimum: none is nearer
+    than its own.)  The optimum is found by the sampled search over the
+    coordinate-difference candidates, exactly in rational mode."""
     dgm_x, dgm_y = _diagram(X), _diagram(Y)
-    conv = numeric.convert
-
-    def half(v):
-        v = conv(v)
-        # int / 2 would fall back to float; keep rational mode exact
-        return Fraction(v) / 2 if numeric.mode == "rational" else v / 2
-
-    x0 = [Point((conv(b), conv(d))) for b, d in dgm_x.points]
-    y0 = [Point((conv(b), conv(d))) for b, d in dgm_y.points]
-    proj_x = [Point((half(b + d), half(b + d))) for b, d in dgm_x.points]
-    proj_y = [Point((half(b + d), half(b + d))) for b, d in dgm_y.points]
-    pp = x0 + proj_y
-    qq = y0 + proj_x
-    if not pp:
+    if not dgm_x.points and not dgm_y.points:
         return 0
     if rng is None:
         rng = random.Random(0)
-    n = len(pp)
+    bd = [
+        (numeric.convert(b), numeric.convert(d))
+        for b, d in dgm_x.points + dgm_y.points
+    ]
+    scale = 1
+    if numeric.mode == "rational":
+        scale = integer_scale(c for pair in bd for c in pair)
+        bd = [(int(b * scale), int(d * scale)) for b, d in bd]
+    # In doubled coordinates a point lies d - b from its own diagonal
+    # projection ((b + d) / 2 undoubled), an int in rational mode.
+    nx = len(dgm_x)
+    pts = [Point((2 * b, 2 * d)) for b, d in bd]
+    to_diagonal = [d - b for b, d in bd]
+    n = len(bd)
+    ny = n - nx
     sd = SupplyDemand.unit(n, n)
+    # rows: X then the projections of Y; columns: Y then the projections of X
+    free = [(list(range(nx, n)), list(range(ny, n)))] if nx and ny else []
 
     def feasible(lam) -> bool:
         if lam < 0:
             return False
-        boxes = [
-            Box(
-                Point(tuple(c - lam for c in q.coords)),
-                Point(tuple(c + lam for c in q.coords)),
-            )
-            for q in qq
-        ]
-        parts = list(box_cover(x0, boxes).parts)
-        if y0 and proj_y:
-            shift = len(x0)
-            for pts, rngs in box_cover(proj_y, boxes[: len(y0)]).parts:
-                parts.append(([p + shift for p in pts], rngs))
-        if proj_y and proj_x:
-            parts.append(
-                (
-                    list(range(len(x0), n)),
-                    list(range(len(y0), n)),
-                )
-            )
-        cover = BicliqueCover(n, n, parts)
-        net = build_network(cover, sd)
-        flow = max_flow_dinitz(net, numeric)
-        return numeric.is_zero(sd.target - flow.value)
+        own = [([i], [ny + i]) for i in range(nx) if to_diagonal[i] <= lam]
+        own += [([nx + j], [j]) for j in range(ny) if to_diagonal[nx + j] <= lam]
+        return _box_decision(
+            pts[:nx], pts[nx:], lam, sd, numeric, False, own + free
+        ).feasible
 
-    lam = sampled_search(build_sorted_matrices(pp, qq), feasible, rng)
-    if not feasible(lam):
+    # the optimum is a point-to-point distance or a distance to the diagonal
+    mats = [SortedMatrix(to_diagonal, (0,))]
+    if nx and ny:
+        mats += build_sorted_matrices(pts[:nx], pts[nx:]).values()
+    lam = sampled_search(mats, feasible, rng)
+    # the search decides strictly below its initial bound, the largest entry
+    if lam == max(m.max_entry() for m in mats) and not feasible(lam):
         raise InternalError("search landed on an infeasible bound")
-    return lam
+    if numeric.mode == "rational":
+        return Fraction(lam, 2 * scale)
+    return lam / 2

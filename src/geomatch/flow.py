@@ -9,7 +9,7 @@ has sigma edges instead of one per incident pair.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .geometry import contains
@@ -194,20 +194,23 @@ def flow_to_matching(
     range with positive remaining amount, emitting min of the two; duplicate
     (p, r) pairs from overlapping parts are merged by a bucket pass."""
     pos = numeric.is_positive
-    part_in = [[] for _ in cover.parts]
-    part_out = [[] for _ in cover.parts]
+    # only the parts that carry flow get lists: far fewer than all parts
+    part_in = defaultdict(list)
+    part_out = defaultdict(list)
     for e in range(0, len(net.eto), 2):
         info = net.einfo[e]
         if info is None:
             continue
+        amt = flow.values[e // 2]
+        if not pos(amt):
+            continue
         if info[0] == "pin":
-            part_in[info[1]].append((info[2], flow.values[e // 2]))
+            part_in[info[1]].append([info[2], amt])
         elif info[0] == "pout":
-            part_out[info[1]].append((info[2], flow.values[e // 2]))
+            part_out[info[1]].append([info[2], amt])
     merged = {}
-    for i in range(len(cover.parts)):
-        lp = [[p, amt] for p, amt in part_in[i] if pos(amt)]
-        lr = [[r, amt] for r, amt in part_out[i] if pos(amt)]
+    for i in sorted(part_in):
+        lp, lr = part_in[i], part_out[i]
         a = b = 0
         emitted = 0
         while a < len(lp) and b < len(lr):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import geomatch.bottleneck as bottleneck_mod
 from geomatch.bottleneck import (
     PersistenceDiagram,
     SortedMatrix,
@@ -12,7 +13,6 @@ from geomatch.bottleneck import (
     decide,
     pd_bottleneck,
     sampled_search,
-    select_kth,
 )
 from geomatch.flow import SupplyDemand
 from geomatch.geometry import Metric, Point, rotate45
@@ -70,32 +70,11 @@ def test_count_staircases():
         assert m.count_lt(x) == sum(1 for v in vals if v < x)
 
 
-def test_select_small_example():
-    m = SortedMatrix([1, 3], [0, 1], sign=1)  # entries {1, 2, 3, 4}
-    assert [select_kth([m], k) for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
-    assert select_kth([m], 3) == 3
-
-
-def test_select_rejects_bad_rank():
-    m = SortedMatrix([1], [1], sign=1)
-    with pytest.raises(InputError):
-        select_kth([m], 0)
-    with pytest.raises(InputError):
-        select_kth([m], 2)
-
-
-def test_select_matches_flatten_sort():
-    rng = random.Random(12)
-    P, Q = rand_pts(rng, 50), rand_pts(rng, 50)
-    mats = build_sorted_matrices(P, Q)
-    flat = sorted(
-        m.entry(i, j)
-        for m in mats.values()
-        for i in range(m.shape[0])
-        for j in range(m.shape[1])
-    )
-    for k in rng.sample(range(1, len(flat) + 1), 60):
-        assert select_kth(mats, k, random.Random(k)) == flat[k - 1]
+def test_open_entry_agrees_with_staircase_counts_on_floats():
+    # 6.2 + 0.6 == 6.8, but 6.8 - 6.2 rounds below 0.6
+    m = SortedMatrix([6.2, 7.2], [-0.6], sign=-1)
+    assert m.count_lt(8.2) - m.count_le(6.8) == 1
+    assert m.open_at(6.8, 8.2, 0) == 7.2 + 0.6
 
 
 def test_sampled_search_finds_smallest_feasible_entry():
@@ -275,6 +254,58 @@ def test_float_mode_search():
     assert r.lambda_star == pytest.approx(1.0)
 
 
+def _count_decisions(monkeypatch, search_name, feas_pos, cover_name):
+    """Wrap the search loop so every call of its feasibility callback at a
+    non-negative bound counts as asked, and the cover builder so every
+    decision counts as made."""
+    counts = {"asked": 0, "made": 0}
+    search, cover = getattr(bottleneck_mod, search_name), getattr(bottleneck_mod, cover_name)
+
+    def counted_search(*args):
+        args = list(args)
+        feasible = args[feas_pos]
+
+        def asked(v):
+            if v >= 0:  # a negative bound is infeasible without a decision
+                counts["asked"] += 1
+            return feasible(v)
+
+        args[feas_pos] = asked
+        return search(*args)
+
+    def counted_cover(*args, **kwargs):
+        counts["made"] += 1
+        return cover(*args, **kwargs)
+
+    monkeypatch.setattr(bottleneck_mod, search_name, counted_search)
+    monkeypatch.setattr(bottleneck_mod, cover_name, counted_cover)
+    return counts
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_search_decides_only_when_asked(monkeypatch, metric):
+    if metric is Metric.L2:
+        counts = _count_decisions(monkeypatch, "_rank_bisect", 2, "trivial_cover")
+    else:
+        counts = _count_decisions(monkeypatch, "sampled_search", 1, "box_cover")
+    rng = random.Random(28)
+    P, Q = rand_pts(rng, 8), rand_pts(rng, 8)
+    r = bottleneck_search(P, Q, metric)
+    assert counts["asked"] > 0
+    assert counts["made"] == counts["asked"]
+    assert len(r.matching) == 8
+
+
+def test_pd_decides_only_when_asked(monkeypatch):
+    counts = _count_decisions(monkeypatch, "sampled_search", 1, "box_cover")
+    rng = random.Random(29)
+    X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+    Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+    assert pd_bottleneck(X, Y) == pd_brute(X, Y)
+    assert counts["asked"] > 0
+    assert counts["made"] == counts["asked"]
+
+
 # ------------------------------------------------------------------ diagrams
 
 def test_diagram_validation():
@@ -315,6 +346,59 @@ def test_pd_matches_brute_force():
         X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 7)]
         Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 7)]
         assert pd_bottleneck(X, Y) == pd_brute(X, Y)
+
+
+def test_pd_scaled_inputs_match_brute_force():
+    rng = random.Random(26)
+
+    def odd_sums(n):
+        # integer births and deaths whose diagonal projections are halves
+        return [(b, b + 2 * rng.randrange(0, 4) + 1) for b in rng.sample(range(-9, 9), n)]
+
+    def thirds_and_sevenths(n):
+        return [
+            (b, b + rand_fraction(rng, 1, 4, dens=(7,)))
+            for b in (rand_fraction(rng, -5, 5, dens=(3,)) for _ in range(n))
+        ]
+
+    for make in (odd_sums, thirds_and_sevenths):
+        for _ in range(8):
+            X, Y = make(rng.randrange(1, 7)), make(rng.randrange(0, 7))
+            v = pd_bottleneck(X, Y)
+            assert v == pd_brute(X, Y)
+            assert type(v) is Fraction
+
+
+def test_pd_covers_compare_ints(monkeypatch):
+    cover = bottleneck_mod.box_cover
+    calls = []
+
+    def int_only_cover(points, boxes, *args, **kwargs):
+        coords = [c for p in points for c in p.coords]
+        coords += [c for b in boxes for c in b.lo.coords + b.hi.coords]
+        assert all(type(c) is int for c in coords)
+        calls.append(len(boxes))
+        return cover(points, boxes, *args, **kwargs)
+
+    monkeypatch.setattr(bottleneck_mod, "box_cover", int_only_cover)
+    X = [(Fraction(1, 3), Fraction(9, 7)), (Fraction(-2, 3), Fraction(1, 2))]
+    Y = [(Fraction(1, 7), Fraction(5, 3)), (0, Fraction(1, 100))]
+    assert pd_bottleneck(X, Y) == pd_brute(X, Y)
+    assert calls
+
+
+def test_pd_float_mode_matches_rational():
+    rng = random.Random(27)
+    for _ in range(8):
+        X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 7)]
+        Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 7)]
+        exact = pd_bottleneck(X, Y)
+        floats = pd_bottleneck(
+            [(float(b), float(d)) for b, d in X],
+            [(float(b), float(d)) for b, d in Y],
+            numeric=FLOAT,
+        )
+        assert floats == pytest.approx(float(exact))
 
 
 def test_pd_triangle_inequality_soft():
