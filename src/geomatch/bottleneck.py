@@ -28,8 +28,23 @@ from .flow import (
     flow_to_matching,
     max_flow_dinitz,
 )
-from .geometry import Box, Disk, Metric, Point, rotate45, squared_distance
-from .numeric import RATIONAL, InputError, InternalError, NumericContext, integer_scale
+from .geometry import (
+    Box,
+    Disk,
+    Metric,
+    Point,
+    as_fraction_point,
+    rotate45,
+    squared_distance,
+)
+from .numeric import (
+    RATIONAL,
+    InputError,
+    InternalError,
+    NumericContext,
+    integer_scale,
+    scaled_ints,
+)
 
 _L2_MATERIALIZE_LIMIT = 10**7
 
@@ -163,10 +178,6 @@ def _as_point(p) -> Point:
     return p if isinstance(p, Point) else Point(tuple(p))
 
 
-def _scaled(p: Point, scale: int) -> Point:
-    return Point(tuple(int(c * scale) for c in p.coords))
-
-
 @dataclass
 class DecideResult:
     feasible: bool
@@ -286,15 +297,37 @@ def bottleneck_search(
     if rng is None:
         rng = random.Random(0)
 
+    if numeric.mode == "float":
+        # Floats are dyadic rationals, so Fraction(c) is exact: searching the
+        # exact inputs keeps the box bounds c +- lam from rounding, and only
+        # the answer is rounded back to a float.
+        if sd is not None:
+            sd = SupplyDemand(
+                tuple(Fraction(s) for s in sd.supplies),
+                tuple(Fraction(d) for d in sd.demands),
+            )
+        res = bottleneck_search(
+            [as_fraction_point(p) for p in pp],
+            [as_fraction_point(q) for q in qq],
+            metric,
+            sd=sd,
+            rng=rng,
+        )
+        matching = [
+            (p, q, float(a) if isinstance(a, Fraction) else a) for p, q, a in res.matching
+        ]
+        sq = None if res.lambda_star_sq is None else float(res.lambda_star_sq)
+        return BottleneckResult(float(res.lambda_star), metric, matching, lambda_star_sq=sq)
+
     coords = [c for p in pp + qq for c in p.coords]
-    scale = integer_scale(coords) if numeric.mode == "rational" else None
+    scale = integer_scale(coords)
     if scale is not None and not all(isinstance(c, int) for c in coords):
         # Scaling every coordinate by one positive int scales every candidate
         # and every distance alike, so each decision is unchanged while the
         # search and its covers run on ints instead of Fractions.
         res = bottleneck_search(
-            [_scaled(p, scale) for p in pp],
-            [_scaled(q, scale) for q in qq],
+            [Point(scaled_ints(p.coords, scale)) for p in pp],
+            [Point(scaled_ints(q.coords, scale)) for q in qq],
             metric,
             sd=sd,
             numeric=numeric,
@@ -417,7 +450,7 @@ def pd_bottleneck(
     scale = 1
     if numeric.mode == "rational":
         scale = integer_scale(c for pair in bd for c in pair)
-        bd = [(int(b * scale), int(d * scale)) for b, d in bd]
+        bd = [scaled_ints(pair, scale) for pair in bd]
     # In doubled coordinates a point lies d - b from its own diagonal
     # projection ((b + d) / 2 undoubled), an int in rational mode.
     nx = len(dgm_x)

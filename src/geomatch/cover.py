@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .geometry import Box, Disk, contains
-from .numeric import InputError
+from .numeric import InputError, integer_scale, scaled_ints
 
 _PAIR_GUARD = 10**7
 
@@ -79,7 +80,11 @@ def box_cover(points, boxes, dim: int | None = None) -> BicliqueCover:
     """Edge-disjoint cover of point/box incidences via a multi-level range
     tree: the outermost tree splits on coordinate 0, each canonical node
     recurses on the next coordinate, and the last level emits one part per
-    canonical node with registered boxes."""
+    canonical node with registered boxes.
+
+    When some coordinate is a ``Fraction``, every coordinate is first
+    multiplied by the LCM of the denominators, so the tree sorts and
+    compares ints; scaling by one positive int changes no incidence."""
     d = dim if dim is not None else (points[0].dim if points else (boxes[0].dim if boxes else 1))
     for p in points:
         if p.dim != d:
@@ -91,39 +96,48 @@ def box_cover(points, boxes, dim: int | None = None) -> BicliqueCover:
             raise InputError("box dimension mismatch")
     parts = []
     if points and boxes:
-        _tree_level(points, boxes, list(range(len(points))), list(range(len(boxes))), 0, d, parts)
+        pc = [p.coords for p in points]
+        lo = [b.lo.coords for b in boxes]
+        hi = [b.hi.coords for b in boxes]
+        every = [c for group in (pc, lo, hi) for t in group for c in t]
+        if any(isinstance(c, Fraction) for c in every):
+            scale = integer_scale(every)
+            if scale is not None:
+                pc, lo, hi = (
+                    [scaled_ints(t, scale) for t in group] for group in (pc, lo, hi)
+                )
+        _tree_level(pc, lo, hi, list(range(len(points))), list(range(len(boxes))), 0, d, parts)
     return BicliqueCover(len(points), len(boxes), parts)
 
 
-def _tree_level(points, boxes, pt_idx, bx_idx, axis, d, parts) -> None:
-    order = sorted(pt_idx, key=lambda i: (points[i].coords[axis], i))
-    vals = [points[i].coords[axis] for i in order]
+def _tree_level(pc, lo, hi, pt_idx, bx_idx, axis, d, parts) -> None:
+    # pc, lo, hi: coordinate tuples of the points and of the box corners
+    order = sorted(pt_idx, key=lambda i: (pc[i][axis], i))
+    vals = [pc[i][axis] for i in order]
     reg = defaultdict(list)
 
-    def descend(lo: int, hi: int, b: int) -> None:
-        blo = boxes[b].lo.coords[axis]
-        bhi = boxes[b].hi.coords[axis]
-        if vals[lo] > bhi or vals[hi - 1] < blo:
+    def descend(a: int, b: int, k: int, blo, bhi) -> None:
+        if vals[a] > bhi or vals[b - 1] < blo:
             return
-        if blo <= vals[lo] and vals[hi - 1] <= bhi:
-            reg[(lo, hi)].append(b)
+        if blo <= vals[a] and vals[b - 1] <= bhi:
+            reg[(a, b)].append(k)
             return
-        mid = (lo + hi) // 2
-        descend(lo, mid, b)
-        descend(mid, hi, b)
+        mid = (a + b) // 2
+        descend(a, mid, k, blo, bhi)
+        descend(mid, b, k, blo, bhi)
 
-    for b in bx_idx:
-        descend(0, len(order), b)
+    for k in bx_idx:
+        descend(0, len(order), k, lo[k][axis], hi[k][axis])
 
     last = axis == d - 1
     for key in sorted(reg):
-        lo, hi = key
-        seg = order[lo:hi]
+        a, b = key
+        seg = order[a:b]
         blist = reg[key]
         if last:
             parts.append((sorted(seg), sorted(blist)))
         else:
-            _tree_level(points, boxes, seg, blist, axis + 1, d, parts)
+            _tree_level(pc, lo, hi, seg, blist, axis + 1, d, parts)
 
 
 @dataclass

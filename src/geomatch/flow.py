@@ -164,25 +164,6 @@ def max_flow_dinitz(net: FlowNetwork, numeric: NumericContext = RATIONAL) -> Flo
     return Flow(values, total)
 
 
-def residual_reachable(net: FlowNetwork, flow: Flow, numeric: NumericContext = RATIONAL):
-    """Vertices reachable from s in the residual graph of ``flow``; a maximum
-    flow must not reach t."""
-    res = list(net.ecap)
-    for e in range(0, len(net.eto), 2):
-        res[e] -= flow.values[e // 2]
-        res[e + 1] += flow.values[e // 2]
-    seen = {net.source}
-    queue = deque([net.source])
-    while queue:
-        u = queue.popleft()
-        for e in net.head[u]:
-            v = net.eto[e]
-            if v not in seen and numeric.is_positive(res[e]):
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 # A matching is a list of (point index, range index, amount) triples.
 Matching = list
 

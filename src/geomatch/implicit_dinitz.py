@@ -16,10 +16,18 @@ keeps the backward edge count linear in the node count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .cover import BicliqueCover
 from .flow import INF, Flow, FlowNetwork, Matching, SupplyDemand
-from .numeric import RATIONAL, InputError, InternalError, NumericContext
+from .numeric import (
+    RATIONAL,
+    InputError,
+    InternalError,
+    NumericContext,
+    integer_scale,
+    scaled_ints,
+)
 from .rblct import prune_to_forest
 
 # build_level_graph returns Done (None) when no unmet demand is reachable,
@@ -366,6 +374,11 @@ def max_matching_implicit(
     a forest after every phase; the t-level strictly increases, so at most
     min(|P|, |R|) phases occur.  Pass a list as ``trace`` to receive one
     (t_level, pushed value, support size) triple per phase.
+
+    In rational mode with some ``Fraction`` weight, supplies and demands are
+    multiplied once by the LCM of their denominators, so every phase adds,
+    subtracts and compares ints; each amount (and each traced value) is
+    divided back as ``Fraction(v, scale)``.
     """
     n_points = P if isinstance(P, int) else len(P)
     n_ranges = R if isinstance(R, int) else len(R)
@@ -373,6 +386,15 @@ def max_matching_implicit(
         raise InputError("supply/demand vectors do not match the point/range counts")
     if c.left_count != n_points or c.right_count != n_ranges:
         raise InputError("cover shape does not match the point/range counts")
+
+    weights = sd.supplies + sd.demands
+    scale = None
+    if numeric.mode == "rational" and not all(isinstance(w, int) for w in weights):
+        scale = integer_scale(weights)
+        if scale is not None:
+            sd = SupplyDemand(
+                scaled_ints(sd.supplies, scale), scaled_ints(sd.demands, scale)
+            )
 
     index = build_point_index(c)
     state = new_phase_state(n_points, n_ranges)
@@ -390,7 +412,10 @@ def max_matching_implicit(
         augment_and_project(state, g, L, net=net, numeric=numeric)
         state = prune_to_forest(state, numeric)
         if trace is not None:
-            trace.append((L.t_level, g.value, len(state.flow)))
+            pushed = g.value if scale is None else Fraction(g.value, scale)
+            trace.append((L.t_level, pushed, len(state.flow)))
         if state.phase > max_phases:
             raise InternalError("phase count exceeded the layer bound")
-    return sorted((p, r, a) for (p, r), a in state.flow.items())
+    if scale is None:
+        return sorted((p, r, a) for (p, r), a in state.flow.items())
+    return sorted((p, r, Fraction(a, scale)) for (p, r), a in state.flow.items())

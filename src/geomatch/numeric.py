@@ -74,6 +74,12 @@ def integer_scale(values):
     return scale
 
 
+def scaled_ints(values, scale: int) -> tuple:
+    """Each int or ``Fraction`` value times ``scale``, as an int; ``scale``
+    must be a multiple of every denominator (see ``integer_scale``)."""
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
 def scalar_to_json(x):
     """Render a scalar for JSON output: exact fraction strings, floats as-is."""
     if isinstance(x, Fraction):

@@ -27,7 +27,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numeric import RATIONAL, InputError, InternalError, NumericContext, integer_scale
+from .numeric import (
+    RATIONAL,
+    InputError,
+    InternalError,
+    NumericContext,
+    integer_scale,
+    scaled_ints,
+)
 
 RED = "red"
 BLUE = "blue"
@@ -434,7 +441,8 @@ def prune_to_forest(f, numeric: NumericContext = RATIONAL):
     returned.  The result's support is a forest over the same nodes, with
     every per-node total preserved: an edge that would close a cycle is
     instead pushed along the existing tree path (red edges up, blue edges
-    down), and blue edges driven to zero are cut.
+    down), and blue edges driven to zero are cut.  Only the edges that lie
+    on some cycle (found by a bridge pass) enter the link-cut forest.
 
     In rational mode the forest never sees a ``Fraction``: every value is
     multiplied once by the LCM of the denominators, the prune runs on the
@@ -447,20 +455,76 @@ def prune_to_forest(f, numeric: NumericContext = RATIONAL):
         f.flow = prune_to_forest(f.flow, numeric)
         return f
     values = f.values()
-    scale = integer_scale(values) if numeric.mode == "rational" else None
-    if scale is None or all(isinstance(v, int) for v in values):
+    if numeric.mode == "float" or all(isinstance(v, int) for v in values):
         return _prune(f, numeric)
-    scaled = {k: v.numerator * (scale // v.denominator) for k, v in f.items()}
+    scale = integer_scale(values)
+    if scale is None:
+        return _prune(f, numeric)
+    scaled = dict(zip(f, scaled_ints(values, scale)))
     return {k: Fraction(v, scale) for k, v in _prune(scaled, numeric).items()}
 
 
+def _bridges(pairs: list) -> list:
+    """One flag per edge of the simple bipartite graph given as (point,
+    range) pairs: True for a bridge, an edge on no cycle.  One iterative
+    low-link depth-first search (Tarjan 1974), linear in the edge count."""
+    node = {}  # point p -> id, range r -> id (keyed -1 - r)
+    ends = [
+        (node.setdefault(p, len(node)), node.setdefault(-1 - r, len(node)))
+        for p, r in pairs
+    ]
+    adj = [[] for _ in node]
+    for k, (u, v) in enumerate(ends):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    disc = [0] * len(adj)  # discovery time, 0 until visited
+    low = [0] * len(adj)
+    bridge = [False] * len(pairs)
+    clock = 0
+    for root in range(len(adj)):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(adj[root]))]  # (vertex, tree edge in, next edges)
+        while stack:
+            u, k_in, rest = stack[-1]
+            for v, k in rest:
+                if k == k_in:
+                    continue
+                if disc[v]:
+                    if disc[v] < low[u]:
+                        low[u] = disc[v]
+                else:
+                    clock += 1
+                    disc[v] = low[v] = clock
+                    stack.append((v, k, iter(adj[v])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    w = stack[-1][0]
+                    if low[u] < low[w]:
+                        low[w] = low[u]
+                    if low[u] > disc[w]:
+                        bridge[k_in] = True
+    return bridge
+
+
 def _prune(flow_edges: dict, numeric: NumericContext) -> dict:
+    # A bridge lies on no cycle, and every tree path the forest pushes along
+    # is a simple path of the support, which never crosses a bridge; so the
+    # bridges pass through unchanged and only the cyclic core enters the
+    # link-cut forest.
+    pairs = sorted(k for k, v in flow_edges.items() if numeric.is_positive(v))
+    out = {}
     forest = RbForest(numeric)
     pnodes = {}
     rnodes = {}
-    for (p, r) in sorted(flow_edges):
+    for (p, r), is_bridge in zip(pairs, _bridges(pairs)):
         value = flow_edges[(p, r)]
-        if not numeric.is_positive(value):
+        if is_bridge:
+            out[(p, r)] = value
             continue
         if p not in pnodes:
             pnodes[p] = forest.maketree(RED, ("p", p))
@@ -487,7 +551,6 @@ def _prune(flow_edges: dict, numeric: NumericContext) -> dict:
         if value > delta:
             forest.evert(b)
             forest.link(b, a, value - delta)
-    out = {}
     for u, w, value in forest.edges():
         p_tag = u.tag if u.tag[0] == "p" else w.tag
         r_tag = w.tag if w.tag[0] == "r" else u.tag

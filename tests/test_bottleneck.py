@@ -254,6 +254,32 @@ def test_float_mode_search():
     assert r.lambda_star == pytest.approx(1.0)
 
 
+def test_float_search_does_not_round_box_bounds():
+    # box bounds c +- lam computed in floats round, and the pair at distance
+    # exactly 5.1 falls outside its box: such a search returns 5.8
+    P = [Point((-1.7, 1.9)), Point((0.3, -3.4)), Point((-4.3, 4.4))]
+    Q = [Point((-0.5, 0.8)), Point((3.4, 2.4)), Point((1.6, 0.3))]
+    r = bottleneck_search(P, Q, Metric.LINF, numeric=FLOAT)
+    assert r.lambda_star == pytest.approx(5.1, rel=1e-12)
+    assert sorted(r.matching) == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+
+
+def test_float_search_matches_rational_on_tenths():
+    rng = random.Random(29)
+    tenth = lambda: Fraction(rng.randrange(-50, 51), 10)
+    for _ in range(50):
+        n = rng.randrange(1, 7)
+        P = [Point((tenth(), tenth())) for _ in range(n)]
+        Q = [Point((tenth(), tenth())) for _ in range(n)]
+        as_float = lambda pts: [Point(tuple(float(c) for c in p.coords)) for p in pts]
+        for metric in Metric:
+            exact = bottleneck_search(P, Q, metric)
+            r = bottleneck_search(as_float(P), as_float(Q), metric, numeric=FLOAT)
+            assert type(r.lambda_star) is float
+            assert r.lambda_star == pytest.approx(float(exact.lambda_star), rel=1e-9, abs=1e-12)
+            assert len(r.matching) == n
+
+
 def _count_decisions(monkeypatch, search_name, feas_pos, cover_name):
     """Wrap the search loop so every call of its feasibility callback at a
     non-negative bound counts as asked, and the cover builder so every

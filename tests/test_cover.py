@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -136,3 +137,31 @@ def test_box_cover_fractional_coordinates():
     boxes = [Box(Point((0, 0)), Point((Fraction(1, 3), 1)))]
     cover = box_cover(pts, boxes)
     assert edge_set(cover) == {(0, 0)}
+
+
+def test_box_cover_scales_fractions_to_int_parts(monkeypatch):
+    import geomatch.cover as cover_mod
+
+    seen = []
+    tree_level = cover_mod._tree_level
+
+    def recorded(pc, lo, hi, *rest):
+        seen.extend(c for group in (pc, lo, hi) for t in group for c in t)
+        return tree_level(pc, lo, hi, *rest)
+
+    monkeypatch.setattr(cover_mod, "_tree_level", recorded)
+    rng = random.Random(37)
+    dens = (3, 7, 10)
+    for d in (1, 2, 3):
+        pts = rand_points(rng, 25, d=d)
+        pts = [Point(tuple(c + Fraction(1, rng.choice(dens)) for c in p.coords)) for p in pts]
+        boxes = rand_boxes(rng, 20, d=d)
+        cover = box_cover(pts, boxes)
+        assert validate_cover(cover, pts, boxes).ok
+        assert seen and all(type(c) is int for c in seen)
+        corners = [c for b in boxes for c in b.lo.coords + b.hi.coords]
+        scale = math.lcm(*(c.denominator for c in corners + [c for p in pts for c in p.coords]))
+        as_ints = lambda p: Point(tuple(int(c * scale) for c in p.coords))
+        int_pts = [as_ints(p) for p in pts]
+        int_boxes = [Box(as_ints(b.lo), as_ints(b.hi)) for b in boxes]
+        assert box_cover(int_pts, int_boxes).parts == cover.parts

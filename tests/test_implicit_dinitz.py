@@ -228,3 +228,24 @@ def test_float_mode_runs_clean():
     g = brute_force_incidences(pts, boxes)
     want = reference_max_flow(g, (1,) * 30, (1,) * 30)
     assert matching_value(matching) == pytest.approx(float(want))
+
+
+def test_unlike_denominators_return_exact_fractions_in_caller_units():
+    rng = random.Random(67)
+    dens = (3, 7, 10, 11)
+    for _ in range(40):
+        pts = rand_points(rng, rng.randrange(1, 12))
+        boxes = rand_boxes(rng, rng.randrange(1, 12))
+        sd = SupplyDemand(
+            tuple(Fraction(rng.randrange(1, 40), rng.choice(dens)) for _ in pts),
+            tuple(Fraction(rng.randrange(1, 40), rng.choice(dens)) for _ in boxes),
+        )
+        trace = []
+        matching = max_matching_implicit(pts, boxes, sd, box_cover(pts, boxes), trace=trace)
+        want = reference_max_flow(brute_force_incidences(pts, boxes), sd.supplies, sd.demands)
+        assert matching_value(matching) == want
+        assert all(type(a) is Fraction and a > 0 for _, _, a in matching)
+        # each phase pushes its blocking flow on top of the last one, so the
+        # pushed values add up to the value, in the caller's units
+        assert all(type(v) is Fraction for _, v, _ in trace)
+        assert sum(v for _, v, _ in trace) == want

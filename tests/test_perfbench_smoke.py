@@ -1,6 +1,6 @@
-"""One short run of the benchmark per bottleneck workload: the benchmark's
-own checks (witnesses within the bound, no perfect matching below it, by
-scipy) must pass on the current sources."""
+"""One short run of the benchmark per workload: the benchmark's own checks
+(exact values by scipy's maximum flow, witnesses within the bound, no perfect
+matching below it) must pass on the current sources."""
 
 import json
 import subprocess
@@ -14,8 +14,7 @@ pytest.importorskip("scipy")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["pd-bottleneck", "bottleneck-linf"])
-def test_benchmark_run_is_correct(workload):
+def run_benchmark(workload) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", "1", "--seconds", "1", "--trace", "0",
@@ -24,5 +23,18 @@ def test_benchmark_run_is_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["failed"] == 0
     assert result["attempted"] > 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["pd-bottleneck", "bottleneck-linf"])
+def test_benchmark_run_is_correct(workload):
+    assert run_benchmark(workload)["failed"] == 0
+
+
+def test_match_real_run_is_correct():
+    result = run_benchmark("match-real")
+    # a round is four matchings and one `geomatch match --mode real` on 1200
+    # elements, which `--numeric auto` runs in float mode and answers 0
+    # (ROADMAP, Known defects): exactly that operation fails in every round
+    assert result["failed"] == result["attempted"] // 5

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from geomatch.numeric import FLOAT, InputError
-from geomatch.rblct import RbForest, prune_to_forest
+import geomatch.rblct as rblct_mod
+from geomatch.rblct import RbForest, _bridges, prune_to_forest
 
 from helpers import MirroredForests, node_totals, rand_support_flow, uf_is_forest
 
@@ -180,6 +181,48 @@ def test_prune_int_flow_stays_int():
     out = prune_to_forest(dict(flow))
     assert all(type(v) is int for v in out.values())
     assert node_totals(out) == node_totals(flow)
+
+
+def test_bridges_match_brute_force():
+    rng = random.Random(19)
+    for _ in range(150):
+        n_p, n_r = rng.randrange(1, 9), rng.randrange(1, 9)
+        pairs = sorted(rand_support_flow(rng, n_p, n_r, 25))
+        flags = _bridges(pairs)
+        for k, (p, r) in enumerate(pairs):
+            # an edge is on a cycle iff its ends stay connected without it
+            rest = pairs[:k] + pairs[k + 1 :]
+            reached, todo = {("p", p)}, [("p", p)]
+            while todo:
+                side, x = todo.pop()
+                for a, b in rest:
+                    for u, v in ((("p", a), ("r", b)), (("r", b), ("p", a))):
+                        if u == (side, x) and v not in reached:
+                            reached.add(v)
+                            todo.append(v)
+            assert flags[k] == (("r", r) not in reached)
+
+
+def test_prune_links_only_the_cyclic_core(monkeypatch):
+    links = []
+    link = RbForest.link
+    monkeypatch.setattr(
+        RbForest, "link", lambda self, v, w, x: links.append(x) or link(self, v, w, x)
+    )
+    # two 4-cycles (points 0-1 with ranges 0-1, points 2-3 with ranges 2-3)
+    # joined by the bridge (1, 2), plus pendant bridges (4, 0) and (2, 4)
+    cycles = {(0, 0): 2, (0, 1): 5, (1, 0): 3, (1, 1): 4,
+              (2, 2): 1, (2, 3): 6, (3, 2): 2, (3, 3): 2}
+    bridges = {(1, 2): 7, (4, 0): 9, (2, 4): 8}
+    flow = {**cycles, **bridges}
+    out = prune_to_forest(dict(flow))
+    assert uf_is_forest([(("p", p), ("r", r)) for p, r in out])
+    assert set(out) <= set(flow)
+    assert node_totals(out) == node_totals(flow)
+    assert all(out[k] == v for k, v in bridges.items())
+    # each cycle keeps three of its four edges, and no bridge enters the forest
+    assert len(out) == len(flow) - 2
+    assert len(links) <= len(cycles)
 
 
 def test_prune_random_flows_forest_subset_totals():
