@@ -19,6 +19,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 
 from .cover import BicliqueCover, box_cover, trivial_cover
 from .flow import (
@@ -27,6 +29,7 @@ from .flow import (
     build_network,
     flow_to_matching,
     max_flow_dinitz,
+    seed_flow,
 )
 from .geometry import (
     Box,
@@ -157,8 +160,12 @@ def sampled_search(matrices, feasible, rng: random.Random | None = None):
         rng = random.Random(0)
     lo = min(m.min_entry() for m in mats) - 1
     hi = max(m.max_entry() for m in mats)
+    # per-matrix counts below hi and up to lo; a decision moves one bound,
+    # so only that bound's counts are walked again
+    below_hi = [m.count_lt(hi) for m in mats]
+    upto_lo = [0] * len(mats)  # lo lies below every entry
     while True:
-        counts = [m.count_lt(hi) - m.count_le(lo) for m in mats]
+        counts = [b - a for b, a in zip(below_hi, upto_lo)]
         active = sum(counts)
         if active == 0:
             return hi
@@ -170,8 +177,10 @@ def sampled_search(matrices, feasible, rng: random.Random | None = None):
         x = m.open_at(lo, hi, idx)
         if feasible(x):
             hi = x
+            below_hi = [m.count_lt(hi) for m in mats]
         else:
             lo = x
+            upto_lo = [m.count_le(lo) for m in mats]
 
 
 def _as_point(p) -> Point:
@@ -198,7 +207,8 @@ def decide(
     """Is there a matching of full target value using only pairs within
     distance lam?  Perfect matching by default; pass supplies/demands for the
     many-to-many variant.  With ``squared`` (L2 only) ``lam`` is taken as the
-    squared radius, keeping rational decisions exact."""
+    squared radius, keeping rational decisions exact.  The matching is
+    returned only for a feasible decision."""
     pp = [_as_point(p) for p in Pset]
     qq = [_as_point(q) for q in Qset]
     if sd is None:
@@ -211,26 +221,60 @@ def decide(
         raise InputError("negative distance bound")
     if squared and metric is not Metric.L2:
         raise InputError("squared bounds apply to L2 only")
-
     if metric is Metric.L2:
-        lam_sq = lam if squared else lam * lam
         for p in pp + qq:
             if p.dim != 2:
                 raise InputError("L2 decisions are planar")
-        ranges = [Disk(q, None, radius_sq=lam_sq) for q in qq]
-        return _cover_decision(trivial_cover(pp, ranges), sd, numeric, want_matching)
-    if metric is Metric.L1:
-        pp, qq = [rotate45(p) for p in pp], [rotate45(q) for q in qq]
-    return _box_decision(pp, qq, lam, sd, numeric, want_matching)
+
+    if numeric.mode == "float":
+        # Deciding on the exact inputs (see _exact) keeps the box bounds
+        # c +- lam and the squared radius from rounding; only the amounts
+        # are rounded back to floats.
+        if not math.isfinite(lam):
+            raise InputError("distance bound must be finite")
+        res = decide(
+            [as_fraction_point(p) for p in pp],
+            [as_fraction_point(q) for q in qq],
+            metric,
+            Fraction(lam),
+            sd=_exact(sd),
+            squared=squared,
+            want_matching=want_matching,
+        )
+        if res.matching is not None:
+            res.matching = _float_amounts(res.matching)
+        return res
+
+    if metric is Metric.L2:
+        lam_sq = lam if squared else lam * lam
+        cover = _disk_cover(pp, qq, lam_sq)
+    else:
+        if metric is Metric.L1:
+            pp, qq = [rotate45(p) for p in pp], [rotate45(q) for q in qq]
+        cover = _box_cover(pp, qq, lam, sd)
+    feasible, matching = _solve(cover, sd, numeric, want_matching)
+    return DecideResult(feasible, matching if feasible else None)
 
 
-def _box_decision(
-    points, centres, lam, sd, numeric, want_matching, extra_parts=()
-) -> DecideResult:
-    """Decision over the L-infinity balls of radius lam around the centres:
-    the box cover of the points' incidences plus ``extra_parts``, complete
-    parts given by index lists that may reach rows and columns of ``sd``
-    past the points and the centres."""
+def _exact(sd: SupplyDemand | None) -> SupplyDemand | None:
+    # floats are dyadic rationals, so Fraction(x) converts them exactly
+    if sd is None:
+        return None
+    exact = lambda x: Fraction(x) if isinstance(x, float) else x
+    return SupplyDemand(
+        tuple(exact(s) for s in sd.supplies), tuple(exact(d) for d in sd.demands)
+    )
+
+
+def _float_amounts(matching: Matching) -> Matching:
+    return [(p, q, float(a) if isinstance(a, Fraction) else a) for p, q, a in matching]
+
+
+def _box_cover(points, centres, lam, sd, extra_parts=()) -> BicliqueCover:
+    """Cover of the incidences between the points and the L-infinity balls
+    of radius lam around the centres, plus ``extra_parts``: complete parts
+    given by index lists that may reach rows and columns of ``sd`` past the
+    points and the centres."""
     boxes = [
         Box(
             Point(tuple(c - lam for c in q.coords)),
@@ -239,17 +283,35 @@ def _box_decision(
         for q in centres
     ]
     parts = box_cover(points, boxes).parts + list(extra_parts)
-    cover = BicliqueCover(len(sd.supplies), len(sd.demands), parts)
-    return _cover_decision(cover, sd, numeric, want_matching)
+    return BicliqueCover(len(sd.supplies), len(sd.demands), parts)
 
 
-def _cover_decision(cover, sd, numeric, want_matching) -> DecideResult:
+def _disk_cover(pp, qq, lam_sq) -> BicliqueCover:
+    """One part per pair within squared distance lam_sq (trivial cover)."""
+    return trivial_cover(pp, [Disk(q, None, radius_sq=lam_sq) for q in qq])
+
+
+def _pair_cover(pairs, shape, lam_sq) -> BicliqueCover:
+    """The same one-part-per-pair cover read from ``pairs``, the (squared
+    distance, i, j) triples of every pair sorted by distance: the prefix of
+    pairs within lam_sq."""
+    k = bisect_right(pairs, lam_sq, key=_distance)
+    return BicliqueCover(*shape, [([i], [j]) for _d, i, j in islice(pairs, k)])
+
+
+_distance = itemgetter(0)
+
+
+def _solve(cover, sd, numeric, want_matching=True, seed=None) -> tuple:
+    """One decision over a cover: (feasible, maximum matching or None).
+    ``seed``, a matching over pairs the cover holds, starts the flow."""
     net = build_network(cover, sd)
-    flow = max_flow_dinitz(net, numeric)
+    initial = seed_flow(net, cover, seed) if seed else None
+    flow = max_flow_dinitz(net, numeric, initial)
     feasible = numeric.is_zero(sd.target - flow.value)
-    if not feasible or not want_matching:
-        return DecideResult(feasible, None)
-    return DecideResult(True, flow_to_matching(flow, net, cover, numeric))
+    if not want_matching:
+        return feasible, None
+    return feasible, flow_to_matching(flow, net, cover, numeric)
 
 
 @dataclass
@@ -286,7 +348,12 @@ def bottleneck_search(
     """Minimum lam such that decide(..., lam) is feasible, with a witness
     matching.  L-infinity and L1 run the sampled search over the four
     coordinate-difference matrices; L2 bisects the multiset of squared
-    pairwise distances."""
+    pairwise distances.
+
+    Decisions are warm-started: the maximum matching of the last infeasible
+    decision uses only pairs within its bound, so it is a feasible flow at
+    every larger bound the search decides later and starts that decision's
+    max flow."""
     pp = [_as_point(p) for p in Pset]
     qq = [_as_point(q) for q in Qset]
     if sd is None and len(pp) != len(qq):
@@ -298,26 +365,19 @@ def bottleneck_search(
         rng = random.Random(0)
 
     if numeric.mode == "float":
-        # Floats are dyadic rationals, so Fraction(c) is exact: searching the
-        # exact inputs keeps the box bounds c +- lam from rounding, and only
-        # the answer is rounded back to a float.
-        if sd is not None:
-            sd = SupplyDemand(
-                tuple(Fraction(s) for s in sd.supplies),
-                tuple(Fraction(d) for d in sd.demands),
-            )
+        # Searching the exact inputs (see _exact) keeps the box bounds
+        # c +- lam from rounding; only the answer is rounded back to floats.
         res = bottleneck_search(
             [as_fraction_point(p) for p in pp],
             [as_fraction_point(q) for q in qq],
             metric,
-            sd=sd,
+            sd=_exact(sd),
             rng=rng,
         )
-        matching = [
-            (p, q, float(a) if isinstance(a, Fraction) else a) for p, q, a in res.matching
-        ]
         sq = None if res.lambda_star_sq is None else float(res.lambda_star_sq)
-        return BottleneckResult(float(res.lambda_star), metric, matching, lambda_star_sq=sq)
+        return BottleneckResult(
+            float(res.lambda_star), metric, _float_amounts(res.matching), lambda_star_sq=sq
+        )
 
     coords = [c for p in pp + qq for c in p.coords]
     scale = integer_scale(coords)
@@ -340,45 +400,61 @@ def bottleneck_search(
             )
         return BottleneckResult(Fraction(res.lambda_star, scale), metric, res.matching)
 
-    squared = metric is Metric.L2
-    witness = None
+    if sd is None:
+        sd = SupplyDemand.unit(len(pp), len(qq))
+    if metric is Metric.L1:
+        pp, qq = [rotate45(p) for p in pp], [rotate45(q) for q in qq]
+    pairs = None
+    if metric is not Metric.L2:
+        cover_at = lambda v: _box_cover(pp, qq, v, sd)
+    elif any(p.dim != 2 for p in pp + qq):
+        raise InputError("L2 decisions are planar")
+    elif len(pp) * len(qq) <= _L2_MATERIALIZE_LIMIT:
+        # sorted by distance alone: a stable sort keeps the (i, j) order of
+        # equal distances, so this is the order of the triples themselves
+        pairs = [
+            (squared_distance(p, q), i, j) for i, p in enumerate(pp) for j, q in enumerate(qq)
+        ]
+        pairs.sort(key=_distance)
+        cover_at = lambda v: _pair_cover(pairs, (len(pp), len(qq)), v)
+    else:
+        cover_at = lambda v: _disk_cover(pp, qq, v)
+
+    witness = seed = None
 
     def feas(v) -> bool:
-        nonlocal witness
+        nonlocal witness, seed
         if v < 0:
             return False
-        res = decide(pp, qq, metric, v, sd=sd, numeric=numeric, squared=squared)
-        if res.feasible:
+        feasible, matching = _solve(cover_at(v), sd, numeric, seed=seed)
+        if feasible:
             # feasible decisions only lower the bound, so the last one is the
             # witness at the value the search returns
-            witness = res.matching
-        return res.feasible
+            witness = matching
+        else:
+            # every later decision is at a larger bound
+            seed = matching
+        return feasible
 
     if metric is Metric.L2:
-        lam = _l2_search(pp, qq, feas, rng)
-    elif metric is Metric.L1:
-        mats = build_sorted_matrices([rotate45(p) for p in pp], [rotate45(q) for q in qq])
-        lam = sampled_search(mats, feas, rng)
+        lam = _l2_search(pp, qq, pairs, feas, rng)
     else:
         lam = sampled_search(build_sorted_matrices(pp, qq), feas, rng)
-    if witness is None:
-        # no decision was feasible: the search returned its largest candidate
-        # without deciding it
-        res = decide(pp, qq, metric, lam, sd=sd, numeric=numeric, squared=squared)
-        if not res.feasible:
-            raise InternalError("search landed on an infeasible bound")
-        witness = res.matching
-    if squared:
+    # no decision was feasible: the search returned its largest candidate
+    # without deciding it
+    if witness is None and not feas(lam):
+        raise InternalError("search landed on an infeasible bound")
+    if metric is Metric.L2:
         return BottleneckResult(math.sqrt(float(lam)), metric, witness, lambda_star_sq=lam)
     return BottleneckResult(lam, metric, witness)
 
 
-def _l2_search(pp, qq, feas_sq, rng):
+def _l2_search(pp, qq, pairs, feas_sq, rng):
     """Smallest squared distance between pp and qq at which ``feas_sq``
-    holds."""
-    if len(pp) * len(qq) <= _L2_MATERIALIZE_LIMIT:
-        vals = sorted(squared_distance(p, q) for p in pp for q in qq)
-        return _rank_bisect(len(vals), lambda r: vals[r - 1], feas_sq)
+    holds: bisection over the ranks of ``pairs``, the sorted (squared
+    distance, i, j) triples, or a reservoir pass without them."""
+    if pairs is not None:
+        return _rank_bisect(len(pairs), lambda r: pairs[r - 1][0], feas_sq)
 
     # too many pairs to materialize: value bisection on reservoir-sampled
     # pivots, O(1) memory per pass
@@ -467,9 +543,8 @@ def pd_bottleneck(
             return False
         own = [([i], [ny + i]) for i in range(nx) if to_diagonal[i] <= lam]
         own += [([nx + j], [j]) for j in range(ny) if to_diagonal[nx + j] <= lam]
-        return _box_decision(
-            pts[:nx], pts[nx:], lam, sd, numeric, False, own + free
-        ).feasible
+        cover = _box_cover(pts[:nx], pts[nx:], lam, sd, own + free)
+        return _solve(cover, sd, numeric, want_matching=False)[0]
 
     # the optimum is a point-to-point distance or a distance to the diagonal
     mats = [SortedMatrix(to_diagonal, (0,))]

@@ -281,30 +281,31 @@ def _run_bottleneck(task: dict) -> dict:
     if len(red) != len(blue):
         raise InputError(f"size mismatch: {len(red)} red vs {len(blue)} blue points")
     numeric = _resolve_numeric(task["numeric"], max(len(red), len(blue)))
-    red = [_coerce_point(p, numeric) for p in red]
-    blue = [_coerce_point(p, numeric) for p in blue]
+    # Decisions and searches are exact in both modes, so they run on the
+    # parsed decimals and float mode only prints floats: rounding the inputs
+    # first would decide on other points (the floats 3.4 and -1.7 lie
+    # farther apart than the float 5.1).
+    shown = float if numeric.mode == "float" else (lambda x: x)
     metric = _METRICS[task["metric"]]
 
     if task.get("lam") is not None:
-        lam = numeric.convert(parse_scalar(task["lam"], RATIONAL))
-        res = decide(red, blue, metric, lam, numeric=numeric)
+        lam = parse_scalar(task["lam"], RATIONAL)
+        res = decide(red, blue, metric, lam)
         return {
             "metric": task["metric"],
-            "lambda": scalar_to_json(lam),
+            "lambda": scalar_to_json(shown(lam)),
             "feasible": res.feasible,
             "matching": _matching_json(res.matching) if res.matching is not None else None,
         }
 
-    r = bottleneck_search(
-        red, blue, metric, numeric=numeric, rng=random.Random(task["seed"])
-    )
+    r = bottleneck_search(red, blue, metric, rng=random.Random(task["seed"]))
     out = {
         "metric": task["metric"],
-        "lambda_star": scalar_to_json(r.lambda_star),
+        "lambda_star": scalar_to_json(shown(r.lambda_star)),
         "matching": _matching_json(r.matching),
     }
     if metric is Metric.L2:
-        out["lambda_star_sq"] = scalar_to_json(r.lambda_star_sq)
+        out["lambda_star_sq"] = scalar_to_json(shown(r.lambda_star_sq))
     return out
 
 

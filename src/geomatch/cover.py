@@ -30,11 +30,12 @@ class BicliqueCover:
     parts: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        for pts, rngs in self.parts:
-            if any(p < 0 or p >= self.left_count for p in pts):
-                raise InputError("part references a point index out of range")
-            if any(r < 0 or r >= self.right_count for r in rngs):
-                raise InputError("part references a range index out of range")
+        pts = [p for ps, _ in self.parts for p in ps]
+        if pts and (min(pts) < 0 or max(pts) >= self.left_count):
+            raise InputError("part references a point index out of range")
+        rngs = [r for _, rs in self.parts for r in rs]
+        if rngs and (min(rngs) < 0 or max(rngs) >= self.right_count):
+            raise InputError("part references a range index out of range")
 
 
 def cover_size(cover: BicliqueCover) -> int:

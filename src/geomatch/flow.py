@@ -41,7 +41,9 @@ class SupplyDemand:
 
 class FlowNetwork:
     """Directed s-t network as a paired edge list: edge ``e ^ 1`` is the
-    reverse of edge ``e``; original edges have even ids."""
+    reverse of edge ``e``; original edges have even ids.  ``build_network``
+    writes the arrays directly; ``add_edge`` and the per-edge ``einfo`` tags
+    serve the level graphs of the implicit engine."""
 
     def __init__(self, n: int, source: int, sink: int):
         self.n = n
@@ -79,56 +81,86 @@ class Flow:
 
 def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
     """Five-layer network for a cover: vertex count 2 + |P| + |R| + |I|,
-    edge count |P| + |R| + sigma."""
+    edge count |P| + |R| + sigma.
+
+    Vertices: source 0, sink 1, then the points, the ranges and one middle
+    vertex per part, in cover order.  Original edge ids follow one fixed
+    layout: a feeder per point, a drain per range, then the pins (point to
+    middle vertex) of every part and the pouts (middle vertex to range) of
+    every part, both in cover order and in the order of each part's lists.
+    A vertex's adjacency lists its edges by ascending id."""
     np_, nr = cover.left_count, cover.right_count
     if len(sd.supplies) != np_ or len(sd.demands) != nr:
         raise InputError("supply/demand lengths disagree with the cover")
-    ni = len(cover.parts)
-    net = FlowNetwork(2 + np_ + nr + ni, 0, 1)
-    point_node = lambda p: 2 + p
-    range_node = lambda r: 2 + np_ + r
-    part_node = lambda i: 2 + np_ + nr + i
-    for p, s in enumerate(sd.supplies):
-        net.add_edge(0, point_node(p), s, ("feeder", p))
-    for r, d in enumerate(sd.demands):
-        net.add_edge(range_node(r), 1, d, ("drain", r))
-    for i, (pts, rngs) in enumerate(cover.parts):
-        for p in pts:
-            net.add_edge(point_node(p), part_node(i), INF, ("pin", i, p))
-        for r in rngs:
-            net.add_edge(part_node(i), range_node(r), INF, ("pout", i, r))
-    expected_edges = np_ + nr + sum(len(ps) + len(rs) for ps, rs in cover.parts)
-    if net.edge_count != expected_edges:
-        raise InternalError("network edge accounting is off")
+    parts = cover.parts
+    rbase = 2 + np_
+    mid0 = rbase + nr
+    net = FlowNetwork(mid0 + len(parts), 0, 1)
+    # tail and head vertex of each original edge, in id order
+    tails = [0] * np_ + list(range(rbase, mid0))
+    tails += [2 + p for pts, _ in parts for p in pts]
+    tails += [mid for mid, (_, rngs) in enumerate(parts, mid0) for _ in rngs]
+    heads = list(range(2, rbase)) + [1] * nr
+    heads += [mid for mid, (pts, _) in enumerate(parts, mid0) for _ in pts]
+    heads += [rbase + r for _, rngs in parts for r in rngs]
+    m = len(tails)
+    eto = [0] * (2 * m)
+    eto[0::2] = heads
+    eto[1::2] = tails
+    ecap = [0] * (2 * m)
+    ecap[0::2] = list(sd.supplies) + list(sd.demands) + [INF] * (m - np_ - nr)
+    tail_of = [0] * (2 * m)  # edge e leaves eto[e ^ 1]
+    tail_of[0::2] = tails
+    tail_of[1::2] = heads
+    add = [h.append for h in net.head]
+    for e, u in enumerate(tail_of):
+        add[u](e)
+    net.eto, net.ecap = eto, ecap
     return net
 
 
-def max_flow_dinitz(net: FlowNetwork, numeric: NumericContext = RATIONAL) -> Flow:
+def max_flow_dinitz(
+    net: FlowNetwork, numeric: NumericContext = RATIONAL, initial: dict | None = None
+) -> Flow:
     """Dinitz max flow: BFS level graph, then a pointer-based DFS blocking
     flow per phase.  Works on exact rationals and on thresholded floats; the
-    input network is not mutated."""
+    input network is not mutated.
+
+    ``initial`` maps original edge ids to the amounts of a feasible flow to
+    start from (see ``seed_flow``); the phases augment it to a maximum."""
     res = list(net.ecap)
-    s, t = net.source, net.sink
-    pos = numeric.is_positive
-    level = [-1] * net.n
+    s, t, n = net.source, net.sink, net.n
+    head, eto = net.head, net.eto
+    # one compare per residual: the same test as numeric.is_positive
+    thr = 0 if numeric.mode == "rational" else numeric.zero_threshold
     total = 0
+    if initial:
+        for e, amt in initial.items():
+            res[e] -= amt
+            res[e ^ 1] += amt
+            if res[e] < -thr:
+                raise InternalError("initial flow exceeds an edge capacity")
+            if eto[e ^ 1] == s:
+                total += amt
+    level = [-1] * n
 
     def bfs() -> bool:
-        for i in range(net.n):
+        for i in range(n):
             level[i] = -1
         level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for e in net.head[u]:
-                v = net.eto[e]
-                if level[v] < 0 and pos(res[e]):
-                    level[v] = level[u] + 1
+            lu = level[u] + 1
+            for e in head[u]:
+                v = eto[e]
+                if level[v] < 0 and res[e] > thr:
+                    level[v] = lu
                     queue.append(v)
         return level[t] >= 0
 
     while bfs():
-        it = [0] * net.n
+        it = [0] * n
         stack = []  # edge ids of the current DFS path
         u = s
         while True:
@@ -138,15 +170,16 @@ def max_flow_dinitz(net: FlowNetwork, numeric: NumericContext = RATIONAL) -> Flo
                     res[e] -= delta
                     res[e ^ 1] += delta
                 total += delta
-                cut = next(i for i, e in enumerate(stack) if not pos(res[e]))
+                cut = next(i for i, e in enumerate(stack) if not res[e] > thr)
                 del stack[cut:]
-                u = s if not stack else net.eto[stack[-1]]
+                u = eto[stack[-1]] if stack else s
                 continue
             advanced = False
-            while it[u] < len(net.head[u]):
-                e = net.head[u][it[u]]
-                v = net.eto[e]
-                if pos(res[e]) and level[v] == level[u] + 1:
+            out = head[u]
+            while it[u] < len(out):
+                e = out[it[u]]
+                v = eto[e]
+                if res[e] > thr and level[v] == level[u] + 1:
                     stack.append(e)
                     u = v
                     advanced = True
@@ -157,15 +190,35 @@ def max_flow_dinitz(net: FlowNetwork, numeric: NumericContext = RATIONAL) -> Flo
                     break
                 level[u] = -1  # dead end, retire the vertex for this phase
                 e = stack.pop()
-                u = net.eto[e ^ 1]
+                u = eto[e ^ 1]
                 it[u] += 1
     # Flow on an original edge equals the residual accumulated on its twin.
-    values = [res[e + 1] for e in range(0, len(net.eto), 2)]
-    return Flow(values, total)
+    return Flow(res[1::2], total)
 
 
 # A matching is a list of (point index, range index, amount) triples.
 Matching = list
+
+
+def seed_flow(net: FlowNetwork, cover, matching: Matching) -> dict:
+    """Route a matching through the network ``build_network`` made for
+    ``cover``, as an initial flow for ``max_flow_dinitz``: each triple
+    (p, r, a) sends a along the feeder of p, the pin and pout of a part
+    holding both p and r, and the drain of r.  The matching must respect the
+    supplies and demands; a pair that no part holds raises InternalError."""
+    np_ = cover.left_count
+    head, eto = net.head, net.eto
+    flow = defaultdict(int)
+    for p, r, amt in matching:
+        # the pouts into r by middle vertex, then a pin of p into one of them
+        r_node = 2 + np_ + r
+        pout = {eto[e]: e ^ 1 for e in head[r_node] if e & 1}
+        pin = next((e for e in head[2 + p] if not e & 1 and eto[e] in pout), None)
+        if pin is None:
+            raise InternalError(f"seed pair ({p}, {r}) is in no part of the cover")
+        for e in (2 * p, pin, pout[eto[pin]], 2 * (np_ + r)):
+            flow[e] += amt
+    return flow
 
 
 def flow_to_matching(
@@ -173,25 +226,36 @@ def flow_to_matching(
 ) -> Matching:
     """Per-part pairing loop: repeatedly match the lowest-index point and
     range with positive remaining amount, emitting min of the two; duplicate
-    (p, r) pairs from overlapping parts are merged by a bucket pass."""
-    pos = numeric.is_positive
-    # only the parts that carry flow get lists: far fewer than all parts
-    part_in = defaultdict(list)
-    part_out = defaultdict(list)
-    for e in range(0, len(net.eto), 2):
-        info = net.einfo[e]
-        if info is None:
-            continue
-        amt = flow.values[e // 2]
-        if not pos(amt):
-            continue
-        if info[0] == "pin":
-            part_in[info[1]].append([info[2], amt])
-        elif info[0] == "pout":
-            part_out[info[1]].append([info[2], amt])
+    (p, r) pairs from overlapping parts are merged by a bucket pass.
+
+    Only the parts whose pins carry flow are paired; each is read from the
+    adjacency of its middle vertex in ``build_network``'s layout: the
+    reversed pins in the order of the part's points, then the pouts in the
+    order of its ranges."""
+    thr = 0 if numeric.mode == "rational" else numeric.zero_threshold
+    vals, eto, head = flow.values, net.eto, net.head
+    np_, nr = cover.left_count, cover.right_count
+    rbase = 2 + np_
+    mid0 = rbase + nr
+    if net.n != mid0 + len(cover.parts):
+        raise InternalError("network does not follow the cover's layout")
+    # pins are the inner edges that enter a middle vertex
+    busy = sorted(
+        {
+            eto[2 * k]
+            for k in range(np_ + nr, len(vals))
+            if vals[k] > thr and eto[2 * k] >= mid0
+        }
+    )
     merged = {}
-    for i in sorted(part_in):
-        lp, lr = part_in[i], part_out[i]
+    for mid in busy:
+        # an odd edge here is a reversed pin, flow vals[e >> 1] of its twin
+        lp = [[eto[e] - 2, vals[e >> 1]] for e in head[mid] if e & 1 and vals[e >> 1] > thr]
+        lr = [
+            [eto[e] - rbase, vals[e >> 1]]
+            for e in head[mid]
+            if not e & 1 and vals[e >> 1] > thr
+        ]
         a = b = 0
         emitted = 0
         while a < len(lp) and b < len(lr):
@@ -203,13 +267,13 @@ def flow_to_matching(
             emitted += 1
             lp[a][1] -= delta
             lr[b][1] -= delta
-            if not pos(lp[a][1]):
+            if not lp[a][1] > thr:
                 a += 1
-            if not pos(lr[b][1]):
+            if not lr[b][1] > thr:
                 b += 1
         if emitted > max(0, len(lp) + len(lr) - 1):
             raise InternalError("pairing emitted more triples than part size allows")
-    return [(p, r, amt) for (p, r), amt in sorted(merged.items()) if pos(amt)]
+    return [(p, r, amt) for (p, r), amt in sorted(merged.items()) if amt > thr]
 
 
 def matching_value(matching: Matching):

@@ -14,12 +14,13 @@ from geomatch.bottleneck import (
     pd_bottleneck,
     sampled_search,
 )
-from geomatch.flow import SupplyDemand
+from geomatch.flow import SupplyDemand, matching_value
 from geomatch.geometry import Metric, Point, rotate45
 from geomatch.numeric import FLOAT, InputError
+from geomatch.oracle import ExplicitBipartite, reference_max_flow
 
-from brute import bottleneck_brute, pd_brute
-from helpers import rand_fraction
+from brute import _DIST, bottleneck_brute, pd_brute
+from helpers import rand_fraction, rand_sd
 
 
 def rand_pts(rng, n):
@@ -99,6 +100,57 @@ def test_sampled_search_finds_smallest_feasible_entry():
         assert len(calls) == len(set(calls))
 
 
+def _recount_both_search(matrices, feasible, rng):
+    """The search loop that walks every staircase at both bounds per draw."""
+    mats = list(matrices.values()) if isinstance(matrices, dict) else list(matrices)
+    lo = min(m.min_entry() for m in mats) - 1
+    hi = max(m.max_entry() for m in mats)
+    while True:
+        counts = [m.count_lt(hi) - m.count_le(lo) for m in mats]
+        if sum(counts) == 0:
+            return hi
+        idx = rng.randrange(sum(counts))
+        for m, cnt in zip(mats, counts):
+            if idx < cnt:
+                break
+            idx -= cnt
+        x = m.open_at(lo, hi, idx)
+        if feasible(x):
+            hi = x
+        else:
+            lo = x
+
+
+def test_search_recounting_one_bound_makes_the_same_decisions(monkeypatch):
+    rng = random.Random(30)
+    cases = []
+    for _ in range(6):
+        P, Q = rand_pts(rng, 9), rand_pts(rng, 9)
+        cases.append(lambda P=P, Q=Q: bottleneck_search(P, Q, Metric.LINF).lambda_star)
+        cases.append(lambda P=P, Q=Q: bottleneck_search(P, Q, Metric.L1).lambda_star)
+        X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+        Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+        cases.append(lambda X=X, Y=Y: pd_bottleneck(X, Y))
+
+    def decisions(search, run):
+        decided = []
+
+        def logged(matrices, feasible, rng=None):
+            def logged_feasible(x):
+                decided.append(x)
+                return feasible(x)
+
+            return search(matrices, logged_feasible, rng)
+
+        monkeypatch.setattr(bottleneck_mod, "sampled_search", logged)
+        return run(), decided
+
+    for run in cases:
+        star, decided = decisions(sampled_search, run)
+        assert decided
+        assert decisions(_recount_both_search, run) == (star, decided)
+
+
 # ------------------------------------------------------------------- decide
 
 def test_decide_single_pair_boundary():
@@ -141,6 +193,41 @@ def test_decide_monotone_in_lambda():
             for lam in range(0, 80, 8)
         ]
         assert feas == sorted(feas), "feasibility must be monotone"
+
+
+FLOAT_P = [Point((-1.7, 1.9)), Point((0.3, -3.4)), Point((-4.3, 4.4))]
+FLOAT_Q = [Point((-0.5, 0.8)), Point((3.4, 2.4)), Point((1.6, 0.3))]
+
+
+def test_float_decide_does_not_round_box_bounds():
+    # as floats, (-1.7, 1.9) and (3.4, 2.4) lie exactly lam apart; box bounds
+    # c +- lam computed in floats round that pair out of its box
+    lam = Fraction(3.4) - Fraction(-1.7)
+    res = decide(FLOAT_P, FLOAT_Q, Metric.LINF, lam, numeric=FLOAT)
+    assert res.feasible
+    assert sorted(res.matching) == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+    # the float 5.1 lies below that distance
+    assert not decide(FLOAT_P, FLOAT_Q, Metric.LINF, 5.1, numeric=FLOAT).feasible
+    half = SupplyDemand((0.5,) * 3, (0.5,) * 3)
+    res = decide(FLOAT_P, FLOAT_Q, Metric.LINF, lam, sd=half, numeric=FLOAT)
+    assert res.feasible and all(type(a) is float and a == 0.5 for _p, _q, a in res.matching)
+
+
+def test_float_decide_matches_exact_decisions_on_tenths():
+    rng = random.Random(34)
+    tenth = lambda: rng.randrange(-50, 51) / 10
+    exact = lambda pts: [Point(tuple(Fraction(c) for c in p.coords)) for p in pts]
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        P = [Point((tenth(), tenth())) for _ in range(n)]
+        Q = [Point((tenth(), tenth())) for _ in range(n)]
+        for metric in Metric:
+            dists = {_DIST[metric](p, q) for p in exact(P) for q in exact(Q)}
+            for lam in sorted(dists) + [float(d) for d in dists]:
+                sq = metric is Metric.L2
+                got = decide(P, Q, metric, lam, numeric=FLOAT, squared=sq)
+                want = decide(exact(P), exact(Q), metric, Fraction(lam), squared=sq)
+                assert got.feasible == want.feasible
 
 
 # ---------------------------------------------------------------- the search
@@ -280,6 +367,69 @@ def test_float_search_matches_rational_on_tenths():
             assert len(r.matching) == n
 
 
+def _brute_sd(P, Q, sd, metric):
+    """Smallest pairwise distance (squared for L2) at which the explicit
+    incidence graph carries the full target value."""
+    dist = _DIST[metric]
+    for lam in sorted({dist(p, q) for p in P for q in Q}):
+        edges = [(i, j) for i, p in enumerate(P) for j, q in enumerate(Q) if dist(p, q) <= lam]
+        g = ExplicitBipartite(len(P), len(Q), edges)
+        if reference_max_flow(g, sd.supplies, sd.demands) == sd.target:
+            return lam
+    raise AssertionError("the largest distance must carry the target")
+
+
+def test_warm_search_matches_brute_force_many_to_many():
+    rng = random.Random(35)
+    for _ in range(12):
+        P, Q = rand_pts(rng, rng.randrange(1, 7)), rand_pts(rng, rng.randrange(1, 7))
+        sd = rand_sd(rng, len(P), len(Q), integral=False)
+        for metric in Metric:
+            r = bottleneck_search(P, Q, metric, sd=sd)
+            star = r.lambda_star_sq if metric is Metric.L2 else r.lambda_star
+            assert star == _brute_sd(P, Q, sd, metric)
+            assert matching_value(r.matching) == sd.target
+            assert all(_DIST[metric](P[p], Q[q]) <= star for p, q, _a in r.matching)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
+    dinitz = bottleneck_mod.max_flow_dinitz
+    rng = random.Random(36)
+    for _ in range(4):
+        P, Q = rand_pts(rng, 12), rand_pts(rng, 12)
+        runs = []
+        for cold in (False, True):
+            seeded = []
+
+            def counted(net, numeric, initial=None):
+                seeded.append(bool(initial))
+                return dinitz(net, numeric, None if cold else initial)
+
+            monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", counted)
+            r = bottleneck_search(P, Q, metric)
+            runs.append((r.lambda_star_sq if metric is Metric.L2 else r.lambda_star, seeded))
+        (warm_star, warm_seeded), (cold_star, cold_seeded) = runs
+        assert warm_star == cold_star
+        assert len(warm_seeded) == len(cold_seeded)
+        assert any(warm_seeded)
+
+
+def test_l2_reservoir_search_matches_materialized(monkeypatch):
+    rng = random.Random(37)
+    cases = []
+    for _ in range(10):
+        n = rng.randrange(1, 9)
+        sd = rand_sd(rng, n, n, integral=False) if rng.random() < 0.3 else None
+        cases.append((rand_pts(rng, n), rand_pts(rng, n), sd))
+    materialized = [bottleneck_search(P, Q, Metric.L2, sd=sd) for P, Q, sd in cases]
+    monkeypatch.setattr(bottleneck_mod, "_L2_MATERIALIZE_LIMIT", 0)
+    for (P, Q, sd), want in zip(cases, materialized):
+        r = bottleneck_search(P, Q, Metric.L2, sd=sd)
+        assert r.lambda_star_sq == want.lambda_star_sq
+        assert all(_DIST[Metric.L2](P[p], Q[q]) <= r.lambda_star_sq for p, q, _a in r.matching)
+
+
 def _count_decisions(monkeypatch, search_name, feas_pos, cover_name):
     """Wrap the search loop so every call of its feasibility callback at a
     non-negative bound counts as asked, and the cover builder so every
@@ -311,7 +461,7 @@ def _count_decisions(monkeypatch, search_name, feas_pos, cover_name):
 @pytest.mark.parametrize("metric", list(Metric))
 def test_search_decides_only_when_asked(monkeypatch, metric):
     if metric is Metric.L2:
-        counts = _count_decisions(monkeypatch, "_rank_bisect", 2, "trivial_cover")
+        counts = _count_decisions(monkeypatch, "_rank_bisect", 2, "_pair_cover")
     else:
         counts = _count_decisions(monkeypatch, "sampled_search", 1, "box_cover")
     rng = random.Random(28)

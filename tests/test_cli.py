@@ -189,6 +189,21 @@ def test_bottleneck_decision_flag(tmp_path, capsys):
     assert code == 0 and not body["feasible"] and body["matching"] is None
 
 
+def test_bottleneck_float_decision_is_exact(tmp_path, capsys):
+    red = write(tmp_path, "red.csv", "-1.7,1.9\n0.3,-3.4\n-4.3,4.4\n")
+    blue = write(tmp_path, "blue.csv", "-0.5,0.8\n3.4,2.4\n1.6,0.3\n")
+    for numeric in ("rational", "float"):
+        argv = ["bottleneck", red, blue, "--numeric", numeric]
+        code, stdout, _ = run_cli(capsys, *argv, "--lambda", "5.1")
+        body = json.loads(stdout)
+        assert code == 0 and body["feasible"]
+        assert sorted(map(tuple, body["matching"])) == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        star = json.loads(stdout)["lambda_star"]
+        assert star == (5.1 if numeric == "float" else "51/10")
+
+
 def test_bottleneck_size_mismatch(tmp_path, capsys):
     red = write(tmp_path, "red.csv", "0,0\n1,1\n")
     blue = write(tmp_path, "blue.csv", "1,2\n")

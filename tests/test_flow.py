@@ -10,12 +10,14 @@ from geomatch.flow import (
     flow_to_matching,
     matching_value,
     max_flow_dinitz,
+    seed_flow,
     validate_matching,
 )
-from geomatch.numeric import FLOAT, RATIONAL, InputError
+from geomatch.geometry import Box, Point
+from geomatch.numeric import FLOAT, RATIONAL, InputError, InternalError
 from geomatch.oracle import ExplicitBipartite, brute_force_incidences, reference_max_flow
 
-from helpers import rand_boxes, rand_points, rand_sd
+from helpers import assert_blocking, rand_boxes, rand_fraction, rand_points, rand_sd
 
 
 def test_supply_demand_validation():
@@ -100,3 +102,74 @@ def test_matching_validation_catches_violations():
     assert not validate_matching([(0, 0, 1), (0, 0, 1)], pts, boxes, sd)  # dup pair
     far = [Box(Point((5, 5)), Point((6, 6)))]
     assert not validate_matching([(0, 0, 1)], pts, far, sd)  # not incident
+
+
+def test_network_follows_the_cover_layout():
+    cover = BicliqueCover(2, 2, [([0, 1], [1]), ([0], [0, 1])])
+    net = build_network(cover, SupplyDemand((2, 3), (1, 4)))
+    # vertices: source 0, sink 1, points 2-3, ranges 4-5, middle vertices 6-7
+    tails = [net.eto[e + 1] for e in range(0, len(net.eto), 2)]
+    heads = [net.eto[e] for e in range(0, len(net.eto), 2)]
+    # feeders, drains, the pins of both parts, then the pouts of both parts
+    assert tails == [0, 0, 4, 5, 2, 3, 2, 6, 7, 7]
+    assert heads == [2, 3, 1, 1, 6, 6, 7, 5, 4, 5]
+    assert net.ecap[0::2][:4] == [2, 3, 1, 4]
+    for u in range(net.n):
+        assert net.head[u] == [e for e in range(len(net.eto)) if net.eto[e ^ 1] == u]
+
+
+def _centred_boxes(centres, half):
+    return [
+        Box(Point(tuple(c - half for c in q.coords)), Point(tuple(c + half for c in q.coords)))
+        for q in centres
+    ]
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_seeded_dinitz_matches_cold(unit):
+    rng = random.Random(31 if unit else 32)
+    seeded = 0
+    for trial in range(60):
+        pts = rand_points(rng, rng.randrange(1, 16))
+        centres = rand_points(rng, rng.randrange(1, 16))
+        if unit:
+            sd = SupplyDemand.unit(len(pts), len(centres))
+        else:
+            sd = rand_sd(rng, len(pts), len(centres), integral=False)
+        wide = rand_fraction(rng, 5, 40)
+        cover = box_cover(pts, _centred_boxes(centres, wide))
+        if trial % 2:
+            # a sub-cover with parts of its own: smaller boxes around the same centres
+            narrow = wide * Fraction(rng.randrange(0, 8), 8)
+            sub = box_cover(pts, _centred_boxes(centres, narrow))
+        else:
+            sub = BicliqueCover(
+                len(pts), len(centres), rng.sample(cover.parts, len(cover.parts) // 2)
+            )
+        sub_net = build_network(sub, sd)
+        seed = flow_to_matching(max_flow_dinitz(sub_net), sub_net, sub)
+        seeded += bool(seed)
+        net = build_network(cover, sd)
+        cold = max_flow_dinitz(net)
+        warm = max_flow_dinitz(net, RATIONAL, seed_flow(net, cover, seed))
+        assert warm.value == cold.value
+        assert_blocking(net, warm, RATIONAL)
+        matching = flow_to_matching(warm, net, cover)
+        assert matching_value(matching) == cold.value
+        assert validate_matching(matching, pts, _centred_boxes(centres, wide), sd)
+    assert seeded > 20
+
+
+def test_seed_pair_outside_the_cover_raises():
+    cover = BicliqueCover(2, 2, [([0], [0]), ([1], [1])])
+    net = build_network(cover, SupplyDemand.unit(2, 2))
+    assert max_flow_dinitz(net, RATIONAL, seed_flow(net, cover, [(1, 1, 1)])).value == 2
+    with pytest.raises(InternalError):
+        seed_flow(net, cover, [(0, 1, 1)])
+
+
+def test_initial_flow_over_capacity_raises():
+    cover = BicliqueCover(1, 1, [([0], [0])])
+    net = build_network(cover, SupplyDemand.unit(1, 1))
+    with pytest.raises(InternalError):
+        max_flow_dinitz(net, RATIONAL, seed_flow(net, cover, [(0, 0, 2)]))

@@ -27,7 +27,7 @@ def run_benchmark(workload) -> dict:
     return result
 
 
-@pytest.mark.parametrize("workload", ["pd-bottleneck", "bottleneck-linf"])
+@pytest.mark.parametrize("workload", ["pd-bottleneck", "bottleneck-linf", "bottleneck-l2"])
 def test_benchmark_run_is_correct(workload):
     assert run_benchmark(workload)["failed"] == 0
 
