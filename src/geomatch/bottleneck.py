@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
-from .cover import BicliqueCover, box_cover, trivial_cover
+from .cover import BicliqueCover, BoxTree, trivial_cover
 from .flow import (
     Matching,
     SupplyDemand,
@@ -32,7 +32,6 @@ from .flow import (
     seed_flow,
 )
 from .geometry import (
-    Box,
     Disk,
     Metric,
     Point,
@@ -251,7 +250,11 @@ def decide(
     else:
         if metric is Metric.L1:
             pp, qq = [rotate45(p) for p in pp], [rotate45(q) for q in qq]
-        cover = _box_cover(pp, qq, lam, sd)
+        dims = {p.dim for p in pp + qq}
+        if len(dims) > 1:
+            raise InputError("points disagree on dimension")
+        tree = BoxTree([p.coords for p in pp], dims.pop() if dims else 1)
+        cover = _box_cover(tree, [q.coords for q in qq], lam, sd)
     feasible, matching = _solve(cover, sd, numeric, want_matching)
     return DecideResult(feasible, matching if feasible else None)
 
@@ -270,19 +273,14 @@ def _float_amounts(matching: Matching) -> Matching:
     return [(p, q, float(a) if isinstance(a, Fraction) else a) for p, q, a in matching]
 
 
-def _box_cover(points, centres, lam, sd, extra_parts=()) -> BicliqueCover:
-    """Cover of the incidences between the points and the L-infinity balls
-    of radius lam around the centres, plus ``extra_parts``: complete parts
-    given by index lists that may reach rows and columns of ``sd`` past the
-    points and the centres."""
-    boxes = [
-        Box(
-            Point(tuple(c - lam for c in q.coords)),
-            Point(tuple(c + lam for c in q.coords)),
-        )
-        for q in centres
-    ]
-    parts = box_cover(points, boxes).parts + list(extra_parts)
+def _box_cover(tree, centres, lam, sd, extra_parts=()) -> BicliqueCover:
+    """Cover of the incidences between the points of ``tree`` and the
+    L-infinity balls of radius lam around the centres (coordinate tuples),
+    plus ``extra_parts``: complete parts given by index lists that may reach
+    rows and columns of ``sd`` past the points and the centres."""
+    lows = [tuple(c - lam for c in q) for q in centres]
+    highs = [tuple(c + lam for c in q) for q in centres]
+    parts = tree.parts(lows, highs) + list(extra_parts)
     return BicliqueCover(len(sd.supplies), len(sd.demands), parts)
 
 
@@ -406,7 +404,9 @@ def bottleneck_search(
         pp, qq = [rotate45(p) for p in pp], [rotate45(q) for q in qq]
     pairs = None
     if metric is not Metric.L2:
-        cover_at = lambda v: _box_cover(pp, qq, v, sd)
+        tree = BoxTree([p.coords for p in pp], 2)
+        centres = [q.coords for q in qq]
+        cover_at = lambda v: _box_cover(tree, centres, v, sd)
     elif any(p.dim != 2 for p in pp + qq):
         raise InputError("L2 decisions are planar")
     elif len(pp) * len(qq) <= _L2_MATERIALIZE_LIMIT:
@@ -513,38 +513,38 @@ def pd_bottleneck(
     each other freely, contributed by one complete cover part.  (Letting a
     point reach any projection instead gives the same optimum: none is nearer
     than its own.)  The optimum is found by the sampled search over the
-    coordinate-difference candidates, exactly in rational mode."""
+    coordinate-difference candidates, exactly in both modes; float mode
+    rounds the answer."""
     dgm_x, dgm_y = _diagram(X), _diagram(Y)
     if not dgm_x.points and not dgm_y.points:
         return 0
     if rng is None:
         rng = random.Random(0)
-    bd = [
-        (numeric.convert(b), numeric.convert(d))
-        for b, d in dgm_x.points + dgm_y.points
-    ]
-    scale = 1
-    if numeric.mode == "rational":
-        scale = integer_scale(c for pair in bd for c in pair)
-        bd = [scaled_ints(pair, scale) for pair in bd]
+    # Float values are searched exactly too (see _exact_scalar), which keeps
+    # the box bounds c +- lam from rounding; float mode only rounds the answer.
+    bd = [(_exact_scalar(b), _exact_scalar(d)) for b, d in dgm_x.points + dgm_y.points]
+    scale = integer_scale(c for pair in bd for c in pair)
+    bd = [scaled_ints(pair, scale) for pair in bd]
     # In doubled coordinates a point lies d - b from its own diagonal
-    # projection ((b + d) / 2 undoubled), an int in rational mode.
+    # projection ((b + d) / 2 undoubled), an int.
     nx = len(dgm_x)
-    pts = [Point((2 * b, 2 * d)) for b, d in bd]
+    pts = [(2 * b, 2 * d) for b, d in bd]
     to_diagonal = [d - b for b, d in bd]
     n = len(bd)
     ny = n - nx
     sd = SupplyDemand.unit(n, n)
     # rows: X then the projections of Y; columns: Y then the projections of X
     free = [(list(range(nx, n)), list(range(ny, n)))] if nx and ny else []
+    tree = BoxTree(pts[:nx], 2)
+    centres = pts[nx:]
 
     def feasible(lam) -> bool:
         if lam < 0:
             return False
         own = [([i], [ny + i]) for i in range(nx) if to_diagonal[i] <= lam]
         own += [([nx + j], [j]) for j in range(ny) if to_diagonal[nx + j] <= lam]
-        cover = _box_cover(pts[:nx], pts[nx:], lam, sd, own + free)
-        return _solve(cover, sd, numeric, want_matching=False)[0]
+        cover = _box_cover(tree, centres, lam, sd, own + free)
+        return _solve(cover, sd, RATIONAL, want_matching=False)[0]
 
     # the optimum is a point-to-point distance or a distance to the diagonal
     mats = [SortedMatrix(to_diagonal, (0,))]
@@ -554,6 +554,14 @@ def pd_bottleneck(
     # the search decides strictly below its initial bound, the largest entry
     if lam == max(m.max_entry() for m in mats) and not feasible(lam):
         raise InternalError("search landed on an infeasible bound")
-    if numeric.mode == "rational":
-        return Fraction(lam, 2 * scale)
-    return lam / 2
+    value = Fraction(lam, 2 * scale)
+    return float(value) if numeric.mode == "float" else value
+
+
+def _exact_scalar(x):
+    # floats are dyadic rationals, so Fraction(x) converts them exactly
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, float) and not math.isfinite(x):
+        raise InputError(f"non-finite diagram value {x!r}")
+    return Fraction(x)

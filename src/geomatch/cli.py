@@ -150,12 +150,10 @@ def parse_diagram(path: str):
 
 # ---------------------------------------------------------- numeric plumbing
 
-def _resolve_numeric(choice: str, n: int):
-    if choice == "rational":
-        return RATIONAL
-    if choice == "float":
-        return FLOAT
-    return RATIONAL if n <= 1000 else FLOAT
+def _resolve_numeric(choice: str):
+    # auto is exact at every size: float mode treats amounts up to 1e-9 as
+    # zero, which answers 0 on inputs with tiny weights
+    return FLOAT if choice == "float" else RATIONAL
 
 
 def _coerce_point(p: Point, numeric) -> Point:
@@ -229,7 +227,7 @@ def _run_cover(task: dict) -> dict:
 def _run_match(task: dict) -> dict:
     ranges, demands, dim = parse_ranges(task["ranges"])
     points, supplies = parse_points(task["points"], dim)
-    numeric = _resolve_numeric(task["numeric"], max(len(points), len(ranges)))
+    numeric = _resolve_numeric(task["numeric"])
     points = [_coerce_point(p, numeric) for p in points]
     ranges = [_coerce_range(r, numeric) for r in ranges]
     supplies = [numeric.convert(s) for s in supplies]
@@ -280,7 +278,7 @@ def _run_bottleneck(task: dict) -> dict:
     blue, _ = parse_points(task["blue"], 2, allow_supply=False)
     if len(red) != len(blue):
         raise InputError(f"size mismatch: {len(red)} red vs {len(blue)} blue points")
-    numeric = _resolve_numeric(task["numeric"], max(len(red), len(blue)))
+    numeric = _resolve_numeric(task["numeric"])
     # Decisions and searches are exact in both modes, so they run on the
     # parsed decimals and float mode only prints floats: rounding the inputs
     # first would decide on other points (the floats 3.4 and -1.7 lie
@@ -312,10 +310,9 @@ def _run_bottleneck(task: dict) -> dict:
 def _run_pd(task: dict) -> dict:
     x = parse_diagram(task["dgm1"])
     y = parse_diagram(task["dgm2"])
-    numeric = _resolve_numeric(task["numeric"], len(x) + len(y))
-    if numeric.mode == "float":
-        x = [(float(b), float(d)) for b, d in x]
-        y = [(float(b), float(d)) for b, d in y]
+    # the search is exact in both modes (see _run_bottleneck); float mode
+    # only rounds the answer
+    numeric = _resolve_numeric(task["numeric"])
     v = pd_bottleneck(x, y, numeric=numeric, rng=random.Random(task["seed"]))
     return {"w_inf": scalar_to_json(v)}
 
@@ -351,7 +348,7 @@ def _common(sub) -> None:
         "--numeric",
         choices=("auto", "rational", "float"),
         default="auto",
-        help="scalar mode; auto picks rational up to 1000 elements, float above",
+        help="scalar mode; auto is exact rational arithmetic at every size",
     )
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized pivots")
     sub.add_argument("--jobs", type=int, default=1, help="parallel workers across instances")

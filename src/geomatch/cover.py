@@ -10,6 +10,7 @@ O(n log^d n) for d-dimensional inputs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,9 +80,7 @@ def trivial_cover(points, ranges) -> BicliqueCover:
 
 def box_cover(points, boxes, dim: int | None = None) -> BicliqueCover:
     """Edge-disjoint cover of point/box incidences via a multi-level range
-    tree: the outermost tree splits on coordinate 0, each canonical node
-    recurses on the next coordinate, and the last level emits one part per
-    canonical node with registered boxes.
+    tree (see ``BoxTree``).
 
     When some coordinate is a ``Fraction``, every coordinate is first
     multiplied by the LCM of the denominators, so the tree sorts and
@@ -107,38 +106,118 @@ def box_cover(points, boxes, dim: int | None = None) -> BicliqueCover:
                 pc, lo, hi = (
                     [scaled_ints(t, scale) for t in group] for group in (pc, lo, hi)
                 )
-        _tree_level(pc, lo, hi, list(range(len(points))), list(range(len(boxes))), 0, d, parts)
+        parts = BoxTree(pc, d).parts(lo, hi)
     return BicliqueCover(len(points), len(boxes), parts)
 
 
-def _tree_level(pc, lo, hi, pt_idx, bx_idx, axis, d, parts) -> None:
-    # pc, lo, hi: coordinate tuples of the points and of the box corners
-    order = sorted(pt_idx, key=lambda i: (pc[i][axis], i))
-    vals = [pc[i][axis] for i in order]
-    reg = defaultdict(list)
+class BoxTree:
+    """Multi-level range tree over a fixed point set, built once and queried
+    with any number of box sets.
 
-    def descend(a: int, b: int, k: int, blo, bhi) -> None:
-        if vals[a] > bhi or vals[b - 1] < blo:
-            return
-        if blo <= vals[a] and vals[b - 1] <= bhi:
-            reg[(a, b)].append(k)
-            return
+    The outermost tree splits the points sorted on coordinate 0 at
+    ``(a + b) // 2``; each canonical node holds a tree over its points sorted
+    on the next coordinate, and each last-level node one sorted point list.
+    A box registers at the largest nodes whose points all lie inside it on
+    that level's coordinate.  The nodes' orders and point lists are built on
+    first use and kept, so a bottleneck search, whose decisions differ only in
+    their boxes, sorts each of them at most once.  Ties sort by point index.
+    """
+
+    def __init__(self, coords, dim: int):
+        # coords: one coordinate tuple per point, all of dimension dim
+        self.coords = coords
+        self.dim = dim
+        self.root = _TreeNode(range(len(coords)), coords, 0)
+
+    def parts(self, lows, highs) -> list:
+        """Cover parts, as ``(sorted point indices, sorted box indices)``, of
+        the boxes with corner tuples ``lows[k]`` and ``highs[k]``, in the
+        order of canonical nodes, outermost level first.  Every list is the
+        caller's own: the tree keeps its point lists as tuples."""
+        out = []
+        self._query(self.root, 0, range(len(lows)), lows, highs, out)
+        return out
+
+    def _query(self, node, axis, boxes, lows, highs, out) -> None:
+        vals = node.vals
+        n = len(vals)
+        reg = defaultdict(list)
+        for k in boxes:
+            lo = bisect_left(vals, lows[k][axis])
+            hi = bisect_right(vals, highs[k][axis])
+            if lo < hi:
+                for key in _canonical(lo, hi, n):
+                    reg[key].append(k)
+        last = axis + 1 == self.dim
+        sub = node.sub
+        for key in sorted(reg):
+            child = sub.get(key)
+            if child is None:
+                seg = node.order[key[0] : key[1]]
+                if last:
+                    child = tuple(sorted(seg))
+                else:
+                    child = _TreeNode(seg, self.coords, axis + 1)
+                sub[key] = child
+            if last:
+                # boxes register in ascending order, so reg[key] is sorted
+                out.append((list(child), reg[key]))
+            else:
+                self._query(child, axis + 1, reg[key], lows, highs, out)
+
+
+def _canonical(lo: int, hi: int, n: int) -> list:
+    """The largest nodes ``(a, b)`` of the implicit tree over ``[0, n)``,
+    split at ``(a + b) // 2``, that lie inside ``[lo, hi)``, for
+    ``lo < hi``: down to the node that the range splits, then along the
+    left and the right boundary paths below it."""
+    a, b = 0, n
+    while True:
+        if lo <= a and b <= hi:
+            return [(a, b)]
         mid = (a + b) // 2
-        descend(a, mid, k, blo, bhi)
-        descend(mid, b, k, blo, bhi)
-
-    for k in bx_idx:
-        descend(0, len(order), k, lo[k][axis], hi[k][axis])
-
-    last = axis == d - 1
-    for key in sorted(reg):
-        a, b = key
-        seg = order[a:b]
-        blist = reg[key]
-        if last:
-            parts.append((sorted(seg), sorted(blist)))
+        if hi <= mid:
+            b = mid
+        elif lo >= mid:
+            a = mid
         else:
-            _tree_level(pc, lo, hi, seg, blist, axis + 1, d, parts)
+            break
+    out = []
+    # left path: every node ends at or before mid < hi, so the walk stops at
+    # the node that starts at lo
+    x, y = a, mid
+    while lo > x:
+        m = (x + y) // 2
+        if lo < m:
+            out.append((m, y))
+            y = m
+        else:
+            x = m
+    out.append((x, y))
+    # right path, mirrored: every node starts at or after mid > lo
+    x, y = mid, b
+    while hi < y:
+        m = (x + y) // 2
+        if hi > m:
+            out.append((x, m))
+            x = m
+        else:
+            y = m
+    out.append((x, y))
+    return out
+
+
+class _TreeNode:
+    """One level's tree over a point subset: the indices sorted on ``axis``,
+    their coordinates on it, and the children built so far, by index range
+    ``(a, b)`` into that order."""
+
+    __slots__ = ("order", "vals", "sub")
+
+    def __init__(self, idx, coords, axis: int):
+        self.order = sorted(idx, key=lambda i: (coords[i][axis], i))
+        self.vals = [coords[i][axis] for i in self.order]
+        self.sub = {}
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Slow reference solvers used only by tests: bottleneck distances by
-candidate scan over explicit graphs, and a residual-path check for blocking
-flows.  Deliberately share nothing with the production search code."""
+candidate scan over explicit graphs, a residual-path check for blocking
+flows, and the recursive range-tree cover that re-sorts every node.
+Deliberately share nothing with the production search code."""
 
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 
 from geomatch.geometry import Metric
@@ -102,3 +104,40 @@ def pd_brute(X, Y):
 def index_of_candidate(cands, v) -> int:
     i = bisect_left(cands, v)
     return i if i < len(cands) and cands[i] == v else -1
+
+
+def range_tree_parts(pc, lo, hi, d):
+    """Box cover parts of a multi-level range tree that sorts every node's
+    points again and registers each box by comparing values along the
+    implicit ``(a + b) // 2`` tree: ``pc`` holds the point coordinate tuples,
+    ``lo`` and ``hi`` the box corner tuples."""
+    parts = []
+    if pc and lo:
+        _tree_level(pc, lo, hi, list(range(len(pc))), list(range(len(lo))), 0, d, parts)
+    return parts
+
+
+def _tree_level(pc, lo, hi, pt_idx, bx_idx, axis, d, parts):
+    order = sorted(pt_idx, key=lambda i: (pc[i][axis], i))
+    vals = [pc[i][axis] for i in order]
+    reg = defaultdict(list)
+
+    def descend(a, b, k, blo, bhi):
+        if vals[a] > bhi or vals[b - 1] < blo:
+            return
+        if blo <= vals[a] and vals[b - 1] <= bhi:
+            reg[(a, b)].append(k)
+            return
+        mid = (a + b) // 2
+        descend(a, mid, k, blo, bhi)
+        descend(mid, b, k, blo, bhi)
+
+    for k in bx_idx:
+        descend(0, len(order), k, lo[k][axis], hi[k][axis])
+
+    for a, b in sorted(reg):
+        seg = order[a:b]
+        if axis == d - 1:
+            parts.append((sorted(seg), sorted(reg[(a, b)])))
+        else:
+            _tree_level(pc, lo, hi, seg, reg[(a, b)], axis + 1, d, parts)

@@ -14,12 +14,13 @@ from geomatch.bottleneck import (
     pd_bottleneck,
     sampled_search,
 )
+from geomatch.cover import BicliqueCover, BoxTree
 from geomatch.flow import SupplyDemand, matching_value
 from geomatch.geometry import Metric, Point, rotate45
 from geomatch.numeric import FLOAT, InputError
 from geomatch.oracle import ExplicitBipartite, reference_max_flow
 
-from brute import _DIST, bottleneck_brute, pd_brute
+from brute import _DIST, bottleneck_brute, pd_brute, range_tree_parts
 from helpers import rand_fraction, rand_sd
 
 
@@ -430,12 +431,12 @@ def test_l2_reservoir_search_matches_materialized(monkeypatch):
         assert all(_DIST[Metric.L2](P[p], Q[q]) <= r.lambda_star_sq for p, q, _a in r.matching)
 
 
-def _count_decisions(monkeypatch, search_name, feas_pos, cover_name):
+def _count_decisions(monkeypatch, search_name, feas_pos, cover_owner, cover_name):
     """Wrap the search loop so every call of its feasibility callback at a
-    non-negative bound counts as asked, and the cover builder so every
-    decision counts as made."""
+    non-negative bound counts as asked, and the per-decision cover query
+    ``cover_owner.cover_name`` so every decision counts as made."""
     counts = {"asked": 0, "made": 0}
-    search, cover = getattr(bottleneck_mod, search_name), getattr(bottleneck_mod, cover_name)
+    search, cover = getattr(bottleneck_mod, search_name), getattr(cover_owner, cover_name)
 
     def counted_search(*args):
         args = list(args)
@@ -454,16 +455,16 @@ def _count_decisions(monkeypatch, search_name, feas_pos, cover_name):
         return cover(*args, **kwargs)
 
     monkeypatch.setattr(bottleneck_mod, search_name, counted_search)
-    monkeypatch.setattr(bottleneck_mod, cover_name, counted_cover)
+    monkeypatch.setattr(cover_owner, cover_name, counted_cover)
     return counts
 
 
 @pytest.mark.parametrize("metric", list(Metric))
 def test_search_decides_only_when_asked(monkeypatch, metric):
     if metric is Metric.L2:
-        counts = _count_decisions(monkeypatch, "_rank_bisect", 2, "_pair_cover")
+        counts = _count_decisions(monkeypatch, "_rank_bisect", 2, bottleneck_mod, "_pair_cover")
     else:
-        counts = _count_decisions(monkeypatch, "sampled_search", 1, "box_cover")
+        counts = _count_decisions(monkeypatch, "sampled_search", 1, BoxTree, "parts")
     rng = random.Random(28)
     P, Q = rand_pts(rng, 8), rand_pts(rng, 8)
     r = bottleneck_search(P, Q, metric)
@@ -473,13 +474,63 @@ def test_search_decides_only_when_asked(monkeypatch, metric):
 
 
 def test_pd_decides_only_when_asked(monkeypatch):
-    counts = _count_decisions(monkeypatch, "sampled_search", 1, "box_cover")
+    counts = _count_decisions(monkeypatch, "sampled_search", 1, BoxTree, "parts")
     rng = random.Random(29)
     X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
     Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
     assert pd_bottleneck(X, Y) == pd_brute(X, Y)
     assert counts["asked"] > 0
     assert counts["made"] == counts["asked"]
+
+
+def _rebuilt_runs(monkeypatch, run) -> list:
+    """``run()`` twice: with the search's one tree, and with every
+    decision's cover rebuilt from scratch by the recursive reference tree.
+    Each entry is (result, decisions made)."""
+    helper = bottleneck_mod._box_cover
+
+    def rebuilt(tree, centres, lam, sd, extra_parts=()):
+        lows = [tuple(c - lam for c in q) for q in centres]
+        highs = [tuple(c + lam for c in q) for q in centres]
+        parts = range_tree_parts(tree.coords, lows, highs, tree.dim) + list(extra_parts)
+        return BicliqueCover(len(sd.supplies), len(sd.demands), parts)
+
+    runs = []
+    for cover in (helper, rebuilt):
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return cover(*args, **kwargs)
+
+        monkeypatch.setattr(bottleneck_mod, "_box_cover", counted)
+        runs.append((run(), len(made)))
+    return runs
+
+
+@pytest.mark.parametrize("metric", [Metric.LINF, Metric.L1])
+def test_search_on_one_tree_matches_rebuilt_covers(monkeypatch, metric):
+    rng = random.Random(38)
+    for _ in range(10):
+        n = rng.randrange(1, 12)
+        P, Q = rand_pts(rng, n), rand_pts(rng, n)
+        sd = rand_sd(rng, n, n, integral=False) if rng.random() < 0.3 else None
+        (tree, made), (ref, ref_made) = _rebuilt_runs(
+            monkeypatch, lambda: bottleneck_search(P, Q, metric, sd=sd)
+        )
+        assert made == ref_made > 0
+        assert tree.lambda_star == ref.lambda_star
+        assert tree.matching == ref.matching
+
+
+def test_pd_on_one_tree_matches_rebuilt_covers(monkeypatch):
+    rng = random.Random(39)
+    for _ in range(10):
+        X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+        Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+        (tree, made), (ref, ref_made) = _rebuilt_runs(monkeypatch, lambda: pd_bottleneck(X, Y))
+        assert made == ref_made
+        assert tree == ref
 
 
 # ------------------------------------------------------------------ diagrams
@@ -546,17 +597,22 @@ def test_pd_scaled_inputs_match_brute_force():
 
 
 def test_pd_covers_compare_ints(monkeypatch):
-    cover = bottleneck_mod.box_cover
     calls = []
 
-    def int_only_cover(points, boxes, *args, **kwargs):
-        coords = [c for p in points for c in p.coords]
-        coords += [c for b in boxes for c in b.lo.coords + b.hi.coords]
-        assert all(type(c) is int for c in coords)
-        calls.append(len(boxes))
-        return cover(points, boxes, *args, **kwargs)
+    def ints(tuples):
+        return all(type(c) is int for t in tuples for c in t)
 
-    monkeypatch.setattr(bottleneck_mod, "box_cover", int_only_cover)
+    class IntOnlyTree(BoxTree):
+        def __init__(self, coords, dim):
+            assert ints(coords)
+            super().__init__(coords, dim)
+
+        def parts(self, lows, highs):
+            assert ints(lows) and ints(highs)
+            calls.append(len(lows))
+            return super().parts(lows, highs)
+
+    monkeypatch.setattr(bottleneck_mod, "BoxTree", IntOnlyTree)
     X = [(Fraction(1, 3), Fraction(9, 7)), (Fraction(-2, 3), Fraction(1, 2))]
     Y = [(Fraction(1, 7), Fraction(5, 3)), (0, Fraction(1, 100))]
     assert pd_bottleneck(X, Y) == pd_brute(X, Y)
@@ -575,6 +631,17 @@ def test_pd_float_mode_matches_rational():
             numeric=FLOAT,
         )
         assert floats == pytest.approx(float(exact))
+
+
+def test_pd_float_mode_searches_exactly():
+    # candidates and box bounds computed in floats round, and a float search
+    # over these diagrams returns 2.1
+    X = [(-3.4, -0.7), (0.2, 5.5)]
+    Y = [(2.2, 6.4), (1.8, 4.2)]
+    exact = lambda dgm: [(Fraction(b), Fraction(d)) for b, d in dgm]
+    want = pd_brute(exact(X), exact(Y))
+    assert float(want) == 2.0
+    assert pd_bottleneck(X, Y, numeric=FLOAT) == float(want)
 
 
 def test_pd_triangle_inequality_soft():

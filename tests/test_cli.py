@@ -220,6 +220,14 @@ def test_pd_commands(tmp_path, capsys):
     assert code == 0 and json.loads(stdout)["w_inf"] == "0"
 
 
+def test_pd_float_output_is_exact_answer_rounded(tmp_path, capsys):
+    d1 = write(tmp_path, "d1.csv", "-3.4,-0.7\n0.2,5.5\n")
+    d2 = write(tmp_path, "d2.csv", "2.2,6.4\n1.8,4.2\n")
+    for numeric, want in (("rational", "2"), ("float", 2.0)):
+        code, stdout, _ = run_cli(capsys, "pd", d1, d2, "--numeric", numeric)
+        assert code == 0 and json.loads(stdout)["w_inf"] == want
+
+
 def test_pd_below_diagonal_is_input_error(tmp_path, capsys):
     d1 = write(tmp_path, "d1.csv", "3,1\n")
     d2 = write(tmp_path, "d2.csv", "")
@@ -254,6 +262,17 @@ def test_float_numeric_flag(tmp_path, capsys, triangle):
     code, stdout, _ = run_cli(capsys, "match", pts, rng, "--numeric", "float")
     assert code == 0
     assert json.loads(stdout)["value"] == 4.0
+
+
+def test_default_numeric_is_exact_above_1000_elements(tmp_path, capsys):
+    # weights of 1e-11 lie under float mode's zero threshold of 1e-9
+    n = 1001
+    w = "0.00000000001"
+    pts = write(tmp_path, "p.csv", "".join(f"{i},0,{w}\n" for i in range(n)))
+    rng = write(tmp_path, "r.csv", "".join(f"box,{i},0,{i},0,{w}\n" for i in range(n)))
+    code, stdout, _ = run_cli(capsys, "match", pts, rng, "--mode", "real")
+    assert code == 0
+    assert json.loads(stdout)["value"] == f"{n}/100000000000"
 
 
 def test_output_deterministic(tmp_path, capsys, triangle):

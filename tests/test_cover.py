@@ -6,6 +6,7 @@ import pytest
 
 from geomatch.cover import (
     BicliqueCover,
+    BoxTree,
     box_cover,
     cover_from_text,
     cover_size,
@@ -17,6 +18,7 @@ from geomatch.geometry import Box, Disk, Point
 from geomatch.numeric import InputError
 from geomatch.oracle import brute_force_incidences
 
+from brute import range_tree_parts
 from helpers import rand_boxes, rand_congruent_disks, rand_points
 
 
@@ -143,13 +145,17 @@ def test_box_cover_scales_fractions_to_int_parts(monkeypatch):
     import geomatch.cover as cover_mod
 
     seen = []
-    tree_level = cover_mod._tree_level
 
-    def recorded(pc, lo, hi, *rest):
-        seen.extend(c for group in (pc, lo, hi) for t in group for c in t)
-        return tree_level(pc, lo, hi, *rest)
+    class RecordedTree(cover_mod.BoxTree):
+        def __init__(self, coords, dim):
+            seen.extend(c for t in coords for c in t)
+            super().__init__(coords, dim)
 
-    monkeypatch.setattr(cover_mod, "_tree_level", recorded)
+        def parts(self, lows, highs):
+            seen.extend(c for group in (lows, highs) for t in group for c in t)
+            return super().parts(lows, highs)
+
+    monkeypatch.setattr(cover_mod, "BoxTree", RecordedTree)
     rng = random.Random(37)
     dens = (3, 7, 10)
     for d in (1, 2, 3):
@@ -165,3 +171,51 @@ def test_box_cover_scales_fractions_to_int_parts(monkeypatch):
         int_pts = [as_ints(p) for p in pts]
         int_boxes = [Box(as_ints(b.lo), as_ints(b.hi)) for b in boxes]
         assert box_cover(int_pts, int_boxes).parts == cover.parts
+
+
+def _int_instance(rng, d):
+    """Points and box corners on a coarse int grid, so coordinates repeat and
+    some boxes have zero width or miss every point; either side may be
+    empty."""
+    n, m = rng.randrange(0, 30), rng.randrange(0, 30)
+    pts = [tuple(rng.randrange(-6, 7) for _ in range(d)) for _ in range(n)]
+    lo, hi = [], []
+    for _ in range(m):
+        a = [rng.randrange(-8, 9) for _ in range(d)]
+        w = [rng.choice((0, 0, 1, 3, 12)) for _ in range(d)]
+        lo.append(tuple(a))
+        hi.append(tuple(x + y for x, y in zip(a, w)))
+    return pts, lo, hi
+
+
+def test_box_tree_matches_recursive_reference():
+    rng = random.Random(61)
+    for d in (1, 2, 3):
+        for _ in range(60):
+            pc, lo, hi = _int_instance(rng, d)
+            parts = BoxTree(pc, d).parts(lo, hi)
+            assert parts == range_tree_parts(pc, lo, hi, d)
+            pts = [Point(t) for t in pc]
+            boxes = [Box(Point(a), Point(b)) for a, b in zip(lo, hi)]
+            cover = box_cover(pts, boxes, d)
+            assert cover.parts == parts
+            assert validate_cover(cover, pts, boxes).ok
+
+
+def test_box_tree_queries_share_no_state():
+    rng = random.Random(62)
+    d = 2
+    pc, _, _ = _int_instance(rng, d)
+    while not pc:
+        pc, _, _ = _int_instance(rng, d)
+    tree = BoxTree(pc, d)
+    queries = [_int_instance(rng, d)[1:] for _ in range(50)]
+    fresh = [BoxTree(pc, d).parts(lo, hi) for lo, hi in queries]
+    for i in rng.sample(range(50), 50):
+        parts = tree.parts(*queries[i])
+        assert parts == fresh[i]
+        # a consumer that writes to the parts it got changes no later query
+        for pts, rngs in parts:
+            pts.clear()
+            rngs.clear()
+    assert [tree.parts(lo, hi) for lo, hi in queries] == fresh

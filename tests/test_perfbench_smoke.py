@@ -33,8 +33,6 @@ def test_benchmark_run_is_correct(workload):
 
 
 def test_match_real_run_is_correct():
-    result = run_benchmark("match-real")
     # a round is four matchings and one `geomatch match --mode real` on 1200
-    # elements, which `--numeric auto` runs in float mode and answers 0
-    # (ROADMAP, Known defects): exactly that operation fails in every round
-    assert result["failed"] == result["attempted"] // 5
+    # elements with weights near 1e-11, which `--numeric auto` runs exactly
+    assert run_benchmark("match-real")["failed"] == 0
