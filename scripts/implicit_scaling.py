@@ -15,7 +15,6 @@ from geomatch.cover import box_cover, cover_size
 from geomatch.flow import SupplyDemand, matching_value
 from geomatch.geometry import Box, Point
 from geomatch.implicit_dinitz import max_matching_implicit
-from geomatch.numeric import FLOAT, RATIONAL
 
 
 def main():
@@ -23,7 +22,6 @@ def main():
     ap.add_argument("-n", type=int, default=100_000, help="points and boxes per side")
     ap.add_argument("--alpha", type=float, default=2.0, help="box half-extent scale")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--numeric", choices=("float", "rational"), default="float")
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
@@ -43,12 +41,10 @@ def main():
         f"  cover build {t_cover:.2f}s"
     )
 
-    numeric = FLOAT if args.numeric == "float" else RATIONAL
-    one = 1.0 if args.numeric == "float" else 1
-    sd = SupplyDemand((one,) * args.n, (one,) * args.n)
+    sd = SupplyDemand.unit(args.n, args.n)
     trace = []
     t0 = time.perf_counter()
-    matching = max_matching_implicit(args.n, args.n, sd, cover, numeric=numeric, trace=trace)
+    matching = max_matching_implicit(args.n, args.n, sd, cover, trace=trace)
     t_match = time.perf_counter() - t0
 
     print(f"{'phase':>6}  {'t':>4}  {'pushed':>12}  {'support':>8}")

@@ -48,15 +48,7 @@ from .implicit_dinitz import (
     max_matching_implicit,
     new_phase_state,
 )
-from .numeric import (
-    FLOAT,
-    RATIONAL,
-    InputError,
-    InternalError,
-    NumericContext,
-    parse_scalar,
-    scalar_to_json,
-)
+from .numeric import InputError, InternalError, parse_scalar, scalar_to_json
 from .rblct import RbForest, prune_to_forest
 
 __version__ = "0.1.0"
@@ -69,7 +61,6 @@ __all__ = [
     "DecideResult",
     "Disk",
     "Done",
-    "FLOAT",
     "Flow",
     "FlowNetwork",
     "InputError",
@@ -77,11 +68,9 @@ __all__ = [
     "LevelGraph",
     "Matching",
     "Metric",
-    "NumericContext",
     "PersistenceDiagram",
     "PhaseState",
     "Point",
-    "RATIONAL",
     "RbForest",
     "SortedMatrix",
     "SupplyDemand",

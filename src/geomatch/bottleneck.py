@@ -31,22 +31,8 @@ from .flow import (
     max_flow_dinitz,
     seed_flow,
 )
-from .geometry import (
-    Disk,
-    Metric,
-    Point,
-    as_fraction_point,
-    rotate45,
-    squared_distance,
-)
-from .numeric import (
-    RATIONAL,
-    InputError,
-    InternalError,
-    NumericContext,
-    integer_scale,
-    scaled_ints,
-)
+from .geometry import Disk, Metric, Point, rotate45, squared_distance
+from .numeric import InputError, InternalError, exact, integer_scale, scaled_ints
 
 _L2_MATERIALIZE_LIMIT = 10**7
 
@@ -107,7 +93,7 @@ class SortedMatrix:
     def _row_open_range(self, ai, lo, hi) -> tuple:
         # column index range whose entries fall strictly between lo and hi;
         # the entries are compared as sums, as the staircase walks compare
-        # them, since lo - ai may round differently in float mode
+        # them, since lo - ai may round differently on floats
         entry = lambda bj: ai + bj
         return bisect_right(self._b, lo, key=entry), bisect_left(self._b, hi, key=entry)
 
@@ -186,6 +172,11 @@ def _as_point(p) -> Point:
     return p if isinstance(p, Point) else Point(tuple(p))
 
 
+def _exact_point(p) -> Point:
+    # floats are read exactly (see numeric.exact)
+    return Point(tuple(map(exact, _as_point(p).coords)))
+
+
 @dataclass
 class DecideResult:
     feasible: bool
@@ -199,23 +190,24 @@ def decide(
     lam,
     *,
     sd: SupplyDemand | None = None,
-    numeric: NumericContext = RATIONAL,
     squared: bool = False,
     want_matching: bool = True,
 ) -> DecideResult:
     """Is there a matching of full target value using only pairs within
     distance lam?  Perfect matching by default; pass supplies/demands for the
     many-to-many variant.  With ``squared`` (L2 only) ``lam`` is taken as the
-    squared radius, keeping rational decisions exact.  The matching is
-    returned only for a feasible decision."""
-    pp = [_as_point(p) for p in Pset]
-    qq = [_as_point(q) for q in Qset]
+    squared radius, keeping the decision exact.  Float coordinates and
+    bounds are read exactly.  The matching is returned only for a feasible
+    decision."""
+    pp = [_exact_point(p) for p in Pset]
+    qq = [_exact_point(q) for q in Qset]
     if sd is None:
         if len(pp) != len(qq):
             raise InputError("perfect matching needs equal-size point sets")
         if not pp:
             return DecideResult(True, [])
         sd = SupplyDemand.unit(len(pp), len(qq))
+    lam = exact(lam)
     if lam < 0:
         raise InputError("negative distance bound")
     if squared and metric is not Metric.L2:
@@ -224,25 +216,6 @@ def decide(
         for p in pp + qq:
             if p.dim != 2:
                 raise InputError("L2 decisions are planar")
-
-    if numeric.mode == "float":
-        # Deciding on the exact inputs (see _exact) keeps the box bounds
-        # c +- lam and the squared radius from rounding; only the amounts
-        # are rounded back to floats.
-        if not math.isfinite(lam):
-            raise InputError("distance bound must be finite")
-        res = decide(
-            [as_fraction_point(p) for p in pp],
-            [as_fraction_point(q) for q in qq],
-            metric,
-            Fraction(lam),
-            sd=_exact(sd),
-            squared=squared,
-            want_matching=want_matching,
-        )
-        if res.matching is not None:
-            res.matching = _float_amounts(res.matching)
-        return res
 
     if metric is Metric.L2:
         lam_sq = lam if squared else lam * lam
@@ -255,22 +228,8 @@ def decide(
             raise InputError("points disagree on dimension")
         tree = BoxTree([p.coords for p in pp], dims.pop() if dims else 1)
         cover = _box_cover(tree, [q.coords for q in qq], lam, sd)
-    feasible, matching = _solve(cover, sd, numeric, want_matching)
+    feasible, matching = _solve(cover, sd, want_matching)
     return DecideResult(feasible, matching if feasible else None)
-
-
-def _exact(sd: SupplyDemand | None) -> SupplyDemand | None:
-    # floats are dyadic rationals, so Fraction(x) converts them exactly
-    if sd is None:
-        return None
-    exact = lambda x: Fraction(x) if isinstance(x, float) else x
-    return SupplyDemand(
-        tuple(exact(s) for s in sd.supplies), tuple(exact(d) for d in sd.demands)
-    )
-
-
-def _float_amounts(matching: Matching) -> Matching:
-    return [(p, q, float(a) if isinstance(a, Fraction) else a) for p, q, a in matching]
 
 
 def _box_cover(tree, centres, lam, sd, extra_parts=()) -> BicliqueCover:
@@ -300,16 +259,16 @@ def _pair_cover(pairs, shape, lam_sq) -> BicliqueCover:
 _distance = itemgetter(0)
 
 
-def _solve(cover, sd, numeric, want_matching=True, seed=None) -> tuple:
+def _solve(cover, sd, want_matching=True, seed=None) -> tuple:
     """One decision over a cover: (feasible, maximum matching or None).
     ``seed``, a matching over pairs the cover holds, starts the flow."""
     net = build_network(cover, sd)
     initial = seed_flow(net, cover, seed) if seed else None
-    flow = max_flow_dinitz(net, numeric, initial)
-    feasible = numeric.is_zero(sd.target - flow.value)
+    flow = max_flow_dinitz(net, initial)
+    feasible = sd.target == flow.value
     if not want_matching:
         return feasible, None
-    return feasible, flow_to_matching(flow, net, cover, numeric)
+    return feasible, flow_to_matching(flow, net, cover)
 
 
 @dataclass
@@ -340,13 +299,13 @@ def bottleneck_search(
     metric: Metric,
     *,
     sd: SupplyDemand | None = None,
-    numeric: NumericContext = RATIONAL,
     rng: random.Random | None = None,
 ) -> BottleneckResult:
     """Minimum lam such that decide(..., lam) is feasible, with a witness
     matching.  L-infinity and L1 run the sampled search over the four
     coordinate-difference matrices; L2 bisects the multiset of squared
-    pairwise distances.
+    pairwise distances.  Float coordinates are read exactly (they take the
+    integer scaling below), so the answer is exact on them.
 
     Decisions are warm-started: the maximum matching of the last infeasible
     decision uses only pairs within its bound, so it is a feasible flow at
@@ -362,33 +321,17 @@ def bottleneck_search(
     if rng is None:
         rng = random.Random(0)
 
-    if numeric.mode == "float":
-        # Searching the exact inputs (see _exact) keeps the box bounds
-        # c +- lam from rounding; only the answer is rounded back to floats.
-        res = bottleneck_search(
-            [as_fraction_point(p) for p in pp],
-            [as_fraction_point(q) for q in qq],
-            metric,
-            sd=_exact(sd),
-            rng=rng,
-        )
-        sq = None if res.lambda_star_sq is None else float(res.lambda_star_sq)
-        return BottleneckResult(
-            float(res.lambda_star), metric, _float_amounts(res.matching), lambda_star_sq=sq
-        )
-
     coords = [c for p in pp + qq for c in p.coords]
-    scale = integer_scale(coords)
-    if scale is not None and not all(isinstance(c, int) for c in coords):
+    if not all(isinstance(c, int) for c in coords):
         # Scaling every coordinate by one positive int scales every candidate
         # and every distance alike, so each decision is unchanged while the
         # search and its covers run on ints instead of Fractions.
+        scale = integer_scale(coords)
         res = bottleneck_search(
             [Point(scaled_ints(p.coords, scale)) for p in pp],
             [Point(scaled_ints(q.coords, scale)) for q in qq],
             metric,
             sd=sd,
-            numeric=numeric,
             rng=rng,
         )
         if metric is Metric.L2:
@@ -426,7 +369,7 @@ def bottleneck_search(
         nonlocal witness, seed
         if v < 0:
             return False
-        feasible, matching = _solve(cover_at(v), sd, numeric, seed=seed)
+        feasible, matching = _solve(cover_at(v), sd, seed=seed)
         if feasible:
             # feasible decisions only lower the bound, so the last one is the
             # witness at the value the search returns
@@ -499,13 +442,7 @@ def _diagram(x) -> PersistenceDiagram:
     return x if isinstance(x, PersistenceDiagram) else PersistenceDiagram(tuple(x))
 
 
-def pd_bottleneck(
-    X,
-    Y,
-    *,
-    numeric: NumericContext = RATIONAL,
-    rng: random.Random | None = None,
-):
+def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
     """Bottleneck distance between two persistence diagrams.
 
     Each off-diagonal point may match a point of the other diagram within
@@ -513,16 +450,14 @@ def pd_bottleneck(
     each other freely, contributed by one complete cover part.  (Letting a
     point reach any projection instead gives the same optimum: none is nearer
     than its own.)  The optimum is found by the sampled search over the
-    coordinate-difference candidates, exactly in both modes; float mode
-    rounds the answer."""
+    coordinate-difference candidates.  The answer is exact, with float
+    values read exactly."""
     dgm_x, dgm_y = _diagram(X), _diagram(Y)
     if not dgm_x.points and not dgm_y.points:
         return 0
     if rng is None:
         rng = random.Random(0)
-    # Float values are searched exactly too (see _exact_scalar), which keeps
-    # the box bounds c +- lam from rounding; float mode only rounds the answer.
-    bd = [(_exact_scalar(b), _exact_scalar(d)) for b, d in dgm_x.points + dgm_y.points]
+    bd = dgm_x.points + dgm_y.points
     scale = integer_scale(c for pair in bd for c in pair)
     bd = [scaled_ints(pair, scale) for pair in bd]
     # In doubled coordinates a point lies d - b from its own diagonal
@@ -544,7 +479,7 @@ def pd_bottleneck(
         own = [([i], [ny + i]) for i in range(nx) if to_diagonal[i] <= lam]
         own += [([nx + j], [j]) for j in range(ny) if to_diagonal[nx + j] <= lam]
         cover = _box_cover(tree, centres, lam, sd, own + free)
-        return _solve(cover, sd, RATIONAL, want_matching=False)[0]
+        return _solve(cover, sd, want_matching=False)[0]
 
     # the optimum is a point-to-point distance or a distance to the diagonal
     mats = [SortedMatrix(to_diagonal, (0,))]
@@ -554,14 +489,4 @@ def pd_bottleneck(
     # the search decides strictly below its initial bound, the largest entry
     if lam == max(m.max_entry() for m in mats) and not feasible(lam):
         raise InternalError("search landed on an infeasible bound")
-    value = Fraction(lam, 2 * scale)
-    return float(value) if numeric.mode == "float" else value
-
-
-def _exact_scalar(x):
-    # floats are dyadic rationals, so Fraction(x) converts them exactly
-    if isinstance(x, (int, Fraction)):
-        return x
-    if isinstance(x, float) and not math.isfinite(x):
-        raise InputError(f"non-finite diagram value {x!r}")
-    return Fraction(x)
+    return Fraction(lam, 2 * scale)

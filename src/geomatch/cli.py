@@ -28,14 +28,7 @@ from .flow import (
 )
 from .geometry import Box, Disk, Metric, Point
 from .implicit_dinitz import max_matching_implicit
-from .numeric import (
-    FLOAT,
-    RATIONAL,
-    InputError,
-    InternalError,
-    parse_scalar,
-    scalar_to_json,
-)
+from .numeric import InputError, InternalError, parse_scalar, scalar_to_json
 
 _METRICS = {"linf": Metric.LINF, "l1": Metric.L1, "l2": Metric.L2}
 
@@ -60,7 +53,7 @@ def _rows(path: str):
 
 def _scalar(tok: str, path: str, lineno: int):
     try:
-        return parse_scalar(tok, RATIONAL)
+        return parse_scalar(tok)
     except InputError as exc:
         raise InputError(f"{path}:{lineno}: {exc}") from exc
 
@@ -148,38 +141,16 @@ def parse_diagram(path: str):
     return pts
 
 
-# ---------------------------------------------------------- numeric plumbing
+# ------------------------------------------------------------------ output
 
-def _resolve_numeric(choice: str):
-    # auto is exact at every size: float mode treats amounts up to 1e-9 as
-    # zero, which answers 0 on inputs with tiny weights
-    return FLOAT if choice == "float" else RATIONAL
-
-
-def _coerce_point(p: Point, numeric) -> Point:
-    if numeric.mode == "rational":
-        return p
-    return Point(tuple(float(c) for c in p.coords))
+def _shown(task: dict):
+    """How a task prints its numbers: every result is exact, and
+    ``--numeric float`` only rounds it to a float when printing."""
+    return float if task["numeric"] == "float" else scalar_to_json
 
 
-def _coerce_range(r, numeric):
-    if numeric.mode == "rational":
-        return r
-    if isinstance(r, Box):
-        return Box(_coerce_point(r.lo, numeric), _coerce_point(r.hi, numeric))
-    return Disk(_coerce_point(r.center, numeric), float(r.radius))
-
-
-def _is_integral(x) -> bool:
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, int):
-        return True
-    return float(x).is_integer()
-
-
-def _matching_json(matching):
-    return [[p, r, scalar_to_json(v)] for p, r, v in matching]
+def _matching_json(matching, shown):
+    return [[p, r, shown(v)] for p, r, v in matching]
 
 
 # ------------------------------------------------------------ worker bodies
@@ -227,11 +198,7 @@ def _run_cover(task: dict) -> dict:
 def _run_match(task: dict) -> dict:
     ranges, demands, dim = parse_ranges(task["ranges"])
     points, supplies = parse_points(task["points"], dim)
-    numeric = _resolve_numeric(task["numeric"])
-    points = [_coerce_point(p, numeric) for p in points]
-    ranges = [_coerce_range(r, numeric) for r in ranges]
-    supplies = [numeric.convert(s) for s in supplies]
-    demands = [numeric.convert(d) for d in demands]
+    shown = _shown(task)
 
     if task["cover"] == "auto":
         shape = "box" if ranges and all(isinstance(r, Box) for r in ranges) else "trivial"
@@ -242,32 +209,30 @@ def _run_match(task: dict) -> dict:
 
     sd = SupplyDemand(tuple(supplies), tuple(demands))
     if task["mode"] == "integral":
-        bad = [x for x in list(supplies) + list(demands) if not _is_integral(x)]
+        bad = [x for x in supplies + demands if x.denominator != 1]
         if bad:
             raise InputError(f"integral mode got non-integral weight {bad[0]}")
         net = build_network(cover, sd)
-        flow = max_flow_dinitz(net, numeric)
-        matching = flow_to_matching(flow, net, cover, numeric)
+        flow = max_flow_dinitz(net)
+        matching = flow_to_matching(flow, net, cover)
         value = flow.value
         trace = []
     else:
         trace = []
-        matching = max_matching_implicit(
-            len(points), len(ranges), sd, cover, numeric=numeric, trace=trace
-        )
+        matching = max_matching_implicit(len(points), len(ranges), sd, cover, trace=trace)
         value = matching_value(matching)
 
     out = {
         "mode": task["mode"],
         "n_points": len(points),
         "n_ranges": len(ranges),
-        "value": scalar_to_json(value),
+        "value": shown(value),
         "matching_size": len(matching),
-        "matching": _matching_json(matching),
+        "matching": _matching_json(matching, shown),
     }
     if task.get("trace"):
         out["trace"] = [
-            {"t_level": t, "pushed": scalar_to_json(v), "support": s}
+            {"t_level": t, "pushed": shown(v), "support": s}
             for t, v, s in trace
         ]
     return out
@@ -278,43 +243,38 @@ def _run_bottleneck(task: dict) -> dict:
     blue, _ = parse_points(task["blue"], 2, allow_supply=False)
     if len(red) != len(blue):
         raise InputError(f"size mismatch: {len(red)} red vs {len(blue)} blue points")
-    numeric = _resolve_numeric(task["numeric"])
-    # Decisions and searches are exact in both modes, so they run on the
-    # parsed decimals and float mode only prints floats: rounding the inputs
-    # first would decide on other points (the floats 3.4 and -1.7 lie
-    # farther apart than the float 5.1).
-    shown = float if numeric.mode == "float" else (lambda x: x)
+    # Decisions and searches run on the parsed decimals: rounding them to
+    # floats first would decide on other points (the floats 3.4 and -1.7
+    # lie farther apart than the float 5.1).
+    shown = _shown(task)
     metric = _METRICS[task["metric"]]
 
     if task.get("lam") is not None:
-        lam = parse_scalar(task["lam"], RATIONAL)
+        lam = parse_scalar(task["lam"])
         res = decide(red, blue, metric, lam)
         return {
             "metric": task["metric"],
-            "lambda": scalar_to_json(shown(lam)),
+            "lambda": shown(lam),
             "feasible": res.feasible,
-            "matching": _matching_json(res.matching) if res.matching is not None else None,
+            "matching": None if res.matching is None else _matching_json(res.matching, shown),
         }
 
     r = bottleneck_search(red, blue, metric, rng=random.Random(task["seed"]))
     out = {
         "metric": task["metric"],
-        "lambda_star": scalar_to_json(shown(r.lambda_star)),
-        "matching": _matching_json(r.matching),
+        "lambda_star": shown(r.lambda_star),
+        "matching": _matching_json(r.matching, shown),
     }
     if metric is Metric.L2:
-        out["lambda_star_sq"] = scalar_to_json(shown(r.lambda_star_sq))
+        out["lambda_star_sq"] = shown(r.lambda_star_sq)
     return out
 
 
 def _run_pd(task: dict) -> dict:
     x = parse_diagram(task["dgm1"])
     y = parse_diagram(task["dgm2"])
-    # the search is exact in both modes (see _run_bottleneck); float mode
-    # only rounds the answer
-    numeric = _resolve_numeric(task["numeric"])
-    v = pd_bottleneck(x, y, numeric=numeric, rng=random.Random(task["seed"]))
-    return {"w_inf": scalar_to_json(v)}
+    v = pd_bottleneck(x, y, rng=random.Random(task["seed"]))
+    return {"w_inf": _shown(task)(v)}
 
 
 _RUNNERS = {
@@ -348,7 +308,8 @@ def _common(sub) -> None:
         "--numeric",
         choices=("auto", "rational", "float"),
         default="auto",
-        help="scalar mode; auto is exact rational arithmetic at every size",
+        help="number format of the output; every result is computed exactly, "
+        "and float prints it rounded to a float",
     )
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized pivots")
     sub.add_argument("--jobs", type=int, default=1, help="parallel workers across instances")

@@ -102,10 +102,7 @@ def box_cover(points, boxes, dim: int | None = None) -> BicliqueCover:
         every = [c for group in (pc, lo, hi) for t in group for c in t]
         if any(isinstance(c, Fraction) for c in every):
             scale = integer_scale(every)
-            if scale is not None:
-                pc, lo, hi = (
-                    [scaled_ints(t, scale) for t in group] for group in (pc, lo, hi)
-                )
+            pc, lo, hi = ([scaled_ints(t, scale) for t in group] for group in (pc, lo, hi))
         parts = BoxTree(pc, d).parts(lo, hi)
     return BicliqueCover(len(points), len(boxes), parts)
 

@@ -13,19 +13,22 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .geometry import contains
-from .numeric import RATIONAL, InputError, InternalError, NumericContext
+from .numeric import InputError, InternalError, exact
 
 INF = math.inf
 
 
 @dataclass(frozen=True)
 class SupplyDemand:
+    """Per-point supplies and per-range demands, every one positive and
+    exact: floats are read as the ``Fraction`` of the same value."""
+
     supplies: tuple
     demands: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "supplies", tuple(self.supplies))
-        object.__setattr__(self, "demands", tuple(self.demands))
+        object.__setattr__(self, "supplies", tuple(map(exact, self.supplies)))
+        object.__setattr__(self, "demands", tuple(map(exact, self.demands)))
         if any(s <= 0 for s in self.supplies) or any(d <= 0 for d in self.demands):
             raise InputError("supplies and demands must be positive")
 
@@ -119,26 +122,21 @@ def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
     return net
 
 
-def max_flow_dinitz(
-    net: FlowNetwork, numeric: NumericContext = RATIONAL, initial: dict | None = None
-) -> Flow:
+def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
     """Dinitz max flow: BFS level graph, then a pointer-based DFS blocking
-    flow per phase.  Works on exact rationals and on thresholded floats; the
-    input network is not mutated.
+    flow per phase, on exact capacities; the input network is not mutated.
 
     ``initial`` maps original edge ids to the amounts of a feasible flow to
     start from (see ``seed_flow``); the phases augment it to a maximum."""
     res = list(net.ecap)
     s, t, n = net.source, net.sink, net.n
     head, eto = net.head, net.eto
-    # one compare per residual: the same test as numeric.is_positive
-    thr = 0 if numeric.mode == "rational" else numeric.zero_threshold
     total = 0
     if initial:
         for e, amt in initial.items():
             res[e] -= amt
             res[e ^ 1] += amt
-            if res[e] < -thr:
+            if res[e] < 0:
                 raise InternalError("initial flow exceeds an edge capacity")
             if eto[e ^ 1] == s:
                 total += amt
@@ -154,7 +152,7 @@ def max_flow_dinitz(
             lu = level[u] + 1
             for e in head[u]:
                 v = eto[e]
-                if level[v] < 0 and res[e] > thr:
+                if level[v] < 0 and res[e] > 0:
                     level[v] = lu
                     queue.append(v)
         return level[t] >= 0
@@ -170,7 +168,7 @@ def max_flow_dinitz(
                     res[e] -= delta
                     res[e ^ 1] += delta
                 total += delta
-                cut = next(i for i, e in enumerate(stack) if not res[e] > thr)
+                cut = next(i for i, e in enumerate(stack) if not res[e] > 0)
                 del stack[cut:]
                 u = eto[stack[-1]] if stack else s
                 continue
@@ -179,7 +177,7 @@ def max_flow_dinitz(
             while it[u] < len(out):
                 e = out[it[u]]
                 v = eto[e]
-                if res[e] > thr and level[v] == level[u] + 1:
+                if res[e] > 0 and level[v] == level[u] + 1:
                     stack.append(e)
                     u = v
                     advanced = True
@@ -221,9 +219,7 @@ def seed_flow(net: FlowNetwork, cover, matching: Matching) -> dict:
     return flow
 
 
-def flow_to_matching(
-    flow: Flow, net: FlowNetwork, cover, numeric: NumericContext = RATIONAL
-) -> Matching:
+def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
     """Per-part pairing loop: repeatedly match the lowest-index point and
     range with positive remaining amount, emitting min of the two; duplicate
     (p, r) pairs from overlapping parts are merged by a bucket pass.
@@ -232,7 +228,6 @@ def flow_to_matching(
     adjacency of its middle vertex in ``build_network``'s layout: the
     reversed pins in the order of the part's points, then the pouts in the
     order of its ranges."""
-    thr = 0 if numeric.mode == "rational" else numeric.zero_threshold
     vals, eto, head = flow.values, net.eto, net.head
     np_, nr = cover.left_count, cover.right_count
     rbase = 2 + np_
@@ -244,17 +239,17 @@ def flow_to_matching(
         {
             eto[2 * k]
             for k in range(np_ + nr, len(vals))
-            if vals[k] > thr and eto[2 * k] >= mid0
+            if vals[k] > 0 and eto[2 * k] >= mid0
         }
     )
     merged = {}
     for mid in busy:
         # an odd edge here is a reversed pin, flow vals[e >> 1] of its twin
-        lp = [[eto[e] - 2, vals[e >> 1]] for e in head[mid] if e & 1 and vals[e >> 1] > thr]
+        lp = [[eto[e] - 2, vals[e >> 1]] for e in head[mid] if e & 1 and vals[e >> 1] > 0]
         lr = [
             [eto[e] - rbase, vals[e >> 1]]
             for e in head[mid]
-            if not e & 1 and vals[e >> 1] > thr
+            if not e & 1 and vals[e >> 1] > 0
         ]
         a = b = 0
         emitted = 0
@@ -267,22 +262,20 @@ def flow_to_matching(
             emitted += 1
             lp[a][1] -= delta
             lr[b][1] -= delta
-            if not lp[a][1] > thr:
+            if not lp[a][1] > 0:
                 a += 1
-            if not lr[b][1] > thr:
+            if not lr[b][1] > 0:
                 b += 1
         if emitted > max(0, len(lp) + len(lr) - 1):
             raise InternalError("pairing emitted more triples than part size allows")
-    return [(p, r, amt) for (p, r), amt in sorted(merged.items()) if amt > thr]
+    return [(p, r, amt) for (p, r), amt in sorted(merged.items()) if amt > 0]
 
 
 def matching_value(matching: Matching):
     return sum((amt for _p, _r, amt in matching), 0)
 
 
-def validate_matching(
-    matching: Matching, points, ranges, sd: SupplyDemand, numeric: NumericContext = RATIONAL
-) -> bool:
+def validate_matching(matching: Matching, points, ranges, sd: SupplyDemand) -> bool:
     """Feasibility: positive amounts on distinct incident pairs, supply and
     demand totals respected."""
     seen = set()
@@ -294,24 +287,15 @@ def validate_matching(
         if (p, r) in seen:
             return False
         seen.add((p, r))
-        if not numeric.is_positive(amt):
+        if not amt > 0:
             return False
         if not contains(ranges[r], points[p]):
             return False
         used[p] += amt
         met[r] += amt
-    eps = 0 if numeric.mode == "rational" else numeric.zero_threshold
-    if any(u > s + eps for u, s in zip(used, sd.supplies)):
+    if any(u > s for u, s in zip(used, sd.supplies)):
         return False
-    if any(m > d + eps for m, d in zip(met, sd.demands)):
+    if any(m > d for m, d in zip(met, sd.demands)):
         return False
     return True
 
-
-def matching_to_json(matching: Matching) -> list:
-    from .numeric import scalar_to_json
-
-    return [
-        {"p": p, "r": r, "amount": scalar_to_json(amt)}
-        for p, r, amt in matching
-    ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Union
 
 from .numeric import InputError
@@ -93,7 +92,7 @@ Range = Union[Box, Disk]
 
 
 def squared_distance(p: Point, q: Point):
-    """Exact squared L2 distance; the comparator to use in rational mode."""
+    """Squared L2 distance, exact on ints and Fractions."""
     if p.dim != q.dim:
         raise InputError("points disagree on dimension")
     return sum((a - b) * (a - b) for a, b in zip(p.coords, q.coords))
@@ -134,7 +133,3 @@ def rotate45(p: Point) -> Point:
         raise InputError("rotation is planar")
     x, y = p.coords
     return Point((x + y, x - y))
-
-
-def as_fraction_point(p: Point) -> Point:
-    return Point(tuple(Fraction(c) for c in p.coords))

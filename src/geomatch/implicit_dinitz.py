@@ -20,14 +20,7 @@ from fractions import Fraction
 
 from .cover import BicliqueCover
 from .flow import INF, Flow, FlowNetwork, Matching, SupplyDemand
-from .numeric import (
-    RATIONAL,
-    InputError,
-    InternalError,
-    NumericContext,
-    integer_scale,
-    scaled_ints,
-)
+from .numeric import InputError, InternalError, integer_scale, scaled_ints
 from .rblct import prune_to_forest
 
 # build_level_graph returns Done (None) when no unmet demand is reachable,
@@ -95,7 +88,6 @@ def build_level_graph(
     sd: SupplyDemand,
     *,
     index: list | None = None,
-    numeric: NumericContext = RATIONAL,
 ):
     """BFS layering of the residual graph, one layer set at a time.
 
@@ -106,13 +98,12 @@ def build_level_graph(
     the first range layer holding unmet demand (t is placed there) and
     reports Done if a layer empties out first.
     """
-    pos = numeric.is_positive
     n_points = len(sd.supplies)
     n_ranges = len(sd.demands)
     if index is None:
         index = build_point_index(c)
 
-    first = [p for p in range(n_points) if pos(sd.supplies[p] - f.used[p])]
+    first = [p for p in range(n_points) if sd.supplies[p] > f.used[p]]
     if not first:
         return Done
     p_done = bytearray(n_points)
@@ -159,7 +150,7 @@ def build_level_graph(
         range_layers.append(layer_r)
         forward.append(step_parts)
 
-        unmet = [r for r in layer_r if pos(sd.demands[r] - f.met[r])]
+        unmet = [r for r in layer_r if sd.demands[r] > f.met[r]]
         if unmet:
             return LevelGraph(
                 point_layers=point_layers,
@@ -227,12 +218,11 @@ def expand_level_graph(L: LevelGraph) -> FlowNetwork:
     return net
 
 
-def blocking_flow(Lp: FlowNetwork, numeric: NumericContext = RATIONAL) -> Flow:
+def blocking_flow(Lp: FlowNetwork) -> Flow:
     """Blocking flow on a leveled DAG by depth-first search with dead-vertex
     retirement; reverse residual edges are never traversed, so every found
     path is a shortest one and every s-t path ends up saturated."""
     res = list(Lp.ecap)
-    pos = numeric.is_positive
     s, t = Lp.source, Lp.sink
     dead = bytearray(Lp.n)
     it = [0] * Lp.n
@@ -246,7 +236,7 @@ def blocking_flow(Lp: FlowNetwork, numeric: NumericContext = RATIONAL) -> Flow:
                 res[e] -= bott
                 res[e ^ 1] += bott
             total = total + bott
-            k = next(i for i, e in enumerate(stack) if not pos(res[e]))
+            k = next(i for i, e in enumerate(stack) if not res[e] > 0)
             del stack[k:]
             u = Lp.eto[stack[-1]] if stack else s
             continue
@@ -256,7 +246,7 @@ def blocking_flow(Lp: FlowNetwork, numeric: NumericContext = RATIONAL) -> Flow:
         while i < len(edges):
             e = edges[i]
             # odd ids are reverse slots, not part of the DAG
-            if not (e & 1) and pos(res[e]) and not dead[Lp.eto[e]]:
+            if not (e & 1) and res[e] > 0 and not dead[Lp.eto[e]]:
                 it[u] = i
                 stack.append(e)
                 u = Lp.eto[e]
@@ -275,10 +265,9 @@ def blocking_flow(Lp: FlowNetwork, numeric: NumericContext = RATIONAL) -> Flow:
     return Flow(values=values, value=total)
 
 
-def _pair_part(lp: list, lr: list, numeric: NumericContext) -> list:
+def _pair_part(lp: list, lr: list) -> list:
     # Lowest-index-first pairing of a middle vertex's in- and out-flows;
     # emits at most len(lp) + len(lr) - 1 triples.
-    pos = numeric.is_positive
     out = []
     a = b = 0
     while a < len(lp) and b < len(lr):
@@ -288,15 +277,15 @@ def _pair_part(lp: list, lr: list, numeric: NumericContext) -> list:
         out.append((p, r, take))
         lp[a][1] = pa - take
         lr[b][1] = ra - take
-        if not pos(lp[a][1]):
+        if not lp[a][1] > 0:
             a += 1
-        if not pos(lr[b][1]):
+        if not lr[b][1] > 0:
             b += 1
     for _, rest in lp[a:]:
-        if not numeric.is_zero(rest):
+        if rest != 0:
             raise InternalError("unpaired inflow at a middle vertex")
     for _, rest in lr[b:]:
-        if not numeric.is_zero(rest):
+        if rest != 0:
             raise InternalError("unpaired outflow at a middle vertex")
     return out
 
@@ -306,7 +295,6 @@ def augment_and_project(
     g: Flow,
     L: LevelGraph,
     net: FlowNetwork | None = None,
-    numeric: NumericContext = RATIONAL,
 ) -> PhaseState:
     """Fold a blocking flow back into (point, range) terms: per-part middle
     flows are re-paired, backward flows subtract from the stored pairs, and
@@ -314,13 +302,12 @@ def augment_and_project(
     and returns ``f``."""
     if net is None:
         net = expand_level_graph(L)
-    pos = numeric.is_positive
     ins = {}
     outs = {}
     subs = []
     for e in range(0, len(net.eto), 2):
         amt = g.values[e // 2]
-        if not pos(amt):
+        if not amt > 0:
             continue
         tag = net.einfo[e]
         kind = tag[0]
@@ -340,16 +327,16 @@ def augment_and_project(
         if cur is None:
             raise InternalError("backward flow on a pair with no stored flow")
         cur = cur - amt
-        if numeric.mode == "rational" and cur < 0:
+        if cur < 0:
             raise InternalError("backward flow exceeds the stored pair flow")
-        if pos(cur):
+        if cur > 0:
             f.flow[(p, r)] = cur
         else:
             del f.flow[(p, r)]
     if set(ins) != set(outs):
         raise InternalError("middle vertex with one-sided flow")
     for i in sorted(ins):
-        for p, r, amt in _pair_part(ins[i], outs[i], numeric):
+        for p, r, amt in _pair_part(ins[i], outs[i]):
             key = (p, r)
             f.flow[key] = f.flow.get(key, 0) + amt
 
@@ -364,7 +351,6 @@ def max_matching_implicit(
     sd: SupplyDemand,
     c: BicliqueCover,
     *,
-    numeric: NumericContext = RATIONAL,
     trace: list | None = None,
 ) -> Matching:
     """Maximum matching under the given supplies and demands.
@@ -375,10 +361,10 @@ def max_matching_implicit(
     min(|P|, |R|) phases occur.  Pass a list as ``trace`` to receive one
     (t_level, pushed value, support size) triple per phase.
 
-    In rational mode with some ``Fraction`` weight, supplies and demands are
-    multiplied once by the LCM of their denominators, so every phase adds,
-    subtracts and compares ints; each amount (and each traced value) is
-    divided back as ``Fraction(v, scale)``.
+    With some ``Fraction`` weight, supplies and demands are multiplied once
+    by the LCM of their denominators, so every phase adds, subtracts and
+    compares ints; each amount (and each traced value) is divided back as
+    ``Fraction(v, scale)``.
     """
     n_points = P if isinstance(P, int) else len(P)
     n_ranges = R if isinstance(R, int) else len(R)
@@ -389,28 +375,25 @@ def max_matching_implicit(
 
     weights = sd.supplies + sd.demands
     scale = None
-    if numeric.mode == "rational" and not all(isinstance(w, int) for w in weights):
+    if not all(isinstance(w, int) for w in weights):
         scale = integer_scale(weights)
-        if scale is not None:
-            sd = SupplyDemand(
-                scaled_ints(sd.supplies, scale), scaled_ints(sd.demands, scale)
-            )
+        sd = SupplyDemand(scaled_ints(sd.supplies, scale), scaled_ints(sd.demands, scale))
 
     index = build_point_index(c)
     state = new_phase_state(n_points, n_ranges)
     max_phases = min(n_points, n_ranges)
     while True:
-        L = build_level_graph(state, c, sd, index=index, numeric=numeric)
+        L = build_level_graph(state, c, sd, index=index)
         if L is Done:
             break
         if state.t_levels and L.t_level <= state.t_levels[-1]:
             raise InternalError("t-level failed to increase between phases")
         net = expand_level_graph(L)
-        g = blocking_flow(net, numeric)
-        if not numeric.is_positive(g.value):
+        g = blocking_flow(net)
+        if not g.value > 0:
             raise InternalError("reachable t but empty blocking flow")
-        augment_and_project(state, g, L, net=net, numeric=numeric)
-        state = prune_to_forest(state, numeric)
+        augment_and_project(state, g, L, net=net)
+        state = prune_to_forest(state)
         if trace is not None:
             pushed = g.value if scale is None else Fraction(g.value, scale)
             trace.append((L.t_level, pushed, len(state.flow)))

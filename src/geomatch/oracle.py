@@ -160,11 +160,10 @@ class NaiveRbForest:
     """Adjacency-dict twin of the red-blue link-cut forest, all operations by
     O(n) path scans.  Mirrors the production error behaviour."""
 
-    def __init__(self, numeric=None):
+    def __init__(self):
         self._parent = []
         self._pval = []  # value of the edge to the parent
         self._color = []  # node color, "red" | "blue"
-        self._rational = numeric is None or numeric.mode == "rational"
 
     def maketree(self, color) -> int:
         if color not in ("red", "blue"):
@@ -186,7 +185,7 @@ class NaiveRbForest:
             raise InputError("link: endpoints share a color")
         if self.findroot(w) == v:
             raise InputError("link: endpoints already connected")
-        if self._rational and value < 0:
+        if value < 0:
             raise InputError("link: negative edge value")
         self._parent[v] = w
         self._pval[v] = value
@@ -231,10 +230,9 @@ class NaiveRbForest:
 
     def _add(self, v: int, want_color: str, x) -> None:
         edges = self._path_edges(v)
-        if self._rational:
-            for _c, _p, val, color in edges:
-                if color == want_color and val + x < 0:
-                    raise InputError("path add would make an edge negative")
+        for _c, _p, val, color in edges:
+            if color == want_color and val + x < 0:
+                raise InputError("path add would make an edge negative")
         for child, _p, val, color in edges:
             if color == want_color:
                 self._pval[child] = val + x
@@ -254,21 +252,3 @@ class NaiveRbForest:
                 out[key] = self._pval[child]
         return out
 
-
-def naive_rb_forest(ops):
-    """Replay an operation sequence and return the outputs of the query ops.
-
-    Each op is a tuple ("maketree", color) | ("findroot", v) | ("link", v, w, x)
-    | ("cut", v) | ("evert", v) | ("findblue", v) | ("addblue", v, x)
-    | ("addred", v, x).  Capped at 1e5 ops.
-    """
-    if len(ops) > 10**5:
-        raise InputError("operation sequence too long for the naive oracle")
-    forest = NaiveRbForest()
-    out = []
-    for op in ops:
-        name, *args = op
-        result = getattr(forest, name)(*args)
-        if name in ("maketree", "findroot", "findblue"):
-            out.append(result)
-    return out

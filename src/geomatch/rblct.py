@@ -27,14 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numeric import (
-    RATIONAL,
-    InputError,
-    InternalError,
-    NumericContext,
-    integer_scale,
-    scaled_ints,
-)
+from .numeric import InputError, InternalError, integer_scale, scaled_ints
 
 RED = "red"
 BLUE = "blue"
@@ -270,8 +263,7 @@ class RbForest:
     per-color path additions and minimum-blue-edge queries, all in amortized
     O(log n)."""
 
-    def __init__(self, numeric: NumericContext = RATIONAL):
-        self.numeric = numeric
+    def __init__(self):
         self._edges = {}  # edge vertex -> None, insertion ordered
         self.nodes = []
 
@@ -300,7 +292,7 @@ class RbForest:
         self._check_node(w)
         if v.color == w.color:
             raise InputError("link: endpoints share a color")
-        if self.numeric.mode == "rational" and value < 0:
+        if value < 0:
             raise InputError("link: negative edge value")
         if self.findroot(v) is not v:
             raise InputError("link: v is not a tree root")
@@ -395,7 +387,7 @@ class RbForest:
         m = getattr(v, field)
         if m is None:
             return
-        if self.numeric.mode == "rational" and m + x < 0:
+        if m + x < 0:
             raise InputError("path add would make an edge negative")
         setattr(v, field, m + x)
 
@@ -433,7 +425,7 @@ class RbForest:
         return out
 
 
-def prune_to_forest(f, numeric: NumericContext = RATIONAL):
+def prune_to_forest(f):
     """Cancel all cycles in the bipartite flow-support graph.
 
     ``f`` maps (point index, range index) to a positive amount; a phase-state
@@ -444,24 +436,21 @@ def prune_to_forest(f, numeric: NumericContext = RATIONAL):
     down), and blue edges driven to zero are cut.  Only the edges that lie
     on some cycle (found by a bridge pass) enter the link-cut forest.
 
-    In rational mode the forest never sees a ``Fraction``: every value is
-    multiplied once by the LCM of the denominators, the prune runs on the
-    resulting ints (it only adds, subtracts and compares, so they stay
-    exact), and each surviving value is divided back as ``Fraction(v,
-    scale)``.  An all-int flow comes back as ints.  Float mode runs on the
-    floats directly.
+    The forest never sees a ``Fraction``: every value is multiplied once by
+    the LCM of the denominators, the prune runs on the resulting ints (it
+    only adds, subtracts and compares, so they stay exact), and each
+    surviving value is divided back as ``Fraction(v, scale)``.  An all-int
+    flow comes back as ints.
     """
     if hasattr(f, "flow"):
-        f.flow = prune_to_forest(f.flow, numeric)
+        f.flow = prune_to_forest(f.flow)
         return f
     values = f.values()
-    if numeric.mode == "float" or all(isinstance(v, int) for v in values):
-        return _prune(f, numeric)
+    if all(isinstance(v, int) for v in values):
+        return _prune(f)
     scale = integer_scale(values)
-    if scale is None:
-        return _prune(f, numeric)
     scaled = dict(zip(f, scaled_ints(values, scale)))
-    return {k: Fraction(v, scale) for k, v in _prune(scaled, numeric).items()}
+    return {k: Fraction(v, scale) for k, v in _prune(scaled).items()}
 
 
 def _bridges(pairs: list) -> list:
@@ -511,14 +500,14 @@ def _bridges(pairs: list) -> list:
     return bridge
 
 
-def _prune(flow_edges: dict, numeric: NumericContext) -> dict:
+def _prune(flow_edges: dict) -> dict:
     # A bridge lies on no cycle, and every tree path the forest pushes along
     # is a simple path of the support, which never crosses a bridge; so the
     # bridges pass through unchanged and only the cyclic core enters the
     # link-cut forest.
-    pairs = sorted(k for k, v in flow_edges.items() if numeric.is_positive(v))
+    pairs = sorted(k for k, v in flow_edges.items() if v > 0)
     out = {}
-    forest = RbForest(numeric)
+    forest = RbForest()
     pnodes = {}
     rnodes = {}
     for (p, r), is_bridge in zip(pairs, _bridges(pairs)):
@@ -545,7 +534,7 @@ def _prune(flow_edges: dict, numeric: NumericContext) -> dict:
         forest.addblue(b, -push)
         while True:
             found = forest.findblue(b)
-            if found is None or not numeric.is_zero(found[1]):
+            if found is None or found[1] != 0:
                 break
             forest.cut(found[0])
         if value > delta:
@@ -554,6 +543,6 @@ def _prune(flow_edges: dict, numeric: NumericContext) -> dict:
     for u, w, value in forest.edges():
         p_tag = u.tag if u.tag[0] == "p" else w.tag
         r_tag = w.tag if w.tag[0] == "r" else u.tag
-        if numeric.is_positive(value):
+        if value > 0:
             out[(p_tag[1], r_tag[1])] = value
     return out

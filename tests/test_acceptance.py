@@ -21,7 +21,6 @@ from geomatch.flow import (
 )
 from geomatch.geometry import Box, Metric, Point, rotate45
 from geomatch.implicit_dinitz import max_matching_implicit
-from geomatch.numeric import FLOAT
 from geomatch.oracle import brute_force_incidences, hopcroft_karp, reference_max_flow
 from geomatch.bottleneck import bottleneck_search, pd_bottleneck
 from geomatch.rblct import prune_to_forest
@@ -230,9 +229,9 @@ def test_criterion_10_scaling_smoke():
     n = 100_000
     pts, boxes = _scaling_instance(n, random.Random(1100))
     cover = box_cover(pts, boxes)
-    sd = SupplyDemand((1.0,) * n, (1.0,) * n)
+    sd = SupplyDemand.unit(n, n)
     trace = []
-    matching = max_matching_implicit(n, n, sd, cover, numeric=FLOAT, trace=trace)
+    matching = max_matching_implicit(n, n, sd, cover, trace=trace)
     levels = [t for t, _, _ in trace]
     assert levels == sorted(set(levels)), "t-levels must strictly increase"
     assert matching_value(matching) > 0

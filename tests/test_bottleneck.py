@@ -17,7 +17,7 @@ from geomatch.bottleneck import (
 from geomatch.cover import BicliqueCover, BoxTree
 from geomatch.flow import SupplyDemand, matching_value
 from geomatch.geometry import Metric, Point, rotate45
-from geomatch.numeric import FLOAT, InputError
+from geomatch.numeric import InputError
 from geomatch.oracle import ExplicitBipartite, reference_max_flow
 
 from brute import _DIST, bottleneck_brute, pd_brute, range_tree_parts
@@ -200,35 +200,41 @@ FLOAT_P = [Point((-1.7, 1.9)), Point((0.3, -3.4)), Point((-4.3, 4.4))]
 FLOAT_Q = [Point((-0.5, 0.8)), Point((3.4, 2.4)), Point((1.6, 0.3))]
 
 
+def exact_pts(pts):
+    # floats are dyadic rationals, so Fraction(c) is the same value
+    return [Point(tuple(Fraction(c) for c in p.coords)) for p in pts]
+
+
 def test_float_decide_does_not_round_box_bounds():
     # as floats, (-1.7, 1.9) and (3.4, 2.4) lie exactly lam apart; box bounds
     # c +- lam computed in floats round that pair out of its box
     lam = Fraction(3.4) - Fraction(-1.7)
-    res = decide(FLOAT_P, FLOAT_Q, Metric.LINF, lam, numeric=FLOAT)
+    res = decide(FLOAT_P, FLOAT_Q, Metric.LINF, lam)
     assert res.feasible
     assert sorted(res.matching) == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
     # the float 5.1 lies below that distance
-    assert not decide(FLOAT_P, FLOAT_Q, Metric.LINF, 5.1, numeric=FLOAT).feasible
+    assert not decide(FLOAT_P, FLOAT_Q, Metric.LINF, 5.1).feasible
     half = SupplyDemand((0.5,) * 3, (0.5,) * 3)
-    res = decide(FLOAT_P, FLOAT_Q, Metric.LINF, lam, sd=half, numeric=FLOAT)
-    assert res.feasible and all(type(a) is float and a == 0.5 for _p, _q, a in res.matching)
+    res = decide(FLOAT_P, FLOAT_Q, Metric.LINF, lam, sd=half)
+    assert res.feasible
+    assert all(type(a) is Fraction and a == Fraction(1, 2) for _p, _q, a in res.matching)
+    assert res == decide(exact_pts(FLOAT_P), exact_pts(FLOAT_Q), Metric.LINF, lam, sd=half)
 
 
 def test_float_decide_matches_exact_decisions_on_tenths():
     rng = random.Random(34)
     tenth = lambda: rng.randrange(-50, 51) / 10
-    exact = lambda pts: [Point(tuple(Fraction(c) for c in p.coords)) for p in pts]
     for _ in range(40):
         n = rng.randrange(1, 5)
         P = [Point((tenth(), tenth())) for _ in range(n)]
         Q = [Point((tenth(), tenth())) for _ in range(n)]
         for metric in Metric:
-            dists = {_DIST[metric](p, q) for p in exact(P) for q in exact(Q)}
+            dists = {_DIST[metric](p, q) for p in exact_pts(P) for q in exact_pts(Q)}
             for lam in sorted(dists) + [float(d) for d in dists]:
                 sq = metric is Metric.L2
-                got = decide(P, Q, metric, lam, numeric=FLOAT, squared=sq)
-                want = decide(exact(P), exact(Q), metric, Fraction(lam), squared=sq)
-                assert got.feasible == want.feasible
+                got = decide(P, Q, metric, lam, squared=sq)
+                want = decide(exact_pts(P), exact_pts(Q), metric, Fraction(lam), squared=sq)
+                assert got == want
 
 
 # ---------------------------------------------------------------- the search
@@ -338,18 +344,19 @@ def test_search_keeps_scalar_types():
 def test_float_mode_search():
     P = [Point((0.0, 0.0)), Point((3.0, 1.0))]
     Q = [Point((0.5, 0.0)), Point((3.0, 2.0))]
-    r = bottleneck_search(P, Q, Metric.LINF, numeric=FLOAT)
-    assert r.lambda_star == pytest.approx(1.0)
+    r = bottleneck_search(P, Q, Metric.LINF)
+    assert r.lambda_star == 1
+    assert r == bottleneck_search(exact_pts(P), exact_pts(Q), Metric.LINF)
 
 
 def test_float_search_does_not_round_box_bounds():
     # box bounds c +- lam computed in floats round, and the pair at distance
-    # exactly 5.1 falls outside its box: such a search returns 5.8
-    P = [Point((-1.7, 1.9)), Point((0.3, -3.4)), Point((-4.3, 4.4))]
-    Q = [Point((-0.5, 0.8)), Point((3.4, 2.4)), Point((1.6, 0.3))]
-    r = bottleneck_search(P, Q, Metric.LINF, numeric=FLOAT)
-    assert r.lambda_star == pytest.approx(5.1, rel=1e-12)
+    # exactly 3.4 - (-1.7) falls outside its box: such a search returns 5.8
+    r = bottleneck_search(FLOAT_P, FLOAT_Q, Metric.LINF)
+    assert r.lambda_star == Fraction(3.4) - Fraction(-1.7)
+    assert float(r.lambda_star) == 5.1
     assert sorted(r.matching) == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+    assert r == bottleneck_search(exact_pts(FLOAT_P), exact_pts(FLOAT_Q), Metric.LINF)
 
 
 def test_float_search_matches_rational_on_tenths():
@@ -362,8 +369,8 @@ def test_float_search_matches_rational_on_tenths():
         as_float = lambda pts: [Point(tuple(float(c) for c in p.coords)) for p in pts]
         for metric in Metric:
             exact = bottleneck_search(P, Q, metric)
-            r = bottleneck_search(as_float(P), as_float(Q), metric, numeric=FLOAT)
-            assert type(r.lambda_star) is float
+            r = bottleneck_search(as_float(P), as_float(Q), metric)
+            assert r == bottleneck_search(exact_pts(as_float(P)), exact_pts(as_float(Q)), metric)
             assert r.lambda_star == pytest.approx(float(exact.lambda_star), rel=1e-9, abs=1e-12)
             assert len(r.matching) == n
 
@@ -403,9 +410,9 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
         for cold in (False, True):
             seeded = []
 
-            def counted(net, numeric, initial=None):
+            def counted(net, initial=None):
                 seeded.append(bool(initial))
-                return dinitz(net, numeric, None if cold else initial)
+                return dinitz(net, None if cold else initial)
 
             monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", counted)
             r = bottleneck_search(P, Q, metric)
@@ -625,12 +632,11 @@ def test_pd_float_mode_matches_rational():
         X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 7)]
         Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 7)]
         exact = pd_bottleneck(X, Y)
-        floats = pd_bottleneck(
-            [(float(b), float(d)) for b, d in X],
-            [(float(b), float(d)) for b, d in Y],
-            numeric=FLOAT,
-        )
-        assert floats == pytest.approx(float(exact))
+        as_float = lambda dgm: [(float(b), float(d)) for b, d in dgm]
+        floats = pd_bottleneck(as_float(X), as_float(Y))
+        as_exact = lambda dgm: [(Fraction(b), Fraction(d)) for b, d in dgm]
+        assert floats == pd_bottleneck(as_exact(as_float(X)), as_exact(as_float(Y)))
+        assert float(floats) == pytest.approx(float(exact))
 
 
 def test_pd_float_mode_searches_exactly():
@@ -641,7 +647,7 @@ def test_pd_float_mode_searches_exactly():
     exact = lambda dgm: [(Fraction(b), Fraction(d)) for b, d in dgm]
     want = pd_brute(exact(X), exact(Y))
     assert float(want) == 2.0
-    assert pd_bottleneck(X, Y, numeric=FLOAT) == float(want)
+    assert pd_bottleneck(X, Y) == want
 
 
 def test_pd_triangle_inequality_soft():

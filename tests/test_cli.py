@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -265,7 +266,8 @@ def test_float_numeric_flag(tmp_path, capsys, triangle):
 
 
 def test_default_numeric_is_exact_above_1000_elements(tmp_path, capsys):
-    # weights of 1e-11 lie under float mode's zero threshold of 1e-9
+    # weights of 1e-11: arithmetic that treats amounts up to 1e-9 as zero
+    # answers 0 here
     n = 1001
     w = "0.00000000001"
     pts = write(tmp_path, "p.csv", "".join(f"{i},0,{w}\n" for i in range(n)))
@@ -273,6 +275,11 @@ def test_default_numeric_is_exact_above_1000_elements(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "match", pts, rng, "--mode", "real")
     assert code == 0
     assert json.loads(stdout)["value"] == f"{n}/100000000000"
+    # float is an output format: the same exact answer, printed rounded
+    code, stdout, _ = run_cli(capsys, "match", pts, rng, "--mode", "real", "--numeric", "float")
+    assert code == 0
+    body = json.loads(stdout)
+    assert body["value"] == float(Fraction(n, 10**11)) and body["matching_size"] == n
 
 
 def test_output_deterministic(tmp_path, capsys, triangle):

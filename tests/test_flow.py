@@ -14,7 +14,7 @@ from geomatch.flow import (
     validate_matching,
 )
 from geomatch.geometry import Box, Point
-from geomatch.numeric import FLOAT, RATIONAL, InputError, InternalError
+from geomatch.numeric import InputError, InternalError
 from geomatch.oracle import ExplicitBipartite, brute_force_incidences, reference_max_flow
 
 from helpers import assert_blocking, rand_boxes, rand_fraction, rand_points, rand_sd
@@ -79,15 +79,17 @@ def test_flow_matches_reference_on_random_instances():
 def test_rational_values_stay_exact():
     cover = BicliqueCover(2, 1, [([0, 1], [0])])
     sd = SupplyDemand((Fraction(1, 3), Fraction(1, 6)), (Fraction(5, 12),))
-    flow = max_flow_dinitz(build_network(cover, sd), RATIONAL)
+    flow = max_flow_dinitz(build_network(cover, sd))
     assert flow.value == Fraction(5, 12)
 
 
 def test_float_mode_runs():
     cover = BicliqueCover(2, 2, [([0], [0]), ([0, 1], [1])])
-    sd = SupplyDemand((2.0, 3.0), (1.0, 4.0))
-    flow = max_flow_dinitz(build_network(cover, sd), FLOAT)
-    assert flow.value == pytest.approx(5.0)
+    for sup, dem in (((2.0, 3.0), (1.0, 4.0)), ((0.1, 0.2), (0.1, 0.3))):
+        flow = max_flow_dinitz(build_network(cover, SupplyDemand(sup, dem)))
+        exact = SupplyDemand(tuple(map(Fraction, sup)), tuple(map(Fraction, dem)))
+        assert flow.value == max_flow_dinitz(build_network(cover, exact)).value
+        assert flow.value == Fraction(sup[0]) + Fraction(sup[1])
 
 
 def test_matching_validation_catches_violations():
@@ -151,9 +153,9 @@ def test_seeded_dinitz_matches_cold(unit):
         seeded += bool(seed)
         net = build_network(cover, sd)
         cold = max_flow_dinitz(net)
-        warm = max_flow_dinitz(net, RATIONAL, seed_flow(net, cover, seed))
+        warm = max_flow_dinitz(net, seed_flow(net, cover, seed))
         assert warm.value == cold.value
-        assert_blocking(net, warm, RATIONAL)
+        assert_blocking(net, warm)
         matching = flow_to_matching(warm, net, cover)
         assert matching_value(matching) == cold.value
         assert validate_matching(matching, pts, _centred_boxes(centres, wide), sd)
@@ -163,7 +165,7 @@ def test_seeded_dinitz_matches_cold(unit):
 def test_seed_pair_outside_the_cover_raises():
     cover = BicliqueCover(2, 2, [([0], [0]), ([1], [1])])
     net = build_network(cover, SupplyDemand.unit(2, 2))
-    assert max_flow_dinitz(net, RATIONAL, seed_flow(net, cover, [(1, 1, 1)])).value == 2
+    assert max_flow_dinitz(net, seed_flow(net, cover, [(1, 1, 1)])).value == 2
     with pytest.raises(InternalError):
         seed_flow(net, cover, [(0, 1, 1)])
 
@@ -172,4 +174,4 @@ def test_initial_flow_over_capacity_raises():
     cover = BicliqueCover(1, 1, [([0], [0])])
     net = build_network(cover, SupplyDemand.unit(1, 1))
     with pytest.raises(InternalError):
-        max_flow_dinitz(net, RATIONAL, seed_flow(net, cover, [(0, 0, 2)]))
+        max_flow_dinitz(net, seed_flow(net, cover, [(0, 0, 2)]))

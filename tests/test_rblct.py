@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from geomatch.numeric import FLOAT, InputError
+from geomatch.numeric import InputError
 import geomatch.rblct as rblct_mod
 from geomatch.rblct import RbForest, _bridges, prune_to_forest
 
@@ -240,9 +240,10 @@ def test_prune_random_flows_forest_subset_totals():
 
 def test_prune_float_mode():
     flow = {(0, 0): 2.0, (1, 0): 3.0, (1, 1): 4.0, (0, 1): 5.0}
-    out = prune_to_forest(flow, FLOAT)
-    assert node_totals(out)[0][0] == pytest.approx(7.0)
+    out = prune_to_forest(dict(flow))
+    assert node_totals(out)[0][0] == 7
     assert uf_is_forest([(("p", p), ("r", r)) for p, r in out])
+    assert out == prune_to_forest({k: Fraction(v) for k, v in flow.items()})
 
 
 def test_differential_small():
