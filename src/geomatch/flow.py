@@ -1,15 +1,17 @@
 """Max flow over a biclique cover and recovery of the matching it encodes.
 
-The network has five layers: source, points, one middle vertex per cover
-part, ranges, sink.  Feeders carry supplies, drains carry demands, and both
-edges through a middle vertex are uncapacitated, so the middle layer only
-has sigma edges instead of one per incident pair.
+The network runs source, points, ranges, sink.  Feeders carry supplies and
+drains carry demands; the incidences in between are uncapacitated.  A cover
+part (A, B) with |A| >= 2 and |B| >= 2 sends them through one middle vertex,
+|A| + |B| edges instead of |A|*|B| (Feder-Motwani compression).  A part with
+one point or one range has |A|*|B| <= |A| + |B| - 1, so its incidences are
+direct point-to-range edges and it has no middle vertex.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .geometry import contains
@@ -46,7 +48,12 @@ class FlowNetwork:
     """Directed s-t network as a paired edge list: edge ``e ^ 1`` is the
     reverse of edge ``e``; original edges have even ids.  ``build_network``
     writes the arrays directly; ``add_edge`` and the per-edge ``einfo`` tags
-    serve the level graphs of the implicit engine."""
+    serve the level graphs of the implicit engine.
+
+    ``direct`` is the id block, reverse slots included, of the direct
+    point-to-range edges that ``build_network`` lays out; ``max_flow_dinitz``
+    counts each of them as two levels, the length of a path through a
+    middle vertex."""
 
     def __init__(self, n: int, source: int, sink: int):
         self.n = n
@@ -56,6 +63,7 @@ class FlowNetwork:
         self.eto = []
         self.ecap = []
         self.einfo = []
+        self.direct = range(0)
 
     def add_edge(self, u: int, v: int, cap, info=None) -> int:
         e = len(self.eto)
@@ -82,30 +90,45 @@ class Flow:
         return self.values[edge_id // 2]
 
 
+def has_middle_vertex(pts, rngs) -> bool:
+    """A cover part gets a middle vertex only where it saves edges: with two
+    or more points and two or more ranges."""
+    return len(pts) > 1 and len(rngs) > 1
+
+
 def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
-    """Five-layer network for a cover: vertex count 2 + |P| + |R| + |I|,
-    edge count |P| + |R| + sigma.
+    """Flow network for a cover: vertex count 2 + |P| + |R| + (parts with a
+    middle vertex), edge count |P| + |R| + sum over parts of |A|*|B| for a
+    part with a singleton side and |A| + |B| for the others.
 
     Vertices: source 0, sink 1, then the points, the ranges and one middle
-    vertex per part, in cover order.  Original edge ids follow one fixed
-    layout: a feeder per point, a drain per range, then the pins (point to
-    middle vertex) of every part and the pouts (middle vertex to range) of
-    every part, both in cover order and in the order of each part's lists.
-    A vertex's adjacency lists its edges by ascending id."""
+    vertex per part with two or more points and two or more ranges, in cover
+    order.  Original edge ids follow one fixed layout: a feeder per point, a
+    drain per range, then the direct edges of every part with a singleton
+    side (``net.direct``), then the pins (point to middle vertex) and the
+    pouts (middle vertex to range) of the other parts.  Each block runs in
+    cover order and in the order of each part's lists, a part's direct edges
+    point by point.  A vertex's adjacency lists its edges by ascending id."""
     np_, nr = cover.left_count, cover.right_count
     if len(sd.supplies) != np_ or len(sd.demands) != nr:
         raise InputError("supply/demand lengths disagree with the cover")
-    parts = cover.parts
+    # has_middle_vertex, inlined: a call per part would cost a quarter of
+    # the build on the one-pair parts of an L2 decision
+    mids = [part for part in cover.parts if len(part[0]) > 1 and len(part[1]) > 1]
+    direct = [part for part in cover.parts if len(part[0]) < 2 or len(part[1]) < 2]
     rbase = 2 + np_
     mid0 = rbase + nr
-    net = FlowNetwork(mid0 + len(parts), 0, 1)
+    net = FlowNetwork(mid0 + len(mids), 0, 1)
     # tail and head vertex of each original edge, in id order
     tails = [0] * np_ + list(range(rbase, mid0))
-    tails += [2 + p for pts, _ in parts for p in pts]
-    tails += [mid for mid, (_, rngs) in enumerate(parts, mid0) for _ in rngs]
+    tails += [2 + p for pts, rngs in direct for p in pts for _ in rngs]
+    net.direct = range(2 * (np_ + nr), 2 * len(tails))
+    tails += [2 + p for pts, _ in mids for p in pts]
+    tails += [mid for mid, (_, rngs) in enumerate(mids, mid0) for _ in rngs]
     heads = list(range(2, rbase)) + [1] * nr
-    heads += [mid for mid, (pts, _) in enumerate(parts, mid0) for _ in pts]
-    heads += [rbase + r for _, rngs in parts for r in rngs]
+    heads += [rbase + r for pts, rngs in direct for _ in pts for r in rngs]
+    heads += [mid for mid, (pts, _) in enumerate(mids, mid0) for _ in pts]
+    heads += [rbase + r for _, rngs in mids for r in rngs]
     m = len(tails)
     eto = [0] * (2 * m)
     eto[0::2] = heads
@@ -126,11 +149,16 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
     """Dinitz max flow: BFS level graph, then a pointer-based DFS blocking
     flow per phase, on exact capacities; the input network is not mutated.
 
+    A direct edge and its reverse slot (``net.direct``) span two levels, so
+    a point-to-range hop spans two levels whether or not its part has a
+    middle vertex.
+
     ``initial`` maps original edge ids to the amounts of a feasible flow to
     start from (see ``seed_flow``); the phases augment it to a maximum."""
     res = list(net.ecap)
     s, t, n = net.source, net.sink, net.n
     head, eto = net.head, net.eto
+    lo, hi = net.direct.start, net.direct.stop
     total = 0
     if initial:
         for e, amt in initial.items():
@@ -140,21 +168,32 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
                 raise InternalError("initial flow exceeds an edge capacity")
             if eto[e ^ 1] == s:
                 total += amt
-    level = [-1] * n
+    unreached = [-1] * n
+    level = list(unreached)
 
     def bfs() -> bool:
-        for i in range(n):
-            level[i] = -1
+        # Two buckets, the vertices one and two levels past the ones being
+        # expanded.  In a network from build_network every vertex has a fixed
+        # level parity (points and ranges odd, the rest even: one-level edges
+        # change it and two-level edges keep it), so a vertex's first level
+        # is already its least one.
+        level[:] = unreached
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            lu = level[u] + 1
-            for e in head[u]:
-                v = eto[e]
-                if level[v] < 0 and res[e] > 0:
-                    level[v] = lu
-                    queue.append(v)
+        frontier, near, far = [s], [], []
+        d = 0
+        while frontier or near:
+            d += 1
+            for u in frontier:
+                for e in head[u]:
+                    v = eto[e]
+                    if level[v] < 0 and res[e] > 0:
+                        if lo <= e < hi:
+                            level[v] = d + 1
+                            far.append(v)
+                        else:
+                            level[v] = d
+                            near.append(v)
+            frontier, near, far = near, far, []
         return level[t] >= 0
 
     while bfs():
@@ -174,10 +213,14 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
                 continue
             advanced = False
             out = head[u]
+            lu = level[u]
             while it[u] < len(out):
                 e = out[it[u]]
                 v = eto[e]
-                if res[e] > 0 and level[v] == level[u] + 1:
+                # a residual edge never climbs more levels than it spans, and
+                # parity rules out one level on a two-level edge, so a higher
+                # level is exactly the next level along e
+                if res[e] > 0 and level[v] > lu:
                     stack.append(e)
                     u = v
                     advanced = True
@@ -201,48 +244,54 @@ Matching = list
 def seed_flow(net: FlowNetwork, cover, matching: Matching) -> dict:
     """Route a matching through the network ``build_network`` made for
     ``cover``, as an initial flow for ``max_flow_dinitz``: each triple
-    (p, r, a) sends a along the feeder of p, the pin and pout of a part
-    holding both p and r, and the drain of r.  The matching must respect the
-    supplies and demands; a pair that no part holds raises InternalError."""
+    (p, r, a) sends a along the feeder of p, a direct edge from p to r or
+    else the pin and pout of a part holding both, and the drain of r.  The
+    matching must respect the supplies and demands; a pair that no part
+    holds raises InternalError."""
     np_ = cover.left_count
     head, eto = net.head, net.eto
     flow = defaultdict(int)
     for p, r, amt in matching:
-        # the pouts into r by middle vertex, then a pin of p into one of them
         r_node = 2 + np_ + r
-        pout = {eto[e]: e ^ 1 for e in head[r_node] if e & 1}
-        pin = next((e for e in head[2 + p] if not e & 1 and eto[e] in pout), None)
-        if pin is None:
-            raise InternalError(f"seed pair ({p}, {r}) is in no part of the cover")
-        for e in (2 * p, pin, pout[eto[pin]], 2 * (np_ + r)):
+        # p's even edges are its direct edges and its pins
+        out = [e for e in head[2 + p] if not e & 1]
+        route = next(((e,) for e in out if eto[e] == r_node), None)
+        if route is None:
+            # the pouts into r by middle vertex, then a pin of p into one of them
+            pout = {eto[e]: e ^ 1 for e in head[r_node] if e & 1}
+            pin = next((e for e in out if eto[e] in pout), None)
+            if pin is None:
+                raise InternalError(f"seed pair ({p}, {r}) is in no part of the cover")
+            route = (pin, pout[eto[pin]])
+        for e in (2 * p, *route, 2 * (np_ + r)):
             flow[e] += amt
     return flow
 
 
 def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
-    """Per-part pairing loop: repeatedly match the lowest-index point and
-    range with positive remaining amount, emitting min of the two; duplicate
-    (p, r) pairs from overlapping parts are merged by a bucket pass.
+    """Read the matching off a flow in ``build_network``'s layout: each direct
+    edge with flow is a triple, and each middle vertex with flow is paired
+    by repeatedly matching its lowest-index point and range with positive
+    remaining amount, emitting min of the two.  Duplicate (p, r) pairs from
+    overlapping parts are merged.
 
-    Only the parts whose pins carry flow are paired; each is read from the
-    adjacency of its middle vertex in ``build_network``'s layout: the
-    reversed pins in the order of the part's points, then the pouts in the
-    order of its ranges."""
+    A middle vertex is read from its adjacency: the reversed pins in the
+    order of the part's points, then the pouts in the order of its ranges."""
     vals, eto, head = flow.values, net.eto, net.head
     np_, nr = cover.left_count, cover.right_count
     rbase = 2 + np_
     mid0 = rbase + nr
-    if net.n != mid0 + len(cover.parts):
+    if net.n != mid0 + sum(len(a) > 1 and len(b) > 1 for a, b in cover.parts):
         raise InternalError("network does not follow the cover's layout")
-    # pins are the inner edges that enter a middle vertex
+    merged = defaultdict(int)
+    first, stop = net.direct.start // 2, net.direct.stop // 2
+    for k in range(first, stop):
+        if vals[k] > 0:
+            merged[(eto[2 * k + 1] - 2, eto[2 * k] - rbase)] += vals[k]
+    # pins are the edges past the direct block that enter a middle vertex
     busy = sorted(
-        {
-            eto[2 * k]
-            for k in range(np_ + nr, len(vals))
-            if vals[k] > 0 and eto[2 * k] >= mid0
-        }
+        {eto[2 * k] for k in range(stop, len(vals)) if vals[k] > 0 and eto[2 * k] >= mid0}
     )
-    merged = {}
     for mid in busy:
         # an odd edge here is a reversed pin, flow vals[e >> 1] of its twin
         lp = [[eto[e] - 2, vals[e >> 1]] for e in head[mid] if e & 1 and vals[e >> 1] > 0]
@@ -257,8 +306,7 @@ def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
             p, ap = lp[a]
             r, ar = lr[b]
             delta = min(ap, ar)
-            key = (p, r)
-            merged[key] = merged.get(key, 0) + delta
+            merged[(p, r)] += delta
             emitted += 1
             lp[a][1] -= delta
             lr[b][1] -= delta

@@ -6,8 +6,10 @@ reversal edges from ranges back to points.  A phase never materializes the
 point-range edges: the level graph stores, per consecutive layer pair, the
 cover parts touched by the frontier (each part restricted to the nodes that
 actually sit on those two levels), and only feeder, backward, and draining
-edges explicitly.  Expansion then inserts one middle vertex per stored part,
-so a phase costs O(n + sigma) regardless of how dense the incidences are.
+edges explicitly.  Expansion then inserts one middle vertex per stored part
+with two or more points and two or more ranges and lists the incidences of
+the other parts as direct edges, so a phase costs O(n + sigma) regardless of
+how dense the incidences are.
 
 Between phases the flow support is pruned to a forest (rblct module), which
 keeps the backward edge count linear in the node count.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cover import BicliqueCover
-from .flow import INF, Flow, FlowNetwork, Matching, SupplyDemand
+from .flow import INF, Flow, FlowNetwork, Matching, SupplyDemand, has_middle_vertex
 from .numeric import InputError, InternalError, integer_scale, scaled_ints
 from .rblct import prune_to_forest
 
@@ -185,9 +187,12 @@ def build_level_graph(
 
 
 def expand_level_graph(L: LevelGraph) -> FlowNetwork:
-    """Explicit flow network for one phase: every stored cover part becomes a
-    middle vertex with uncapacitated edges, so the network has
-    2 + #points + #ranges + #parts vertices and O(sigma) edges."""
+    """Explicit flow network for one phase, O(sigma) edges, all of the cover
+    part edges uncapacitated.  A stored part with two or more points and two
+    or more ranges becomes a middle vertex; a part with one point or one
+    range becomes direct point-to-range edges, added where its pins would
+    be, so each point's adjacency keeps the order the middle vertices give.
+    The network has 2 + #points + #ranges + #middle vertices vertices."""
     pid = {}
     rid = {}
     for layer in L.point_layers:
@@ -197,7 +202,7 @@ def expand_level_graph(L: LevelGraph) -> FlowNetwork:
     for layer in L.range_layers:
         for r in layer:
             rid[r] = base + len(rid)
-    n_mids = sum(len(step) for step in L.forward)
+    n_mids = sum(has_middle_vertex(pts, rngs) for step in L.forward for _, pts, rngs in step)
     net = FlowNetwork(base + len(rid) + n_mids, source=0, sink=1)
 
     for p, cap in L.feeders:
@@ -205,6 +210,11 @@ def expand_level_graph(L: LevelGraph) -> FlowNetwork:
     mid = base + len(rid)
     for j, step in enumerate(L.forward):
         for i, pts, rngs in step:
+            if not has_middle_vertex(pts, rngs):
+                for p in pts:
+                    for r in rngs:
+                        net.add_edge(pid[p], rid[r], INF, ("direct", p, r))
+                continue
             for p in pts:
                 net.add_edge(pid[p], mid, INF, ("min", i, p))
             for r in rngs:
@@ -296,15 +306,16 @@ def augment_and_project(
     L: LevelGraph,
     net: FlowNetwork | None = None,
 ) -> PhaseState:
-    """Fold a blocking flow back into (point, range) terms: per-part middle
-    flows are re-paired, backward flows subtract from the stored pairs, and
-    the feeder/drain totals update the supply/demand bookkeeping.  Mutates
-    and returns ``f``."""
+    """Fold a blocking flow back into (point, range) terms: backward flows
+    subtract from the stored pairs, then direct flows and the re-paired
+    per-part middle flows add to them, and the feeder/drain totals update
+    the supply/demand bookkeeping.  Mutates and returns ``f``."""
     if net is None:
         net = expand_level_graph(L)
     ins = {}
     outs = {}
     subs = []
+    adds = []
     for e in range(0, len(net.eto), 2):
         amt = g.values[e // 2]
         if not amt > 0:
@@ -319,6 +330,8 @@ def augment_and_project(
             ins.setdefault(tag[1], []).append([tag[2], amt])
         elif kind == "mout":
             outs.setdefault(tag[1], []).append([tag[2], amt])
+        elif kind == "direct":
+            adds.append((tag[1], tag[2], amt))
         else:  # ("backward", r, p)
             subs.append((tag[2], tag[1], amt))
 
@@ -336,9 +349,10 @@ def augment_and_project(
     if set(ins) != set(outs):
         raise InternalError("middle vertex with one-sided flow")
     for i in sorted(ins):
-        for p, r, amt in _pair_part(ins[i], outs[i]):
-            key = (p, r)
-            f.flow[key] = f.flow.get(key, 0) + amt
+        adds += _pair_part(ins[i], outs[i])
+    for p, r, amt in adds:
+        key = (p, r)
+        f.flow[key] = f.flow.get(key, 0) + amt
 
     f.phase += 1
     f.t_levels.append(L.t_level)

@@ -38,13 +38,24 @@ def parse_scalar(text: str):
         raise InputError(f"bad numeric literal {text!r}") from exc
 
 
+# Largest bit length integer_scale accepts.  Every float passes: its
+# denominator is a power of two no larger than 2**1074, so floats alone never
+# scale past 1075 bits.  Past the limit, the scaled ints would make every add
+# and compare of the solvers slow, so the input is refused instead.
+SCALE_LIMIT_BITS = 4096
+
+
 def integer_scale(values) -> int:
     """Smallest positive int that turns every value into an int when
     multiplied by it (the LCM of the denominators); floats are read through
-    ``exact``."""
-    scale = 1
-    for v in map(exact, values):
-        scale = math.lcm(scale, v.denominator)
+    ``exact``.  A scale longer than ``SCALE_LIMIT_BITS`` bits raises
+    InputError."""
+    scale = math.lcm(*{v.denominator for v in map(exact, values)})
+    if scale.bit_length() > SCALE_LIMIT_BITS:
+        raise InputError(
+            f"the common denominator of the input has {scale.bit_length()} bits, "
+            f"more than the {SCALE_LIMIT_BITS} this program accepts"
+        )
     return scale
 
 

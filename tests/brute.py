@@ -8,7 +8,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from geomatch.geometry import Metric
-from geomatch.oracle import ExplicitBipartite, hopcroft_karp
+
+from oracle import ExplicitBipartite, hopcroft_karp
 
 
 def _coords(p):

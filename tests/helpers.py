@@ -5,8 +5,9 @@ from fractions import Fraction
 from geomatch.geometry import Box, Disk, Point
 from geomatch.flow import SupplyDemand
 from geomatch.numeric import InputError
-from geomatch.oracle import NaiveRbForest
 from geomatch.rblct import RbForest
+
+from oracle import NaiveRbForest
 
 _DENS = (1, 1, 2, 4)
 
@@ -55,6 +56,17 @@ def rand_sd(rng, n_points, n_ranges, integral=True, max_w=10) -> SupplyDemand:
             for _ in range(n_ranges)
         )
     return SupplyDemand(sup, dem)
+
+
+def first_primes(k: int) -> list:
+    """The k smallest primes, by trial division."""
+    primes = []
+    n = 2
+    while len(primes) < k:
+        if all(n % q for q in primes if q * q <= n):
+            primes.append(n)
+        n += 1
+    return primes
 
 
 def rand_support_flow(rng, n_points, n_ranges, max_edges) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .numeric import InputError
+from geomatch.numeric import InputError
 
 _PAIR_GUARD = 10**7
 

@@ -21,7 +21,6 @@ from geomatch.flow import (
 )
 from geomatch.geometry import Box, Metric, Point, rotate45
 from geomatch.implicit_dinitz import max_matching_implicit
-from geomatch.oracle import brute_force_incidences, hopcroft_karp, reference_max_flow
 from geomatch.bottleneck import bottleneck_search, pd_bottleneck
 from geomatch.rblct import prune_to_forest
 
@@ -37,6 +36,7 @@ from helpers import (
     rand_support_flow,
     uf_is_forest,
 )
+from oracle import brute_force_incidences, hopcroft_karp, reference_max_flow
 
 
 def test_criterion_01_cover_correctness():

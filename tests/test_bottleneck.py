@@ -18,10 +18,10 @@ from geomatch.cover import BicliqueCover, BoxTree
 from geomatch.flow import SupplyDemand, matching_value
 from geomatch.geometry import Metric, Point, rotate45
 from geomatch.numeric import InputError
-from geomatch.oracle import ExplicitBipartite, reference_max_flow
 
 from brute import _DIST, bottleneck_brute, pd_brute, range_tree_parts
 from helpers import rand_fraction, rand_sd
+from oracle import ExplicitBipartite, reference_max_flow
 
 
 def rand_pts(rng, n):

@@ -8,6 +8,8 @@ import pytest
 from geomatch.cli import main, parse_diagram, parse_points, parse_ranges
 from geomatch.numeric import InputError
 
+from helpers import first_primes
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -144,6 +146,16 @@ def test_match_nonintegral_rejected_in_integral_mode(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "match", pts, rng, "--mode", "real")
     assert code == 0
     assert json.loads(stdout)["value"] == "1/2"
+
+
+def test_match_with_a_runaway_common_denominator_is_input_error(tmp_path, capsys):
+    rows = "".join(f"0,0,1/{p}\n" for p in first_primes(600))
+    pts = write(tmp_path, "p.csv", rows)
+    rng = write(tmp_path, "r.csv", "box,-1,-1,1,1\n")
+    code, stdout, stderr = run_cli(capsys, "match", pts, rng, "--mode", "real")
+    assert code == 2
+    assert stdout == ""
+    assert "bits" in stderr
 
 
 def test_match_with_cover_file(tmp_path, capsys, triangle):

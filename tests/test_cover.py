@@ -16,10 +16,10 @@ from geomatch.cover import (
 )
 from geomatch.geometry import Box, Disk, Point
 from geomatch.numeric import InputError
-from geomatch.oracle import brute_force_incidences
 
 from brute import range_tree_parts
 from helpers import rand_boxes, rand_congruent_disks, rand_points
+from oracle import brute_force_incidences
 
 
 def edge_set(cover):

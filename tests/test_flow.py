@@ -5,6 +5,7 @@ import pytest
 
 from geomatch.cover import BicliqueCover, box_cover, cover_size
 from geomatch.flow import (
+    INF,
     SupplyDemand,
     build_network,
     flow_to_matching,
@@ -15,9 +16,9 @@ from geomatch.flow import (
 )
 from geomatch.geometry import Box, Point
 from geomatch.numeric import InputError, InternalError
-from geomatch.oracle import ExplicitBipartite, brute_force_incidences, reference_max_flow
 
 from helpers import assert_blocking, rand_boxes, rand_fraction, rand_points, rand_sd
+from oracle import ExplicitBipartite, brute_force_incidences, reference_max_flow
 
 
 def test_supply_demand_validation():
@@ -107,17 +108,92 @@ def test_matching_validation_catches_violations():
 
 
 def test_network_follows_the_cover_layout():
-    cover = BicliqueCover(2, 2, [([0, 1], [1]), ([0], [0, 1])])
-    net = build_network(cover, SupplyDemand((2, 3), (1, 4)))
-    # vertices: source 0, sink 1, points 2-3, ranges 4-5, middle vertices 6-7
+    # a full part, a one-point part and a one-range part
+    cover = BicliqueCover(3, 3, [([0, 2], [1, 2]), ([1], [0, 2]), ([0, 1], [1])])
+    net = build_network(cover, SupplyDemand((2, 3, 5), (1, 4, 6)))
+    # vertices: source 0, sink 1, points 2-4, ranges 5-7, one middle vertex 8
+    assert net.n == 9
     tails = [net.eto[e + 1] for e in range(0, len(net.eto), 2)]
     heads = [net.eto[e] for e in range(0, len(net.eto), 2)]
-    # feeders, drains, the pins of both parts, then the pouts of both parts
-    assert tails == [0, 0, 4, 5, 2, 3, 2, 6, 7, 7]
-    assert heads == [2, 3, 1, 1, 6, 6, 7, 5, 4, 5]
-    assert net.ecap[0::2][:4] == [2, 3, 1, 4]
+    # feeders, drains, the direct edges of the one-point and the one-range
+    # part, then the pins and the pouts of the full part
+    assert tails == [0, 0, 0, 5, 6, 7, 3, 3, 2, 3, 2, 4, 8, 8]
+    assert heads == [2, 3, 4, 1, 1, 1, 5, 7, 6, 6, 8, 8, 6, 7]
+    assert net.direct == range(12, 20)
+    assert net.ecap[0::2] == [2, 3, 5, 1, 4, 6] + [INF] * 8
     for u in range(net.n):
         assert net.head[u] == [e for e in range(len(net.eto)) if net.eto[e ^ 1] == u]
+
+
+def test_singleton_sided_parts_build_no_middle_vertex():
+    parts = [([0], [0, 1, 2]), ([1, 2, 3], [2]), ([3], [0]), ([0, 1], [1])]
+    cover = BicliqueCover(4, 3, parts)
+    net = build_network(cover, SupplyDemand.unit(4, 3))
+    assert net.n == 2 + 4 + 3
+    assert net.edge_count == 4 + 3 + sum(len(a) * len(b) for a, b in parts)
+    assert net.direct == range(2 * 7, 2 * net.edge_count)
+
+
+def _mixed_cover(rng, g):
+    """A cover of the incidences ``g``: parts of two points and all their
+    common ranges, then the rest as one-point and one-range parts."""
+    ranges_of = [set() for _ in range(g.n_left)]
+    for p, r in g.edges:
+        ranges_of[p].add(r)
+    parts = []
+    left = set(g.edges)
+    for p, r in rng.sample(g.edges, len(g.edges) // 4):
+        # p and another point of r, with every range the two share
+        a, b = sorted((p, rng.choice([q for q, s in g.edges if s == r])))
+        common = sorted(ranges_of[a] & ranges_of[b])
+        if a != b and len(common) > 1:
+            parts.append(([a, b], common))
+            left -= {(x, y) for x in (a, b) for y in common}
+    by_point, by_range = {}, {}
+    for p, r in sorted(left):
+        if rng.random() < 0.5:
+            by_point.setdefault(p, []).append(r)
+        else:
+            by_range.setdefault(r, []).append(p)
+    parts += [([p], rs) for p, rs in by_point.items()]
+    parts += [(ps, [r]) for r, ps in by_range.items()]
+    rng.shuffle(parts)
+    return BicliqueCover(g.n_left, g.n_right, parts)
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_mixed_covers_match_the_reference(unit):
+    rng = random.Random(41 if unit else 42)
+    shapes = [0, 0]  # parts without and with a middle vertex
+    for trial in range(80):
+        # points packed in the middle, so that boxes share several of them
+        pts = rand_points(rng, rng.randrange(1, 16), lo=-15, hi=15)
+        boxes = rand_boxes(rng, rng.randrange(1, 16), lo=-40, hi=0, max_side=50)
+        g = brute_force_incidences(pts, boxes)
+        cover = _mixed_cover(rng, g)
+        for a, b in cover.parts:
+            shapes[len(a) > 1 and len(b) > 1] += 1
+        if unit:
+            sd = SupplyDemand.unit(len(pts), len(boxes))
+        else:
+            sd = rand_sd(rng, len(pts), len(boxes), integral=False)
+        want = reference_max_flow(g, sd.supplies, sd.demands)
+        net = build_network(cover, sd)
+        runs = [max_flow_dinitz(net)]
+        if trial % 2:
+            sub = BicliqueCover(
+                len(pts), len(boxes), rng.sample(cover.parts, len(cover.parts) // 2)
+            )
+            sub_net = build_network(sub, sd)
+            seed = flow_to_matching(max_flow_dinitz(sub_net), sub_net, sub)
+            runs.append(max_flow_dinitz(net, seed_flow(net, cover, seed)))
+        for flow in runs:
+            assert flow.value == want
+            assert_blocking(net, flow)
+            matching = flow_to_matching(flow, net, cover)
+            assert matching_value(matching) == want
+            assert validate_matching(matching, pts, boxes, sd)
+    assert min(shapes) > 50
 
 
 def _centred_boxes(centres, half):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,17 @@ from geomatch.implicit_dinitz import (
     max_matching_implicit,
     new_phase_state,
 )
-from geomatch.numeric import InputError, InternalError
-from geomatch.oracle import brute_force_incidences, reference_max_flow
+from geomatch.numeric import SCALE_LIMIT_BITS, InputError, InternalError, integer_scale
 
-from helpers import assert_blocking, rand_boxes, rand_points, rand_sd, uf_is_forest
+from helpers import (
+    assert_blocking,
+    first_primes,
+    rand_boxes,
+    rand_points,
+    rand_sd,
+    uf_is_forest,
+)
+from oracle import ExplicitBipartite, brute_force_incidences, reference_max_flow
 
 
 TRIANGLE = BicliqueCover(2, 2, [([0], [0]), ([0, 1], [1])])
@@ -46,13 +54,17 @@ def test_first_level_graph_shape():
 
 
 def test_expanded_network_vertex_count():
-    st = new_phase_state(2, 2)
-    L = build_level_graph(st, TRIANGLE, TRIANGLE_SD)
-    net = expand_level_graph(L)
-    pts = sum(len(layer) for layer in L.point_layers)
-    rngs = sum(len(layer) for layer in L.range_layers)
-    parts = sum(len(step) for step in L.forward)
-    assert net.n == 2 + pts + rngs + parts
+    # TRIANGLE has singleton-sided parts only; the second cover adds a part
+    # with two points and two ranges
+    full = BicliqueCover(3, 3, [([0, 1], [0, 1]), ([2], [1, 2]), ([1, 2], [2])])
+    for cover, sd in ((TRIANGLE, TRIANGLE_SD), (full, SupplyDemand.unit(3, 3))):
+        L = build_level_graph(new_phase_state(cover.left_count, cover.right_count), cover, sd)
+        net = expand_level_graph(L)
+        pts = sum(len(layer) for layer in L.point_layers)
+        rngs = sum(len(layer) for layer in L.range_layers)
+        mids = sum(len(a) > 1 and len(b) > 1 for step in L.forward for _, a, b in step)
+        assert net.n == 2 + pts + rngs + mids
+        assert mids == (cover is full)
 
 
 def test_blocking_flow_single_path():
@@ -246,6 +258,30 @@ def test_float_tenth_weights_give_the_exact_maximum():
         assert got == max_matching_implicit(pts, boxes, exact, cover), seed
         g = brute_force_incidences(pts, boxes)
         assert matching_value(got) == reference_max_flow(g, exact.supplies, exact.demands)
+
+
+def test_tiny_float_weights_give_the_exact_maximum():
+    # 5e-324 is the smallest float: its denominator, 2**1074, is the longest
+    # any float has, and the LCM with the others stays at 1075 bits
+    sup = (5e-324, 1e-300)
+    dem = (2e-300, 3e-300)
+    g = ExplicitBipartite(2, 2, [(0, 0), (0, 1), (1, 1)])
+    exact = SupplyDemand(tuple(map(Fraction, sup)), tuple(map(Fraction, dem)))
+    assert integer_scale(sup + dem).bit_length() == 1075
+    matching = max_matching_implicit(2, 2, SupplyDemand(sup, dem), TRIANGLE)
+    assert matching_value(matching) == Fraction(5e-324) + Fraction(1e-300)
+    assert matching_value(matching) == reference_max_flow(g, exact.supplies, exact.demands)
+
+
+def test_scale_past_the_limit_is_input_error():
+    weights = [Fraction(1, p) for p in first_primes(600)]
+    bits = math.lcm(*(w.denominator for w in weights)).bit_length()
+    assert bits > SCALE_LIMIT_BITS
+    with pytest.raises(InputError, match=f"{bits} bits"):
+        integer_scale(weights)
+    cover = BicliqueCover(600, 1, [(list(range(600)), [0])])
+    with pytest.raises(InputError, match="bits"):
+        max_matching_implicit(600, 1, SupplyDemand(weights, (1,)), cover)
 
 
 def test_unlike_denominators_return_exact_fractions_in_caller_units():

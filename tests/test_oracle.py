@@ -5,7 +5,8 @@ import pytest
 
 from geomatch.geometry import Box, Disk, Point
 from geomatch.numeric import InputError
-from geomatch.oracle import (
+
+from oracle import (
     ExplicitBipartite,
     NaiveRbForest,
     brute_force_incidences,
