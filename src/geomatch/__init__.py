@@ -37,17 +37,7 @@ from .flow import (
     validate_matching,
 )
 from .geometry import Box, Disk, Metric, Point, distance, rotate45, squared_distance
-from .implicit_dinitz import (
-    Done,
-    LevelGraph,
-    PhaseState,
-    augment_and_project,
-    blocking_flow,
-    build_level_graph,
-    expand_level_graph,
-    max_matching_implicit,
-    new_phase_state,
-)
+from .implicit_dinitz import max_matching_implicit
 from .numeric import InputError, InternalError, parse_scalar, scalar_to_json
 from .rblct import RbForest, prune_to_forest
 
@@ -60,25 +50,19 @@ __all__ = [
     "CoverReport",
     "DecideResult",
     "Disk",
-    "Done",
     "Flow",
     "FlowNetwork",
     "InputError",
     "InternalError",
-    "LevelGraph",
     "Matching",
     "Metric",
     "PersistenceDiagram",
-    "PhaseState",
     "Point",
     "RbForest",
     "SortedMatrix",
     "SupplyDemand",
-    "augment_and_project",
-    "blocking_flow",
     "bottleneck_search",
     "box_cover",
-    "build_level_graph",
     "build_network",
     "build_sorted_matrices",
     "cover_from_text",
@@ -86,12 +70,10 @@ __all__ = [
     "cover_to_text",
     "decide",
     "distance",
-    "expand_level_graph",
     "flow_to_matching",
     "matching_value",
     "max_flow_dinitz",
     "max_matching_implicit",
-    "new_phase_state",
     "parse_scalar",
     "pd_bottleneck",
     "prune_to_forest",

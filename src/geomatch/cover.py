@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import Box, Disk, contains
-from .numeric import InputError, integer_scale, scaled_ints
+from .numeric import InputError, exact, integer_scale, scaled_ints
 
 _PAIR_GUARD = 10**7
 
@@ -45,7 +45,8 @@ def cover_size(cover: BicliqueCover) -> int:
 
 def trivial_cover(points, ranges) -> BicliqueCover:
     """One part per incident pair.  For congruent disks the pair enumeration
-    is grid-accelerated (cells of side 2r, 3x3 neighborhoods); anything else
+    is grid-accelerated (3x3 neighborhoods of square cells whose side s is a
+    rational just above the radius, cells computed exactly); anything else
     falls back to the quadratic double loop."""
     parts = []
     if (
@@ -54,15 +55,21 @@ def trivial_cover(points, ranges) -> BicliqueCover:
         and all(isinstance(r, Disk) for r in ranges)
         and len({r.radius_sq for r in ranges}) == 1
     ):
-        rad = math.sqrt(float(ranges[0].radius_sq))
-        side = 2.0 * rad if rad > 0 else 1.0
+        # r^2 = n/d and s = (isqrt(n*d) + 1)/d, so s^2 > n/d: a point within
+        # r of a centre lies in the centre's cell or a neighbouring one
+        r_sq = Fraction(exact(ranges[0].radius_sq))
+        n, d = r_sq.numerator, r_sq.denominator
+        side = Fraction(math.isqrt(n * d) + 1, d)
+
+        def cell(pt):
+            x, y = pt.coords
+            return exact(x) // side, exact(y) // side
+
         grid = defaultdict(list)
-        for j, d in enumerate(ranges):
-            cx, cy = d.center.coords
-            grid[(int(float(cx) // side), int(float(cy) // side))].append(j)
+        for j, disk in enumerate(ranges):
+            grid[cell(disk.center)].append(j)
         for i, p in enumerate(points):
-            px, py = p.coords
-            cell_x, cell_y = int(float(px) // side), int(float(py) // side)
+            cell_x, cell_y = cell(p)
             hits = []
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):

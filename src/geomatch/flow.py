@@ -6,6 +6,12 @@ part (A, B) with |A| >= 2 and |B| >= 2 sends them through one middle vertex,
 |A| + |B| edges instead of |A|*|B| (Feder-Motwani compression).  A part with
 one point or one range has |A|*|B| <= |A| + |B| - 1, so its incidences are
 direct point-to-range edges and it has no middle vertex.
+
+The kernel is shared with the implicit engine (``implicit_dinitz``), whose
+phase networks have the same shape: ``FlowNetwork`` lays out the arrays of
+``build_network`` and ``expand_level_graph``, ``_blocking_flow`` is the one
+blocking-flow DFS of ``max_flow_dinitz`` and of the engine, and
+``_pair_part`` the one pairing of a middle vertex's flows.
 """
 
 from __future__ import annotations
@@ -45,34 +51,38 @@ class SupplyDemand:
 
 
 class FlowNetwork:
-    """Directed s-t network as a paired edge list: edge ``e ^ 1`` is the
-    reverse of edge ``e``; original edges have even ids.  ``build_network``
-    writes the arrays directly; ``add_edge`` and the per-edge ``einfo`` tags
-    serve the level graphs of the implicit engine.
+    """Directed network from source 0 to sink 1 as a paired edge list: edge
+    ``e ^ 1`` is the reverse of edge ``e``; original edge k has id 2k, runs
+    from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``, and a
+    vertex's adjacency lists its edges by ascending id.
 
     ``direct`` is the id block, reverse slots included, of the direct
     point-to-range edges that ``build_network`` lays out; ``max_flow_dinitz``
     counts each of them as two levels, the length of a path through a
-    middle vertex."""
+    middle vertex.  ``level`` is set on the phase networks of the implicit
+    engine: one level per vertex, rising strictly along every original
+    edge."""
 
-    def __init__(self, n: int, source: int, sink: int):
+    source = 0
+    sink = 1
+
+    def __init__(self, n: int, tails, heads, caps, *, direct=range(0), level=None):
         self.n = n
-        self.source = source
-        self.sink = sink
+        self.direct = direct
+        self.level = level
+        m = len(tails)
+        self.eto = [0] * (2 * m)
+        self.eto[0::2] = heads
+        self.eto[1::2] = tails
+        self.ecap = [0] * (2 * m)
+        self.ecap[0::2] = caps
+        tail_of = [0] * (2 * m)  # edge e leaves eto[e ^ 1]
+        tail_of[0::2] = tails
+        tail_of[1::2] = heads
         self.head = [[] for _ in range(n)]
-        self.eto = []
-        self.ecap = []
-        self.einfo = []
-        self.direct = range(0)
-
-    def add_edge(self, u: int, v: int, cap, info=None) -> int:
-        e = len(self.eto)
-        self.eto.extend((v, u))
-        self.ecap.extend((cap, 0))
-        self.einfo.extend((info, None))
-        self.head[u].append(e)
-        self.head[v].append(e + 1)
-        return e
+        add = [h.append for h in self.head]
+        for e, u in enumerate(tail_of):
+            add[u](e)
 
     @property
     def edge_count(self) -> int:
@@ -88,12 +98,6 @@ class Flow:
 
     def on(self, edge_id: int):
         return self.values[edge_id // 2]
-
-
-def has_middle_vertex(pts, rngs) -> bool:
-    """A cover part gets a middle vertex only where it saves edges: with two
-    or more points and two or more ranges."""
-    return len(pts) > 1 and len(rngs) > 1
 
 
 def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
@@ -112,42 +116,28 @@ def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
     np_, nr = cover.left_count, cover.right_count
     if len(sd.supplies) != np_ or len(sd.demands) != nr:
         raise InputError("supply/demand lengths disagree with the cover")
-    # has_middle_vertex, inlined: a call per part would cost a quarter of
-    # the build on the one-pair parts of an L2 decision
     mids = [part for part in cover.parts if len(part[0]) > 1 and len(part[1]) > 1]
     direct = [part for part in cover.parts if len(part[0]) < 2 or len(part[1]) < 2]
     rbase = 2 + np_
     mid0 = rbase + nr
-    net = FlowNetwork(mid0 + len(mids), 0, 1)
     # tail and head vertex of each original edge, in id order
     tails = [0] * np_ + list(range(rbase, mid0))
     tails += [2 + p for pts, rngs in direct for p in pts for _ in rngs]
-    net.direct = range(2 * (np_ + nr), 2 * len(tails))
+    direct_ids = range(2 * (np_ + nr), 2 * len(tails))
     tails += [2 + p for pts, _ in mids for p in pts]
     tails += [mid for mid, (_, rngs) in enumerate(mids, mid0) for _ in rngs]
     heads = list(range(2, rbase)) + [1] * nr
     heads += [rbase + r for pts, rngs in direct for _ in pts for r in rngs]
     heads += [mid for mid, (pts, _) in enumerate(mids, mid0) for _ in pts]
     heads += [rbase + r for _, rngs in mids for r in rngs]
-    m = len(tails)
-    eto = [0] * (2 * m)
-    eto[0::2] = heads
-    eto[1::2] = tails
-    ecap = [0] * (2 * m)
-    ecap[0::2] = list(sd.supplies) + list(sd.demands) + [INF] * (m - np_ - nr)
-    tail_of = [0] * (2 * m)  # edge e leaves eto[e ^ 1]
-    tail_of[0::2] = tails
-    tail_of[1::2] = heads
-    add = [h.append for h in net.head]
-    for e, u in enumerate(tail_of):
-        add[u](e)
-    net.eto, net.ecap = eto, ecap
-    return net
+    caps = list(sd.supplies) + list(sd.demands) + [INF] * (len(tails) - np_ - nr)
+    return FlowNetwork(mid0 + len(mids), tails, heads, caps, direct=direct_ids)
 
 
 def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
     """Dinitz max flow: BFS level graph, then a pointer-based DFS blocking
     flow per phase, on exact capacities; the input network is not mutated.
+    Each BFS stops at the sink's level, past which no shortest path runs.
 
     A direct edge and its reverse slot (``net.direct``) span two levels, so
     a point-to-range hop spans two levels whether or not its part has a
@@ -176,7 +166,10 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
         # expanded.  In a network from build_network every vertex has a fixed
         # level parity (points and ranges odd, the rest even: one-level edges
         # change it and two-level edges keep it), so a vertex's first level
-        # is already its least one.
+        # is already its least one.  With those levels a residual edge never
+        # climbs more levels than it spans, and parity rules out one level on
+        # a two-level edge, so the blocking flow's test, a higher level at
+        # the head, admits exactly the next level along each edge.
         level[:] = unreached
         level[s] = 0
         frontier, near, far = [s], [], []
@@ -193,48 +186,64 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
                         else:
                             level[v] = d
                             near.append(v)
+            if level[t] >= 0:
+                # the sink is entered by drains, one level each, so it sits
+                # at level d; no other vertex at d or past it reaches it
+                for v in near + far:
+                    level[v] = -1
+                level[t] = d
+                return True
             frontier, near, far = near, far, []
-        return level[t] >= 0
+        return False
 
     while bfs():
-        it = [0] * n
-        stack = []  # edge ids of the current DFS path
-        u = s
-        while True:
-            if u == t:
-                delta = min(res[e] for e in stack)
-                for e in stack:
-                    res[e] -= delta
-                    res[e ^ 1] += delta
-                total += delta
-                cut = next(i for i, e in enumerate(stack) if not res[e] > 0)
-                del stack[cut:]
-                u = eto[stack[-1]] if stack else s
-                continue
-            advanced = False
-            out = head[u]
-            lu = level[u]
-            while it[u] < len(out):
-                e = out[it[u]]
-                v = eto[e]
-                # a residual edge never climbs more levels than it spans, and
-                # parity rules out one level on a two-level edge, so a higher
-                # level is exactly the next level along e
-                if res[e] > 0 and level[v] > lu:
-                    stack.append(e)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if u == s:
-                    break
-                level[u] = -1  # dead end, retire the vertex for this phase
-                e = stack.pop()
-                u = eto[e ^ 1]
-                it[u] += 1
+        total += _blocking_flow(head, eto, res, level, s, t)
     # Flow on an original edge equals the residual accumulated on its twin.
     return Flow(res[1::2], total)
+
+
+def _blocking_flow(head, eto, res, level, s, t):
+    """Blocking flow by depth-first search with one edge pointer per vertex,
+    for both Dinitz implementations.  An edge e out of u is admitted when
+    ``res[e] > 0`` and its head has a higher level than u; the callers' levels
+    make that exactly the edges of their level graph.  A dead end is retired
+    by setting its level to -1.  Augments ``res`` in place and returns the
+    amount pushed."""
+    it = [0] * len(head)
+    stack = []  # edge ids of the current DFS path
+    total = 0
+    u = s
+    while True:
+        if u == t:
+            delta = min(res[e] for e in stack)
+            for e in stack:
+                res[e] -= delta
+                res[e ^ 1] += delta
+            total += delta
+            cut = next(i for i, e in enumerate(stack) if not res[e] > 0)
+            del stack[cut:]
+            u = eto[stack[-1]] if stack else s
+            continue
+        advanced = False
+        out = head[u]
+        lu = level[u]
+        while it[u] < len(out):
+            e = out[it[u]]
+            v = eto[e]
+            if res[e] > 0 and level[v] > lu:
+                stack.append(e)
+                u = v
+                advanced = True
+                break
+            it[u] += 1
+        if not advanced:
+            if u == s:
+                break
+            level[u] = -1  # dead end, retire the vertex for this phase
+            e = stack.pop()
+            u = eto[e ^ 1]
+            it[u] += 1
+    return total
 
 
 # A matching is a list of (point index, range index, amount) triples.
@@ -270,10 +279,9 @@ def seed_flow(net: FlowNetwork, cover, matching: Matching) -> dict:
 
 def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
     """Read the matching off a flow in ``build_network``'s layout: each direct
-    edge with flow is a triple, and each middle vertex with flow is paired
-    by repeatedly matching its lowest-index point and range with positive
-    remaining amount, emitting min of the two.  Duplicate (p, r) pairs from
-    overlapping parts are merged.
+    edge with flow is a triple, and the flows through each middle vertex are
+    paired by ``_pair_part``.  Duplicate (p, r) pairs from overlapping parts
+    are merged.
 
     A middle vertex is read from its adjacency: the reversed pins in the
     order of the part's points, then the pouts in the order of its ranges."""
@@ -300,23 +308,37 @@ def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
             for e in head[mid]
             if not e & 1 and vals[e >> 1] > 0
         ]
-        a = b = 0
-        emitted = 0
-        while a < len(lp) and b < len(lr):
-            p, ap = lp[a]
-            r, ar = lr[b]
-            delta = min(ap, ar)
-            merged[(p, r)] += delta
-            emitted += 1
-            lp[a][1] -= delta
-            lr[b][1] -= delta
-            if not lp[a][1] > 0:
-                a += 1
-            if not lr[b][1] > 0:
-                b += 1
-        if emitted > max(0, len(lp) + len(lr) - 1):
-            raise InternalError("pairing emitted more triples than part size allows")
+        for p, r, amt in _pair_part(lp, lr):
+            merged[(p, r)] += amt
     return [(p, r, amt) for (p, r), amt in sorted(merged.items()) if amt > 0]
+
+
+def _pair_part(lp: list, lr: list) -> list:
+    """Pair the inflows ``lp`` and outflows ``lr`` of one middle vertex, each
+    a list of [index, amount]: repeatedly match the first point and range
+    with a positive remaining amount, emitting the smaller amount, so at
+    most len(lp) + len(lr) - 1 triples.  Flow left unpaired on either side
+    breaks conservation at the vertex and raises InternalError."""
+    out = []
+    a = b = 0
+    while a < len(lp) and b < len(lr):
+        p, pa = lp[a]
+        r, ra = lr[b]
+        take = pa if pa <= ra else ra
+        out.append((p, r, take))
+        lp[a][1] = pa - take
+        lr[b][1] = ra - take
+        if not lp[a][1] > 0:
+            a += 1
+        if not lr[b][1] > 0:
+            b += 1
+    for _, rest in lp[a:]:
+        if rest != 0:
+            raise InternalError("unpaired inflow at a middle vertex")
+    for _, rest in lr[b:]:
+        if rest != 0:
+            raise InternalError("unpaired outflow at a middle vertex")
+    return out
 
 
 def matching_value(matching: Matching):

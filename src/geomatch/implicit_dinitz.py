@@ -11,6 +11,11 @@ with two or more points and two or more ranges and lists the incidences of
 the other parts as direct edges, so a phase costs O(n + sigma) regardless of
 how dense the incidences are.
 
+A phase network is a ``FlowNetwork`` like the explicit route's, with a level
+per vertex that rises strictly along every edge of the phase DAG; the one
+blocking-flow DFS of ``flow`` runs on it, and the flows of each middle vertex
+are paired by the same ``_pair_part`` as in ``flow.flow_to_matching``.
+
 Between phases the flow support is pruned to a forest (rblct module), which
 keeps the backward edge count linear in the node count.
 """
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cover import BicliqueCover
-from .flow import INF, Flow, FlowNetwork, Matching, SupplyDemand, has_middle_vertex
+from .flow import INF, Flow, FlowNetwork, Matching, SupplyDemand, _blocking_flow, _pair_part
 from .numeric import InputError, InternalError, integer_scale, scaled_ints
 from .rblct import prune_to_forest
 
@@ -192,112 +197,63 @@ def expand_level_graph(L: LevelGraph) -> FlowNetwork:
     or more ranges becomes a middle vertex; a part with one point or one
     range becomes direct point-to-range edges, added where its pins would
     be, so each point's adjacency keeps the order the middle vertices give.
-    The network has 2 + #points + #ranges + #middle vertices vertices."""
-    pid = {}
-    rid = {}
-    for layer in L.point_layers:
-        for p in layer:
-            pid[p] = 2 + len(pid)
-    base = 2 + len(pid)
-    for layer in L.range_layers:
-        for r in layer:
-            rid[r] = base + len(rid)
-    n_mids = sum(has_middle_vertex(pts, rngs) for step in L.forward for _, pts, rngs in step)
-    net = FlowNetwork(base + len(rid) + n_mids, source=0, sink=1)
 
-    for p, cap in L.feeders:
-        net.add_edge(0, pid[p], cap, ("feeder", p))
-    mid = base + len(rid)
+    Vertices: source 0, sink 1, the points and the ranges in layer order,
+    then the middle vertices in step order.  Edge ids run feeders, then per
+    step its parts and its backward edges, then drains.  Point layer j sits
+    at level 3j+1, the middle vertices of step j at 3j+2 and range layer j at
+    3j+3, so every edge climbs and every reverse slot descends."""
+    pts = [p for layer in L.point_layers for p in layer]
+    rngs = [r for layer in L.range_layers for r in layer]
+    pid = {p: v for v, p in enumerate(pts, 2)}
+    base = 2 + len(pts)
+    rid = {r: v for v, r in enumerate(rngs, base)}
+    level = [0, 3 * len(L.range_layers) + 1]
+    level += [3 * j + 1 for j, layer in enumerate(L.point_layers) for _ in layer]
+    level += [3 * j + 3 for j, layer in enumerate(L.range_layers) for _ in layer]
+    tails = [0] * len(L.feeders)
+    heads = [pid[p] for p, _ in L.feeders]
+    caps = [cap for _, cap in L.feeders]
+    # one append per edge and no call per part: most parts hold one edge
+    tail, head = tails.append, heads.append
     for j, step in enumerate(L.forward):
-        for i, pts, rngs in step:
-            if not has_middle_vertex(pts, rngs):
-                for p in pts:
-                    for r in rngs:
-                        net.add_edge(pid[p], rid[r], INF, ("direct", p, r))
-                continue
-            for p in pts:
-                net.add_edge(pid[p], mid, INF, ("min", i, p))
-            for r in rngs:
-                net.add_edge(mid, rid[r], INF, ("mout", i, r))
-            mid += 1
+        for _, ps, rs in step:
+            if len(ps) > 1 and len(rs) > 1:
+                mid = len(level)  # one level per vertex made so far
+                level.append(3 * j + 2)
+                for p in ps:
+                    tail(pid[p])
+                    head(mid)
+                for r in rs:
+                    tail(mid)
+                    head(rid[r])
+            else:
+                for p in ps:
+                    for r in rs:
+                        tail(pid[p])
+                        head(rid[r])
+        caps += [INF] * (len(tails) - len(caps))
         if j < len(L.backward):
             for r, p, cap in L.backward[j]:
-                net.add_edge(rid[r], pid[p], cap, ("backward", r, p))
+                tail(rid[r])
+                head(pid[p])
+                caps.append(cap)
     for r, cap in L.drains:
-        net.add_edge(rid[r], 1, cap, ("drain", r))
-    return net
+        tail(rid[r])
+        head(1)
+        caps.append(cap)
+    return FlowNetwork(len(level), tails, heads, caps, level=level)
 
 
 def blocking_flow(Lp: FlowNetwork) -> Flow:
-    """Blocking flow on a leveled DAG by depth-first search with dead-vertex
-    retirement; reverse residual edges are never traversed, so every found
-    path is a shortest one and every s-t path ends up saturated."""
+    """Blocking flow on a phase network: ``flow``'s DFS with the levels that
+    ``expand_level_graph`` assigned.  They rise along every edge of the DAG
+    and fall along every reverse slot, so reverse residual edges are never
+    traversed, every found path is a shortest one and every s-t path ends
+    up saturated."""
     res = list(Lp.ecap)
-    s, t = Lp.source, Lp.sink
-    dead = bytearray(Lp.n)
-    it = [0] * Lp.n
-    total = 0
-    stack = []  # edge ids along the current path
-    u = s
-    while True:
-        if u == t:
-            bott = min(res[e] for e in stack)
-            for e in stack:
-                res[e] -= bott
-                res[e ^ 1] += bott
-            total = total + bott
-            k = next(i for i, e in enumerate(stack) if not res[e] > 0)
-            del stack[k:]
-            u = Lp.eto[stack[-1]] if stack else s
-            continue
-        edges = Lp.head[u]
-        i = it[u]
-        moved = False
-        while i < len(edges):
-            e = edges[i]
-            # odd ids are reverse slots, not part of the DAG
-            if not (e & 1) and res[e] > 0 and not dead[Lp.eto[e]]:
-                it[u] = i
-                stack.append(e)
-                u = Lp.eto[e]
-                moved = True
-                break
-            i += 1
-        if moved:
-            continue
-        it[u] = i
-        dead[u] = 1
-        if u == s:
-            break
-        e = stack.pop()
-        u = Lp.eto[e ^ 1]
-    values = [res[e + 1] for e in range(0, len(res), 2)]
-    return Flow(values=values, value=total)
-
-
-def _pair_part(lp: list, lr: list) -> list:
-    # Lowest-index-first pairing of a middle vertex's in- and out-flows;
-    # emits at most len(lp) + len(lr) - 1 triples.
-    out = []
-    a = b = 0
-    while a < len(lp) and b < len(lr):
-        p, pa = lp[a]
-        r, ra = lr[b]
-        take = pa if pa <= ra else ra
-        out.append((p, r, take))
-        lp[a][1] = pa - take
-        lr[b][1] = ra - take
-        if not lp[a][1] > 0:
-            a += 1
-        if not lr[b][1] > 0:
-            b += 1
-    for _, rest in lp[a:]:
-        if rest != 0:
-            raise InternalError("unpaired inflow at a middle vertex")
-    for _, rest in lr[b:]:
-        if rest != 0:
-            raise InternalError("unpaired outflow at a middle vertex")
-    return out
+    total = _blocking_flow(Lp.head, Lp.eto, res, list(Lp.level), Lp.source, Lp.sink)
+    return Flow(res[1::2], total)
 
 
 def augment_and_project(
@@ -309,31 +265,38 @@ def augment_and_project(
     """Fold a blocking flow back into (point, range) terms: backward flows
     subtract from the stored pairs, then direct flows and the re-paired
     per-part middle flows add to them, and the feeder/drain totals update
-    the supply/demand bookkeeping.  Mutates and returns ``f``."""
+    the supply/demand bookkeeping.  Mutates and returns ``f``.
+
+    Each edge's role follows from the vertex blocks of its two ends (see
+    ``expand_level_graph``): source, sink, point, range or middle vertex."""
     if net is None:
         net = expand_level_graph(L)
-    ins = {}
-    outs = {}
+    pts = [p for layer in L.point_layers for p in layer]
+    rngs = [r for layer in L.range_layers for r in layer]
+    base = 2 + len(pts)
+    mid0 = base + len(rngs)
+    ins = [[] for _ in range(mid0, net.n)]
+    outs = [[] for _ in range(mid0, net.n)]
     subs = []
     adds = []
-    for e in range(0, len(net.eto), 2):
-        amt = g.values[e // 2]
+    eto = net.eto
+    for k, amt in enumerate(g.values):
         if not amt > 0:
             continue
-        tag = net.einfo[e]
-        kind = tag[0]
-        if kind == "feeder":
-            f.used[tag[1]] = f.used[tag[1]] + amt
-        elif kind == "drain":
-            f.met[tag[1]] = f.met[tag[1]] + amt
-        elif kind == "min":
-            ins.setdefault(tag[1], []).append([tag[2], amt])
-        elif kind == "mout":
-            outs.setdefault(tag[1], []).append([tag[2], amt])
-        elif kind == "direct":
-            adds.append((tag[1], tag[2], amt))
-        else:  # ("backward", r, p)
-            subs.append((tag[2], tag[1], amt))
+        u, v = eto[2 * k + 1], eto[2 * k]
+        if u == 0:  # feeder
+            f.used[pts[v - 2]] += amt
+        elif v == 1:  # drain
+            f.met[rngs[u - base]] += amt
+        elif u < base:  # out of a point: a pin or a direct edge
+            if v >= mid0:
+                ins[v - mid0].append([pts[u - 2], amt])
+            else:
+                adds.append((pts[u - 2], rngs[v - base], amt))
+        elif u < mid0:  # out of a range: a backward edge
+            subs.append((pts[v - 2], rngs[u - base], amt))
+        else:  # a pout
+            outs[u - mid0].append([rngs[v - base], amt])
 
     for p, r, amt in subs:
         cur = f.flow.get((p, r))
@@ -346,10 +309,8 @@ def augment_and_project(
             f.flow[(p, r)] = cur
         else:
             del f.flow[(p, r)]
-    if set(ins) != set(outs):
-        raise InternalError("middle vertex with one-sided flow")
-    for i in sorted(ins):
-        adds += _pair_part(ins[i], outs[i])
+    for lp, lr in zip(ins, outs):
+        adds += _pair_part(lp, lr)
     for p, r, amt in adds:
         key = (p, r)
         f.flow[key] = f.flow.get(key, 0) + amt

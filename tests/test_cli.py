@@ -158,6 +158,16 @@ def test_match_with_a_runaway_common_denominator_is_input_error(tmp_path, capsys
     assert "bits" in stderr
 
 
+def test_match_on_disks_past_the_float_range(tmp_path, capsys):
+    big = 10**400
+    pts = write(tmp_path, "p.csv", f"{big + 1},{big}\n{big - 3},{big + 5}\n")
+    rng = write(tmp_path, "r.csv", f"disk,{big},{big},3\ndisk,{big - 2},{big + 4},3\n")
+    for mode in ("integral", "real"):
+        code, stdout, _ = run_cli(capsys, "match", pts, rng, "--mode", mode)
+        assert code == 0
+        assert json.loads(stdout)["value"] == "2"
+
+
 def test_match_with_cover_file(tmp_path, capsys, triangle):
     pts, rng = triangle
     cov = str(tmp_path / "c.txt")

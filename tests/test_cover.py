@@ -14,7 +14,8 @@ from geomatch.cover import (
     trivial_cover,
     validate_cover,
 )
-from geomatch.geometry import Box, Disk, Point
+from geomatch.bottleneck import decide
+from geomatch.geometry import Box, Disk, Metric, Point
 from geomatch.numeric import InputError
 
 from brute import range_tree_parts
@@ -62,6 +63,31 @@ def test_trivial_cover_disks_matches_brute_force():
         cover = trivial_cover(pts, disks)
         want = set(map(tuple, brute_force_incidences(pts, disks).edges))
         assert edge_set(cover) == want
+
+
+def test_disk_grid_keeps_an_incidence_far_from_the_origin():
+    # floats put the point and the centre 2**14 apart; the pair is at
+    # distance exactly r
+    pts = [Point((10**20 + 8191, 0))]
+    centres = [Point((10**20 + 8193, 0))]
+    assert trivial_cover(pts, [Disk(centres[0], 2)]).parts == [([0], [0])]
+    assert decide(pts, centres, Metric.L2, 2).feasible
+
+
+def test_disk_grid_takes_coordinates_past_the_float_range():
+    rng = random.Random(13)
+    big = 10**400
+    for _ in range(10):
+        pts = [
+            Point((big + p.coords[0], big - p.coords[1]))
+            for p in rand_points(rng, rng.randrange(1, 20))
+        ]
+        disks = [
+            Disk(Point((big + d.center.coords[0], big - d.center.coords[1])), d.radius)
+            for d in rand_congruent_disks(rng, rng.randrange(1, 20))
+        ]
+        cover = trivial_cover(pts, disks)
+        assert edge_set(cover) == set(map(tuple, brute_force_incidences(pts, disks).edges))
 
 
 def test_box_cover_matches_brute_force_all_dims():

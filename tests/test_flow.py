@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import geomatch.flow as flow_mod
 from geomatch.cover import BicliqueCover, box_cover, cover_size
 from geomatch.flow import (
     INF,
@@ -194,6 +195,44 @@ def test_mixed_covers_match_the_reference(unit):
             assert matching_value(matching) == want
             assert validate_matching(matching, pts, boxes, sd)
     assert min(shapes) > 50
+
+
+def test_unbalanced_middle_vertex_flow_raises():
+    cover = BicliqueCover(2, 2, [([0, 1], [0, 1])])
+    net = build_network(cover, SupplyDemand.unit(2, 2))
+    flow = max_flow_dinitz(net)
+    assert flow_to_matching(flow, net, cover) == [(0, 0, 1), (1, 1, 1)]
+    pin = next(e for e in range(0, len(net.eto), 2) if net.eto[e] == net.n - 1)
+    flow.values[pin // 2] += 1  # one more unit into the middle vertex than out
+    with pytest.raises(InternalError):
+        flow_to_matching(flow, net, cover)
+
+
+def test_dinitz_levels_stop_at_the_sink(monkeypatch):
+    # every phase's level graph must hold no vertex but the sink at or past
+    # the sink's level: such a vertex cannot reach the sink in that phase
+    phases = []
+
+    def checked(head, eto, res, level, s, t):
+        assert level[t] > 0
+        assert all(lv < level[t] for v, lv in enumerate(level) if v != t)
+        phases.append(level[t])
+        return blocking_flow(head, eto, res, level, s, t)
+
+    blocking_flow = flow_mod._blocking_flow
+    monkeypatch.setattr(flow_mod, "_blocking_flow", checked)
+    rng = random.Random(43)
+    for _ in range(40):
+        # points packed in the middle, so that phases reach past the first
+        pts = rand_points(rng, rng.randrange(1, 20), lo=-15, hi=15)
+        boxes = rand_boxes(rng, rng.randrange(1, 20), lo=-40, hi=0, max_side=50)
+        cover = box_cover(pts, boxes)
+        sd = rand_sd(rng, len(pts), len(boxes))
+        flow = max_flow_dinitz(build_network(cover, sd))
+        assert flow.value == reference_max_flow(
+            brute_force_incidences(pts, boxes), sd.supplies, sd.demands
+        )
+    assert sum(level > 4 for level in phases) > 10
 
 
 def _centred_boxes(centres, half):

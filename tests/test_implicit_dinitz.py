@@ -8,6 +8,7 @@ from geomatch.cover import BicliqueCover, box_cover
 from geomatch.flow import SupplyDemand, matching_value
 from geomatch.implicit_dinitz import (
     Done,
+    augment_and_project,
     blocking_flow,
     build_level_graph,
     build_point_index,
@@ -16,6 +17,7 @@ from geomatch.implicit_dinitz import (
     new_phase_state,
 )
 from geomatch.numeric import SCALE_LIMIT_BITS, InputError, InternalError, integer_scale
+from geomatch.rblct import prune_to_forest
 
 from helpers import (
     assert_blocking,
@@ -91,23 +93,35 @@ def test_blocking_flow_two_disjoint_paths():
 
 
 def test_blocking_flow_is_blocking_on_random_level_graphs():
+    # parts of any shape, then parts of two or more points and two or more
+    # ranges (a middle vertex each while the restriction keeps them that
+    # big), then covers that mix the two; every phase of the matching is
+    # checked, so the later ones run with backward edges
     rng = random.Random(31)
-    for _ in range(60):
-        n_p, n_r = rng.randrange(1, 10), rng.randrange(1, 10)
+    mids = backward = 0
+    for trial in range(180):
+        shape = ("any", "full", "mixed")[trial // 60]
+        least = 1 if shape == "any" else 2
+        n_p, n_r = rng.randrange(least, 10), rng.randrange(least, 10)
         parts = []
         for _ in range(rng.randrange(1, 6)):
-            pts = sorted(rng.sample(range(n_p), rng.randrange(1, n_p + 1)))
-            rngs = sorted(rng.sample(range(n_r), rng.randrange(1, n_r + 1)))
+            lo = 2 if shape == "full" or (shape == "mixed" and rng.random() < 0.5) else 1
+            pts = sorted(rng.sample(range(n_p), rng.randrange(lo, n_p + 1)))
+            rngs = sorted(rng.sample(range(n_r), rng.randrange(lo, n_r + 1)))
             parts.append((pts, rngs))
         cover = BicliqueCover(n_p, n_r, parts)
         sd = rand_sd(rng, n_p, n_r, integral=rng.random() < 0.5)
         st = new_phase_state(n_p, n_r)
-        L = build_level_graph(st, cover, sd)
-        if L is Done:
-            continue
-        net = expand_level_graph(L)
-        g = blocking_flow(net)
-        assert_blocking(net, g)
+        while (L := build_level_graph(st, cover, sd)) is not Done:
+            net = expand_level_graph(L)
+            mids += net.n - 2 - sum(map(len, L.point_layers)) - sum(map(len, L.range_layers))
+            backward += sum(map(len, L.backward))
+            g = blocking_flow(net)
+            assert_blocking(net, g)
+            st = prune_to_forest(augment_and_project(st, g, L, net))
+        g = ExplicitBipartite(n_p, n_r, sorted({(p, r) for a, b in parts for p in a for r in b}))
+        assert sum(st.used) == reference_max_flow(g, sd.supplies, sd.demands)
+    assert mids > 100 and backward > 20
 
 
 def test_triangle_instance_value():
@@ -134,8 +148,6 @@ def test_backward_edges_stay_inside_levels():
     L1 = build_level_graph(st, cover, sd)
     net = expand_level_graph(L1)
     g = blocking_flow(net)
-    from geomatch.implicit_dinitz import augment_and_project
-
     st = augment_and_project(st, g, L1, net)
     L2 = build_level_graph(st, cover, sd)
     assert L2 is not Done

@@ -14,14 +14,18 @@ pytest.importorskip("scipy")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_benchmark(workload) -> dict:
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def run_benchmark(workload, trace=0) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", "1", "--seconds", "1", "--trace", "0",
+        "--seed", "1", "--seconds", "1", "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True
     assert result["attempted"] > 0
     return result
@@ -36,3 +40,13 @@ def test_match_real_run_is_correct():
     # a round is four matchings and one `geomatch match --mode real` on 1200
     # elements with weights near 1e-11, which `--numeric auto` runs exactly
     assert run_benchmark("match-real")["failed"] == 0
+
+
+def test_traced_match_real_run_reports_every_layer():
+    # the traced pass wraps the implicit engine's per-phase functions and
+    # reads counts off their arguments and results
+    result = run_benchmark("match-real", trace=1)
+    assert result["failed"] == 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    want = {m["name"] for m in spec["per_layer"]} | {"trace.traced_s", "trace.untraced_s"}
+    assert set(result["metrics"]) == want
