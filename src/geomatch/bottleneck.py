@@ -1,15 +1,19 @@
-"""Bottleneck matching distances between planar point sets, and the
-bottleneck distance between persistence diagrams.
+"""Bottleneck matching distances between point sets, and the bottleneck
+distance between persistence diagrams.
 
-The optimum under L-infinity (and, after a 45-degree rotation, under L1) is
+Every decision and search first reads both point sets as int coordinate
+tuples: floats exactly, every coordinate scaled by one positive int, and L1
+rotated by 45 degrees onto L-infinity.  L-infinity takes points of any one
+dimension; L1 and L2 take planar points.  The optimum under L-infinity is
 always a coordinate difference between the two sets, so the candidate values
-form four implicitly sorted matrices.  A search keeps an open interval of
-candidate values (infeasible below, feasible above), decides feasibility at a
-uniformly sampled candidate strictly inside it, and shrinks the interval until
-none is left: O(log n) expected feasibility tests and no selection.  Each
-test builds metric balls around one side, covers the incidences, and asks the
-flow module whether the target value is reached.  L2 works on squared
-distances so rational inputs stay exact.
+form two implicitly sorted matrices per axis.  A search keeps an open
+interval of candidate values (infeasible below, feasible above), decides
+feasibility at a uniformly sampled candidate strictly inside it, and shrinks
+the interval until none is left: O(log n) expected feasibility tests and no
+selection.  L2 works on squared distances so the decisions stay exact, and
+bisects the ranks of its sorted pair list.  Each test covers the incidences
+between one side and the metric balls around the other, and asks the flow
+module whether the target value is reached.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .flow import (
     max_flow_dinitz,
     seed_flow,
 )
-from .geometry import Disk, Metric, Point, rotate45, squared_distance
+from .geometry import Disk, Metric, Point
 from .numeric import InputError, InternalError, exact, integer_scale, scaled_ints
 
 _L2_MATERIALIZE_LIMIT = 10**7
@@ -109,25 +113,22 @@ class SortedMatrix:
 
 
 def build_sorted_matrices(Pset, Qset) -> dict:
-    """The four candidate matrices of coordinate differences: D_x(i,j) =
-    x_i - x'_j over ascending coordinates, Dbar_x(i,j) = x'_i - x_j, and the
-    same for y.  Every L-infinity bottleneck value is an entry of one of
-    them."""
-    pp = [_as_point(p) for p in Pset]
-    qq = [_as_point(q) for q in Qset]
-    for p in pp + qq:
-        if p.dim != 2:
-            raise InputError("sorted matrices are built over planar points")
-    px = [p.coords[0] for p in pp]
-    py = [p.coords[1] for p in pp]
-    qx = [q.coords[0] for q in qq]
-    qy = [q.coords[1] for q in qq]
-    return {
-        "D_x": SortedMatrix(px, qx, -1),
-        "Dbar_x": SortedMatrix(qx, px, -1),
-        "D_y": SortedMatrix(py, qy, -1),
-        "Dbar_y": SortedMatrix(qy, py, -1),
-    }
+    """The candidate matrices of coordinate differences, two per axis:
+    D_x(i,j) = x_i - x'_j over ascending coordinates and Dbar_x(i,j) =
+    x'_i - x_j, then the same for y and every further axis.  Every
+    L-infinity bottleneck value is an entry of one of them."""
+    pp = [_as_point(p).coords for p in Pset]
+    qq = [_as_point(q).coords for q in Qset]
+    dims = {len(c) for c in pp + qq}
+    if len(dims) > 1:
+        raise InputError("points disagree on dimension")
+    mats = {}
+    for axis in range(dims.pop() if dims else 0):
+        name = "xyz"[axis] if axis < 3 else str(axis)
+        ps, qs = [p[axis] for p in pp], [q[axis] for q in qq]
+        mats[f"D_{name}"] = SortedMatrix(ps, qs, -1)
+        mats[f"Dbar_{name}"] = SortedMatrix(qs, ps, -1)
+    return mats
 
 
 def sampled_search(matrices, feasible, rng: random.Random | None = None):
@@ -172,9 +173,53 @@ def _as_point(p) -> Point:
     return p if isinstance(p, Point) else Point(tuple(p))
 
 
-def _exact_point(p) -> Point:
-    # floats are read exactly (see numeric.exact)
-    return Point(tuple(map(exact, _as_point(p).coords)))
+def _int_coords(Pset, Qset, metric: Metric, sd: SupplyDemand | None) -> tuple:
+    """The set-up every decision and search shares: (pp, qq, sd, scale,
+    ints).  ``pp`` and ``qq`` hold the points as int coordinate tuples, each
+    coordinate read exactly and multiplied by ``scale``, the one positive int
+    that makes every coordinate an int; L1 points are then rotated by 45
+    degrees, which turns L1 balls into L-infinity balls of the same radius.
+    Scaling every coordinate alike scales every distance alike, so no
+    decision changes.  ``sd`` defaults to a perfect matching; ``ints`` tells
+    whether every input coordinate was an int already."""
+    P = [_as_point(p).coords for p in Pset]
+    Q = [_as_point(q).coords for q in Qset]
+    dims = {len(c) for c in P + Q}
+    if len(dims) > 1:
+        raise InputError("points disagree on dimension")
+    if metric is not Metric.LINF and dims - {2}:
+        raise InputError(f"{metric.value} takes planar points, not dimension {dims.pop()}")
+    if sd is None:
+        if len(P) != len(Q):
+            raise InputError("perfect matching needs equal-size point sets")
+        sd = SupplyDemand.unit(len(P), len(Q))
+    elif (len(sd.supplies), len(sd.demands)) != (len(P), len(Q)):
+        raise InputError(
+            f"{len(sd.supplies)} supplies and {len(sd.demands)} demands "
+            f"for {len(P)} and {len(Q)} points"
+        )
+    coords = [c for p in P + Q for c in p]
+    scale = integer_scale(coords)
+    pp = [scaled_ints(p, scale) for p in P]
+    qq = [scaled_ints(q, scale) for q in Q]
+    if metric is Metric.L1:
+        pp = [(x + y, x - y) for x, y in pp]
+        qq = [(x + y, x - y) for x, y in qq]
+    return pp, qq, sd, scale, all(isinstance(c, int) for c in coords)
+
+
+def _cover_at(pp, qq, metric: Metric, sd: SupplyDemand):
+    """The cover of a decision as a function of its bound (its squared bound
+    for L2), over the int tuples of ``_int_coords``.  L-infinity and L1
+    query one box tree over pp, built here; L2 lists the pairs within each
+    disk through the congruent-disk grid of ``trivial_cover``."""
+    if metric is Metric.L2:
+        points, centres = [Point(p) for p in pp], [Point(q) for q in qq]
+        return lambda lam_sq: trivial_cover(
+            points, [Disk(c, None, radius_sq=lam_sq) for c in centres]
+        )
+    tree = BoxTree(pp, len(pp[0]) if pp else 1)
+    return lambda lam: _box_cover(tree, qq, lam, sd)
 
 
 @dataclass
@@ -199,36 +244,17 @@ def decide(
     squared radius, keeping the decision exact.  Float coordinates and
     bounds are read exactly.  The matching is returned only for a feasible
     decision."""
-    pp = [_exact_point(p) for p in Pset]
-    qq = [_exact_point(q) for q in Qset]
-    if sd is None:
-        if len(pp) != len(qq):
-            raise InputError("perfect matching needs equal-size point sets")
-        if not pp:
-            return DecideResult(True, [])
-        sd = SupplyDemand.unit(len(pp), len(qq))
+    pp, qq, sd, scale, _ints = _int_coords(Pset, Qset, metric, sd)
     lam = exact(lam)
     if lam < 0:
         raise InputError("negative distance bound")
     if squared and metric is not Metric.L2:
         raise InputError("squared bounds apply to L2 only")
     if metric is Metric.L2:
-        for p in pp + qq:
-            if p.dim != 2:
-                raise InputError("L2 decisions are planar")
-
-    if metric is Metric.L2:
-        lam_sq = lam if squared else lam * lam
-        cover = _disk_cover(pp, qq, lam_sq)
+        lam = (lam if squared else lam * lam) * scale * scale
     else:
-        if metric is Metric.L1:
-            pp, qq = [rotate45(p) for p in pp], [rotate45(q) for q in qq]
-        dims = {p.dim for p in pp + qq}
-        if len(dims) > 1:
-            raise InputError("points disagree on dimension")
-        tree = BoxTree([p.coords for p in pp], dims.pop() if dims else 1)
-        cover = _box_cover(tree, [q.coords for q in qq], lam, sd)
-    feasible, matching = _solve(cover, sd, want_matching)
+        lam *= scale
+    feasible, matching = _solve(_cover_at(pp, qq, metric, sd)(lam), sd, want_matching)
     return DecideResult(feasible, matching if feasible else None)
 
 
@@ -241,22 +267,6 @@ def _box_cover(tree, centres, lam, sd, extra_parts=()) -> BicliqueCover:
     highs = [tuple(c + lam for c in q) for q in centres]
     parts = tree.parts(lows, highs) + list(extra_parts)
     return BicliqueCover(len(sd.supplies), len(sd.demands), parts)
-
-
-def _disk_cover(pp, qq, lam_sq) -> BicliqueCover:
-    """One part per pair within squared distance lam_sq (trivial cover)."""
-    return trivial_cover(pp, [Disk(q, None, radius_sq=lam_sq) for q in qq])
-
-
-def _pair_cover(pairs, shape, lam_sq) -> BicliqueCover:
-    """The same one-part-per-pair cover read from ``pairs``, the (squared
-    distance, i, j) triples of every pair sorted by distance: the prefix of
-    pairs within lam_sq."""
-    k = bisect_right(pairs, lam_sq, key=_distance)
-    return BicliqueCover(*shape, [([i], [j]) for _d, i, j in islice(pairs, k)])
-
-
-_distance = itemgetter(0)
 
 
 def _solve(cover, sd, want_matching=True, seed=None) -> tuple:
@@ -279,20 +289,6 @@ class BottleneckResult:
     lambda_star_sq: object = None  # exact squared optimum, L2 only
 
 
-def _rank_bisect(total, value_of, feasible) -> object:
-    """Smallest feasible value among ranks 1..total of a materialized sorted
-    sequence; rank `total` must be feasible.  `value_of` maps a rank to its
-    candidate value."""
-    lo, hi = 0, total
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(value_of(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return value_of(hi)
-
-
 def bottleneck_search(
     Pset,
     Qset,
@@ -302,66 +298,36 @@ def bottleneck_search(
     rng: random.Random | None = None,
 ) -> BottleneckResult:
     """Minimum lam such that decide(..., lam) is feasible, with a witness
-    matching.  L-infinity and L1 run the sampled search over the four
-    coordinate-difference matrices; L2 bisects the multiset of squared
-    pairwise distances.  Float coordinates are read exactly (they take the
-    integer scaling below), so the answer is exact on them.
+    matching.  L-infinity and L1 run the sampled search over the coordinate
+    differences; L2 bisects the ranks of the sorted squared pairwise
+    distances.  The search runs on the scaled ints of ``_int_coords``, so
+    the answer is exact on every input: an int for int coordinates and a
+    ``Fraction`` for any other.
 
     Decisions are warm-started: the maximum matching of the last infeasible
     decision uses only pairs within its bound, so it is a feasible flow at
     every larger bound the search decides later and starts that decision's
     max flow."""
-    pp = [_as_point(p) for p in Pset]
-    qq = [_as_point(q) for q in Qset]
-    if sd is None and len(pp) != len(qq):
-        raise InputError("perfect matching needs equal-size point sets")
+    pp, qq, sd, scale, ints = _int_coords(Pset, Qset, metric, sd)
     if not pp or not qq:
         sq = 0 if metric is Metric.L2 else None
         return BottleneckResult(0, metric, [], lambda_star_sq=sq)
     if rng is None:
         rng = random.Random(0)
 
-    coords = [c for p in pp + qq for c in p.coords]
-    if not all(isinstance(c, int) for c in coords):
-        # Scaling every coordinate by one positive int scales every candidate
-        # and every distance alike, so each decision is unchanged while the
-        # search and its covers run on ints instead of Fractions.
-        scale = integer_scale(coords)
-        res = bottleneck_search(
-            [Point(scaled_ints(p.coords, scale)) for p in pp],
-            [Point(scaled_ints(q.coords, scale)) for q in qq],
-            metric,
-            sd=sd,
-            rng=rng,
-        )
-        if metric is Metric.L2:
-            sq = Fraction(res.lambda_star_sq, scale * scale)
-            return BottleneckResult(
-                math.sqrt(float(sq)), metric, res.matching, lambda_star_sq=sq
-            )
-        return BottleneckResult(Fraction(res.lambda_star, scale), metric, res.matching)
-
-    if sd is None:
-        sd = SupplyDemand.unit(len(pp), len(qq))
-    if metric is Metric.L1:
-        pp, qq = [rotate45(p) for p in pp], [rotate45(q) for q in qq]
     pairs = None
-    if metric is not Metric.L2:
-        tree = BoxTree([p.coords for p in pp], 2)
-        centres = [q.coords for q in qq]
-        cover_at = lambda v: _box_cover(tree, centres, v, sd)
-    elif any(p.dim != 2 for p in pp + qq):
-        raise InputError("L2 decisions are planar")
-    elif len(pp) * len(qq) <= _L2_MATERIALIZE_LIMIT:
+    if metric is Metric.L2 and len(pp) * len(qq) <= _L2_MATERIALIZE_LIMIT:
         # sorted by distance alone: a stable sort keeps the (i, j) order of
         # equal distances, so this is the order of the triples themselves
-        pairs = [
-            (squared_distance(p, q), i, j) for i, p in enumerate(pp) for j, q in enumerate(qq)
-        ]
-        pairs.sort(key=_distance)
-        cover_at = lambda v: _pair_cover(pairs, (len(pp), len(qq)), v)
+        pairs = sorted(_squares(pp, qq), key=_distance)
+
+        def cover_at(lam_sq) -> BicliqueCover:
+            # the pairs within lam_sq are a prefix of them, one part each
+            k = bisect_right(pairs, lam_sq, key=_distance)
+            return BicliqueCover(len(pp), len(qq), [([i], [j]) for _d, i, j in islice(pairs, k)])
+
     else:
-        cover_at = lambda v: _disk_cover(pp, qq, v)
+        cover_at = _cover_at(pp, qq, metric, sd)
 
     witness = seed = None
 
@@ -380,42 +346,60 @@ def bottleneck_search(
         return feasible
 
     if metric is Metric.L2:
-        lam = _l2_search(pp, qq, pairs, feas, rng)
+        lam = _squared_search(pp, qq, pairs, feas, rng)
     else:
         lam = sampled_search(build_sorted_matrices(pp, qq), feas, rng)
     # no decision was feasible: the search returned its largest candidate
     # without deciding it
     if witness is None and not feas(lam):
         raise InternalError("search landed on an infeasible bound")
+    if not ints:
+        lam = Fraction(lam, scale * scale if metric is Metric.L2 else scale)
     if metric is Metric.L2:
         return BottleneckResult(math.sqrt(float(lam)), metric, witness, lambda_star_sq=lam)
     return BottleneckResult(lam, metric, witness)
 
 
-def _l2_search(pp, qq, pairs, feas_sq, rng):
-    """Smallest squared distance between pp and qq at which ``feas_sq``
-    holds: bisection over the ranks of ``pairs``, the sorted (squared
-    distance, i, j) triples, or a reservoir pass without them."""
-    if pairs is not None:
-        return _rank_bisect(len(pairs), lambda r: pairs[r - 1][0], feas_sq)
+def _squares(pp, qq):
+    """The (squared distance, i, j) triple of every pair of planar int
+    points, in (i, j) order."""
+    for i, (px, py) in enumerate(pp):
+        for j, (qx, qy) in enumerate(qq):
+            yield (px - qx) * (px - qx) + (py - qy) * (py - qy), i, j
 
-    # too many pairs to materialize: value bisection on reservoir-sampled
-    # pivots, O(1) memory per pass
-    lo = -1
-    hi = max(squared_distance(p, q) for p in pp for q in qq)
+
+_distance = itemgetter(0)
+
+
+def _squared_search(pp, qq, pairs, feasible, rng):
+    """Smallest squared distance between the int pairs of pp and qq at which
+    ``feasible`` holds.  Over ``pairs``, the sorted (squared distance, i, j)
+    triples, it bisects the ranks; without them, each pass over the pairs
+    draws a uniform pivot strictly inside the open interval by reservoir
+    sampling, in O(1) memory."""
+    if pairs is not None:
+        # rank hi is known feasible, rank lo (0: below every pair) is not
+        lo, hi = 0, len(pairs)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if feasible(pairs[mid - 1][0]):
+                hi = mid
+            else:
+                lo = mid
+        return pairs[hi - 1][0]
+
+    lo, hi = -1, max(map(_distance, _squares(pp, qq)))
     while True:
         seen = 0
         x = None
-        for p in pp:
-            for q in qq:
-                d = squared_distance(p, q)
-                if lo < d < hi:
-                    seen += 1
-                    if rng.randrange(seen) == 0:
-                        x = d
+        for d, _i, _j in _squares(pp, qq):
+            if lo < d < hi:
+                seen += 1
+                if rng.randrange(seen) == 0:
+                    x = d
         if x is None:
             return hi
-        if feas_sq(x):
+        if feasible(x):
             hi = x
         else:
             lo = x

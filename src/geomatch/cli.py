@@ -239,15 +239,18 @@ def _run_match(task: dict) -> dict:
 
 
 def _run_bottleneck(task: dict) -> dict:
-    red, _ = parse_points(task["red"], 2, allow_supply=False)
-    blue, _ = parse_points(task["blue"], 2, allow_supply=False)
+    metric = _METRICS[task["metric"]]
+    # L-infinity takes any dimension, set by the first red row; L1 and L2
+    # take planar points
+    dim = None if metric is Metric.LINF else 2
+    red, _ = parse_points(task["red"], dim, allow_supply=False)
+    blue, _ = parse_points(task["blue"], red[0].dim if red else dim, allow_supply=False)
     if len(red) != len(blue):
         raise InputError(f"size mismatch: {len(red)} red vs {len(blue)} blue points")
     # Decisions and searches run on the parsed decimals: rounding them to
     # floats first would decide on other points (the floats 3.4 and -1.7
     # lie farther apart than the float 5.1).
     shown = _shown(task)
-    metric = _METRICS[task["metric"]]
 
     if task.get("lam") is not None:
         lam = parse_scalar(task["lam"])

@@ -20,7 +20,7 @@ from geomatch.geometry import Metric, Point, rotate45
 from geomatch.numeric import InputError
 
 from brute import _DIST, bottleneck_brute, pd_brute, range_tree_parts
-from helpers import rand_fraction, rand_sd
+from helpers import rand_fraction, rand_points, rand_sd
 from oracle import ExplicitBipartite, reference_max_flow
 
 
@@ -278,6 +278,31 @@ def test_search_matches_brute_force():
             assert got == bottleneck_brute(P, Q, metric)
 
 
+@pytest.mark.parametrize("d", [1, 3, 4])
+def test_linf_search_matches_brute_force_in_any_dimension(d):
+    rng = random.Random(40 + d)
+    dist = _DIST[Metric.LINF]
+    for _ in range(15):
+        n = rng.randrange(1, 8)
+        P, Q = rand_points(rng, n, d, -30, 30), rand_points(rng, n, d, -30, 30)
+        r = bottleneck_search(P, Q, Metric.LINF)
+        assert r.lambda_star == bottleneck_brute(P, Q, Metric.LINF)
+        assert all(dist(P[p], Q[q]) <= r.lambda_star for p, q, _a in r.matching)
+        assert decide(P, Q, Metric.LINF, r.lambda_star).feasible
+        below = [v for v in {dist(p, q) for p in P for q in Q} if v < r.lambda_star]
+        if below:
+            assert not decide(P, Q, Metric.LINF, max(below), want_matching=False).feasible
+
+
+def test_supply_demand_lengths_must_match_the_points():
+    P, Q = [Point((0, 0)), Point((1, 1))], [Point((1, 2))]
+    for sd in (SupplyDemand((1,), (1,)), SupplyDemand((1, 1), (1, 1))):
+        with pytest.raises(InputError, match="supplies and .* demands for 2 and 1 points"):
+            decide(P, Q, Metric.LINF, 3, sd=sd)
+        with pytest.raises(InputError, match="supplies and .* demands for 2 and 1 points"):
+            bottleneck_search(P, Q, Metric.L2, sd=sd)
+
+
 def test_bisected_oracle_equals_linear_scan():
     rng = random.Random(18)
     for _ in range(6):
@@ -469,7 +494,10 @@ def _count_decisions(monkeypatch, search_name, feas_pos, cover_owner, cover_name
 @pytest.mark.parametrize("metric", list(Metric))
 def test_search_decides_only_when_asked(monkeypatch, metric):
     if metric is Metric.L2:
-        counts = _count_decisions(monkeypatch, "_rank_bisect", 2, bottleneck_mod, "_pair_cover")
+        # each decision's prefix of the sorted pairs is one BicliqueCover
+        counts = _count_decisions(
+            monkeypatch, "_squared_search", 3, bottleneck_mod, "BicliqueCover"
+        )
     else:
         counts = _count_decisions(monkeypatch, "sampled_search", 1, BoxTree, "parts")
     rng = random.Random(28)

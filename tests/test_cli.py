@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from geomatch.cli import main, parse_diagram, parse_points, parse_ranges
+from geomatch.geometry import Metric
 from geomatch.numeric import InputError
 
-from helpers import first_primes
+from brute import bottleneck_brute
+from helpers import first_primes, rand_points
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +228,30 @@ def test_bottleneck_float_decision_is_exact(tmp_path, capsys):
         assert code == 0
         star = json.loads(stdout)["lambda_star"]
         assert star == (5.1 if numeric == "float" else "51/10")
+
+
+def test_bottleneck_linf_in_three_dimensions(tmp_path, capsys):
+    rng = random.Random(41)
+    for _ in range(5):
+        n = rng.randrange(1, 7)
+        P, Q = rand_points(rng, n, d=3), rand_points(rng, n, d=3)
+        rows = lambda pts: "".join(",".join(map(str, p.coords)) + "\n" for p in pts)
+        red, blue = write(tmp_path, "red.csv", rows(P)), write(tmp_path, "blue.csv", rows(Q))
+        code, stdout, _ = run_cli(capsys, "bottleneck", red, blue)
+        assert code == 0
+        assert Fraction(json.loads(stdout)["lambda_star"]) == bottleneck_brute(P, Q, Metric.LINF)
+
+
+def test_bottleneck_dimension_errors_exit_2_naming_the_line(tmp_path, capsys):
+    red = write(tmp_path, "red.csv", "0,0,0\n")
+    blue = write(tmp_path, "blue.csv", "1,2,3\n")
+    for metric in ("l1", "l2"):
+        code, _, stderr = run_cli(capsys, "bottleneck", red, blue, "--metric", metric)
+        assert code == 2 and "red.csv:1" in stderr
+    red = write(tmp_path, "red.csv", "0,0,0\n")
+    blue = write(tmp_path, "blue.csv", "1,2\n")
+    code, _, stderr = run_cli(capsys, "bottleneck", red, blue)
+    assert code == 2 and "blue.csv:1" in stderr
 
 
 def test_bottleneck_size_mismatch(tmp_path, capsys):

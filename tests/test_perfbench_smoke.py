@@ -42,11 +42,22 @@ def test_match_real_run_is_correct():
     assert run_benchmark("match-real")["failed"] == 0
 
 
-def test_traced_match_real_run_reports_every_layer():
-    # the traced pass wraps the implicit engine's per-phase functions and
-    # reads counts off their arguments and results
-    result = run_benchmark("match-real", trace=1)
+def assert_traced_run_reports_every_layer(workload):
+    result = run_benchmark(workload, trace=1)
     assert result["failed"] == 0
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     want = {m["name"] for m in spec["per_layer"]} | {"trace.traced_s", "trace.untraced_s"}
     assert set(result["metrics"]) == want
+
+
+def test_traced_match_real_run_reports_every_layer():
+    # the traced pass wraps the implicit engine's per-phase functions and
+    # reads counts off their arguments and results
+    assert_traced_run_reports_every_layer("match-real")
+
+
+@pytest.mark.parametrize("workload", ["pd-bottleneck", "bottleneck-linf", "bottleneck-l2"])
+def test_traced_bottleneck_run_reports_every_layer(workload):
+    # the traced pass wraps the searches, their decisions' flow calls and
+    # integer_scale by their names in geomatch.bottleneck
+    assert_traced_run_reports_every_layer(workload)
