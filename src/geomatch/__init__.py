@@ -9,9 +9,7 @@ from .bottleneck import (
     BottleneckResult,
     DecideResult,
     PersistenceDiagram,
-    SortedMatrix,
     bottleneck_search,
-    build_sorted_matrices,
     decide,
     pd_bottleneck,
 )
@@ -59,12 +57,10 @@ __all__ = [
     "PersistenceDiagram",
     "Point",
     "RbForest",
-    "SortedMatrix",
     "SupplyDemand",
     "bottleneck_search",
     "box_cover",
     "build_network",
-    "build_sorted_matrices",
     "cover_from_text",
     "cover_size",
     "cover_to_text",

@@ -6,14 +6,15 @@ tuples: floats exactly, every coordinate scaled by one positive int, and L1
 rotated by 45 degrees onto L-infinity.  L-infinity takes points of any one
 dimension; L1 and L2 take planar points.  The optimum under L-infinity is
 always a coordinate difference between the two sets, so the candidate values
-form two implicitly sorted matrices per axis.  A search keeps an open
+form two implicitly sorted int matrices per axis.  A search keeps an open
 interval of candidate values (infeasible below, feasible above), decides
 feasibility at a uniformly sampled candidate strictly inside it, and shrinks
 the interval until none is left: O(log n) expected feasibility tests and no
 selection.  L2 works on squared distances so the decisions stay exact, and
 bisects the ranks of its sorted pair list.  Each test covers the incidences
-between one side and the metric balls around the other, and asks the flow
-module whether the target value is reached.
+between one side and the metric balls around the other (a box tree for
+L-infinity and L1, ``cover.disk_cover`` for L2), and asks the flow module
+whether the target value is reached.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
-from .cover import BicliqueCover, BoxTree, trivial_cover
+from .cover import BicliqueCover, BoxTree, disk_cover
 from .flow import (
     Matching,
     SupplyDemand,
@@ -35,33 +36,21 @@ from .flow import (
     max_flow_dinitz,
     seed_flow,
 )
-from .geometry import Disk, Metric, Point
+from .geometry import Metric, Point
 from .numeric import InputError, InternalError, exact, integer_scale, scaled_ints
 
 _L2_MATERIALIZE_LIMIT = 10**7
 
 
 class SortedMatrix:
-    """Implicit matrix entry(i, j) = rows[i] + sign * cols[j] over two
-    ascending coordinate sequences; every row and column is monotone."""
+    """Implicit int matrix of the differences rows[i] - cols[j].  It keeps
+    the rows ascending in ``_a`` and the negated columns ascending in ``_b``,
+    so its entries are the sums a[i] + b[j], ascending along every row and
+    every column."""
 
-    def __init__(self, rows, cols, sign: int = 1):
-        if sign not in (1, -1):
-            raise InputError("sign must be +1 or -1")
-        self.rows = tuple(sorted(rows))
-        self.cols = tuple(sorted(cols))
-        self.sign = sign
-        # normalized ascending form: entry multiset = {a[i] + b[j]}
-        self._a = self.rows
-        b = [sign * c for c in self.cols]
-        self._b = tuple(sorted(b))
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self.rows), len(self.cols))
-
-    def entry(self, i: int, j: int):
-        return self.rows[i] + self.sign * self.cols[j]
+    def __init__(self, rows, cols):
+        self._a = sorted(rows)
+        self._b = sorted(-c for c in cols)
 
     def min_entry(self):
         return self._a[0] + self._b[0]
@@ -69,20 +58,8 @@ class SortedMatrix:
     def max_entry(self):
         return self._a[-1] + self._b[-1]
 
-    def count_le(self, x) -> int:
-        """Entries <= x, by one staircase walk."""
-        a, b = self._a, self._b
-        j = len(b) - 1
-        n = 0
-        for ai in a:
-            while j >= 0 and ai + b[j] > x:
-                j -= 1
-            if j < 0:
-                break
-            n += j + 1
-        return n
-
     def count_lt(self, x) -> int:
+        """Entries < x, by one staircase walk."""
         a, b = self._a, self._b
         j = len(b) - 1
         n = 0
@@ -94,46 +71,41 @@ class SortedMatrix:
             n += j + 1
         return n
 
-    def _row_open_range(self, ai, lo, hi) -> tuple:
-        # column index range whose entries fall strictly between lo and hi;
-        # the entries are compared as sums, as the staircase walks compare
-        # them, since lo - ai may round differently on floats
-        entry = lambda bj: ai + bj
-        return bisect_right(self._b, lo, key=entry), bisect_left(self._b, hi, key=entry)
-
     def open_at(self, lo, hi, idx: int):
         """idx-th entry (row-major) among those strictly between lo and hi."""
+        b = self._b
         for ai in self._a:
-            jl, jr = self._row_open_range(ai, lo, hi)
-            cnt = jr - jl
+            jl = bisect_right(b, lo - ai)
+            cnt = bisect_left(b, hi - ai) - jl
             if idx < cnt:
-                return ai + self._b[jl + idx]
+                return ai + b[jl + idx]
             idx -= cnt
         raise InternalError("open entry index ran past the matrix")
 
 
-def build_sorted_matrices(Pset, Qset) -> dict:
-    """The candidate matrices of coordinate differences, two per axis:
-    D_x(i,j) = x_i - x'_j over ascending coordinates and Dbar_x(i,j) =
-    x'_i - x_j, then the same for y and every further axis.  Every
-    L-infinity bottleneck value is an entry of one of them."""
-    pp = [_as_point(p).coords for p in Pset]
-    qq = [_as_point(q).coords for q in Qset]
-    dims = {len(c) for c in pp + qq}
-    if len(dims) > 1:
+def build_sorted_matrices(pp, qq) -> list:
+    """The candidate matrices of coordinate differences between the int
+    coordinate tuples pp and qq, two per axis: x_i - x'_j and x'_j - x_i,
+    then the same for y and every further axis.  Every L-infinity bottleneck
+    value is an entry of one of them.  ``sampled_search`` counts the entries
+    up to lo as those below lo + 1, which holds on ints only, so any other
+    coordinate is an InputError."""
+    coords = [*pp, *qq]
+    if len({len(c) for c in coords}) > 1:
         raise InputError("points disagree on dimension")
-    mats = {}
-    for axis in range(dims.pop() if dims else 0):
-        name = "xyz"[axis] if axis < 3 else str(axis)
+    if not all(isinstance(x, int) for c in coords for x in c):
+        raise InputError("candidate matrices take int coordinates")
+    mats = []
+    for axis in range(len(coords[0]) if coords else 0):
         ps, qs = [p[axis] for p in pp], [q[axis] for q in qq]
-        mats[f"D_{name}"] = SortedMatrix(ps, qs, -1)
-        mats[f"Dbar_{name}"] = SortedMatrix(qs, ps, -1)
+        mats += [SortedMatrix(ps, qs), SortedMatrix(qs, ps)]
     return mats
 
 
-def sampled_search(matrices, feasible, rng: random.Random | None = None):
-    """Smallest entry x of the sorted matrices with ``feasible(x)`` true,
-    for a monotone ``feasible`` that holds at the largest entry.
+def sampled_search(mats: list, feasible, rng: random.Random | None = None):
+    """Smallest entry x of the sorted int matrices ``mats`` with
+    ``feasible(x)`` true, for a monotone ``feasible`` that holds at the
+    largest entry.
 
     Keeps the open interval (lo, hi) between the largest entry known to be
     infeasible (or a sentinel below every entry) and the smallest known to be
@@ -141,7 +113,6 @@ def sampled_search(matrices, feasible, rng: random.Random | None = None):
     and stops once no entry is left inside.  Each draw is a rank query by
     staircase walks, so the search makes O(log N) expected decisions over N
     entries and never runs a selection."""
-    mats = list(matrices.values()) if isinstance(matrices, dict) else list(matrices)
     if rng is None:
         rng = random.Random(0)
     lo = min(m.min_entry() for m in mats) - 1
@@ -166,7 +137,8 @@ def sampled_search(matrices, feasible, rng: random.Random | None = None):
             below_hi = [m.count_lt(hi) for m in mats]
         else:
             lo = x
-            upto_lo = [m.count_le(lo) for m in mats]
+            # the entries are ints: up to lo means below lo + 1
+            upto_lo = [m.count_lt(lo + 1) for m in mats]
 
 
 def _as_point(p) -> Point:
@@ -212,12 +184,9 @@ def _cover_at(pp, qq, metric: Metric, sd: SupplyDemand):
     """The cover of a decision as a function of its bound (its squared bound
     for L2), over the int tuples of ``_int_coords``.  L-infinity and L1
     query one box tree over pp, built here; L2 lists the pairs within each
-    disk through the congruent-disk grid of ``trivial_cover``."""
+    disk through ``disk_cover``."""
     if metric is Metric.L2:
-        points, centres = [Point(p) for p in pp], [Point(q) for q in qq]
-        return lambda lam_sq: trivial_cover(
-            points, [Disk(c, None, radius_sq=lam_sq) for c in centres]
-        )
+        return lambda lam_sq: disk_cover(pp, qq, lam_sq)
     tree = BoxTree(pp, len(pp[0]) if pp else 1)
     return lambda lam: _box_cover(tree, qq, lam, sd)
 
@@ -468,7 +437,7 @@ def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
     # the optimum is a point-to-point distance or a distance to the diagonal
     mats = [SortedMatrix(to_diagonal, (0,))]
     if nx and ny:
-        mats += build_sorted_matrices(pts[:nx], pts[nx:]).values()
+        mats += build_sorted_matrices(pts[:nx], pts[nx:])
     lam = sampled_search(mats, feasible, rng)
     # the search decides strictly below its initial bound, the largest entry
     if lam == max(m.max_entry() for m in mats) and not feasible(lam):

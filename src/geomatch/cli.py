@@ -35,15 +35,25 @@ _METRICS = {"linf": Metric.LINF, "l1": Metric.L1, "l2": Metric.L2}
 
 # ---------------------------------------------------------------- parsing
 
+def _file(path: str, text: str | None = None) -> str:
+    """The text of ``path``, or with ``text`` given, ``path`` overwritten by
+    it.  Every file the CLI reads or writes goes through here, so an OSError
+    becomes an InputError that names the file."""
+    try:
+        if text is None:
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return text
+    except OSError as exc:
+        raise InputError(f"cannot {'read' if text is None else 'write'} {path}: {exc}") from exc
+
+
 def _rows(path: str):
     """(lineno, tokens) for each non-blank, non-comment CSV line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_file(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -177,8 +187,7 @@ def _run_cover(task: dict) -> dict:
     n = len(points)
     norm = sigma / (n * math.log2(n) ** 2) if n >= 2 else None
     if task.get("out"):
-        with open(task["out"], "w", encoding="utf-8") as fh:
-            fh.write(cover_to_text(cover))
+        _file(task["out"], cover_to_text(cover))
     print(
         f"cover: n={n} m={len(ranges)} parts={len(cover.parts)} sigma={sigma}"
         + (f" sigma/(n log^2 n)={norm:.4f}" if norm is not None else ""),
@@ -204,8 +213,11 @@ def _run_match(task: dict) -> dict:
         shape = "box" if ranges and all(isinstance(r, Box) for r in ranges) else "trivial"
         cover = _build_cover(points, ranges, dim, shape)
     else:
-        with open(task["cover"], encoding="utf-8") as fh:
-            cover = cover_from_text(fh.read(), len(points), len(ranges))
+        text = _file(task["cover"])
+        try:
+            cover = cover_from_text(text, len(points), len(ranges))
+        except InputError as exc:
+            raise InputError(f"{task['cover']}: {exc}") from exc
 
     sd = SupplyDemand(tuple(supplies), tuple(demands))
     if task["mode"] == "integral":
@@ -292,7 +304,9 @@ def _dispatch(kind: str, tasks: list, jobs: int) -> list:
     runner = _RUNNERS[kind]
     if jobs <= 1 or len(tasks) <= 1:
         return [runner(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool may start all its workers at once, so ask for no more than
+    # there are instances
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(runner, tasks))
 
 

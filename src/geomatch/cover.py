@@ -2,8 +2,10 @@
 
 A cover represents the bipartite incidence graph I(P, R) as a union of
 complete bipartite pieces (P_i, R_i); its size is sigma = sum(|P_i| + |R_i|).
-The trivial cover lists one piece per incident pair.  For axis-aligned boxes,
-a multi-level range tree yields an edge-disjoint cover of size
+The trivial cover lists one piece per incident pair; for congruent disks,
+``disk_cover`` finds those pairs through an exact grid and is the one disk
+cover that the CLI and L2 bottleneck decisions share.  For axis-aligned
+boxes, a multi-level range tree yields an edge-disjoint cover of size
 O(n log^d n) for d-dimensional inputs.
 """
 
@@ -44,45 +46,57 @@ def cover_size(cover: BicliqueCover) -> int:
 
 
 def trivial_cover(points, ranges) -> BicliqueCover:
-    """One part per incident pair.  For congruent disks the pair enumeration
-    is grid-accelerated (3x3 neighborhoods of square cells whose side s is a
-    rational just above the radius, cells computed exactly); anything else
-    falls back to the quadratic double loop."""
-    parts = []
+    """One part per incident pair.  Congruent disks go through
+    ``disk_cover``; anything else falls back to the quadratic double loop."""
     if (
-        points
-        and ranges
+        ranges
         and all(isinstance(r, Disk) for r in ranges)
         and len({r.radius_sq for r in ranges}) == 1
     ):
-        # r^2 = n/d and s = (isqrt(n*d) + 1)/d, so s^2 > n/d: a point within
-        # r of a centre lies in the centre's cell or a neighbouring one
-        r_sq = Fraction(exact(ranges[0].radius_sq))
-        n, d = r_sq.numerator, r_sq.denominator
-        side = Fraction(math.isqrt(n * d) + 1, d)
-
-        def cell(pt):
-            x, y = pt.coords
-            return exact(x) // side, exact(y) // side
-
-        grid = defaultdict(list)
-        for j, disk in enumerate(ranges):
-            grid[cell(disk.center)].append(j)
-        for i, p in enumerate(points):
-            cell_x, cell_y = cell(p)
-            hits = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for j in grid.get((cell_x + dx, cell_y + dy), ()):
-                        if contains(ranges[j], p):
-                            hits.append(j)
-            parts.extend(([i], [j]) for j in sorted(hits))
-    else:
-        for i, p in enumerate(points):
-            for j, r in enumerate(ranges):
-                if contains(r, p):
-                    parts.append(([i], [j]))
+        return disk_cover(
+            [p.coords for p in points], [r.center.coords for r in ranges], ranges[0].radius_sq
+        )
+    parts = [
+        ([i], [j])
+        for i, p in enumerate(points)
+        for j, r in enumerate(ranges)
+        if contains(r, p)
+    ]
     return BicliqueCover(len(points), len(ranges), parts)
+
+
+def disk_cover(points, centres, r_sq) -> BicliqueCover:
+    """One part per pair of a point and a closed disk of squared radius
+    ``r_sq`` around a centre (planar coordinate tuples), in (point, sorted
+    disk) order.  The pairs are found in 3x3 neighbourhoods of a grid of
+    square cells whose side s is a rational just above the radius; each cell
+    is the floor of an exact quotient, so no incidence is lost at any
+    coordinate size, and int inputs with an int ``r_sq`` stay ints."""
+    r_sq = exact(r_sq)
+    if r_sq < 0:
+        raise InputError("negative squared radius")
+    # r^2 = n/d and s = k/d with k = isqrt(n*d) + 1, so s^2 > n/d: a point
+    # within r of a centre lies in the centre's cell or a neighbouring one;
+    # the cell of x is floor(x / s) = floor(x*d / k)
+    d = r_sq.denominator
+    k = math.isqrt(r_sq.numerator * d) + 1
+    grid = defaultdict(list)
+    for j, (x, y) in enumerate(centres):
+        grid[exact(x) * d // k, exact(y) * d // k].append((j, x, y))
+    parts = []
+    for i, (px, py) in enumerate(points):
+        gx, gy = exact(px) * d // k, exact(py) * d // k
+        # squared distances on the coordinates as given, as
+        # ``geometry.contains`` and ``validate_cover`` take them
+        hits = [
+            j
+            for cx in (gx - 1, gx, gx + 1)
+            for cy in (gy - 1, gy, gy + 1)
+            for j, x, y in grid.get((cx, cy), ())
+            if (px - x) * (px - x) + (py - y) * (py - y) <= r_sq
+        ]
+        parts.extend(([i], [j]) for j in sorted(hits))
+    return BicliqueCover(len(points), len(centres), parts)
 
 
 def box_cover(points, boxes, dim: int | None = None) -> BicliqueCover:
@@ -274,26 +288,31 @@ def cover_to_text(cover: BicliqueCover) -> str:
 def cover_from_text(
     text: str, left_count: int | None = None, right_count: int | None = None
 ) -> BicliqueCover:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the format of ``cover_to_text``.  An error in a part names its
+    line, counting blank lines too."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise InputError("empty cover file")
-    header = lines[0].split()
+    header = lines[0][1]
     try:
-        fields = dict(item.split("=", 1) for item in header)
+        fields = dict(item.split("=", 1) for item in header.split())
         sigma, nparts = int(fields["sigma"]), int(fields["parts"])
     except (ValueError, KeyError) as exc:
-        raise InputError(f"bad cover header {lines[0]!r}") from exc
+        raise InputError(f"bad cover header {header!r}") from exc
     if len(lines) - 1 != nparts:
         raise InputError(f"header promises {nparts} parts, file has {len(lines) - 1}")
     parts = []
     max_p, max_r = -1, -1
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             left, right = line.split("|")
             pts = sorted(int(tok) for tok in left.split(":", 1)[1].split())
             rngs = sorted(int(tok) for tok in right.split(":", 1)[1].split())
         except (ValueError, IndexError) as exc:
             raise InputError(f"bad part on line {lineno}: {line!r}") from exc
+        for idx, count, what in ((pts, left_count, "point"), (rngs, right_count, "range")):
+            if idx and (idx[0] < 0 or count is not None and idx[-1] >= count):
+                raise InputError(f"part on line {lineno} references a {what} index out of range")
         parts.append((pts, rngs))
         max_p = max(max_p, *pts) if pts else max_p
         max_r = max(max_r, *rngs) if rngs else max_r

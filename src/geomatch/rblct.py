@@ -265,7 +265,6 @@ class RbForest:
 
     def __init__(self):
         self._edges = {}  # edge vertex -> None, insertion ordered
-        self.nodes = []
 
     def _check_node(self, v: RbNode) -> None:
         if not isinstance(v, RbNode) or v.is_edge:
@@ -274,9 +273,7 @@ class RbForest:
     def maketree(self, color: str, tag=None) -> RbNode:
         if color not in (RED, BLUE):
             raise InputError(f"bad color {color!r}")
-        node = RbNode(False, color, tag)
-        self.nodes.append(node)
-        return node
+        return RbNode(False, color, tag)
 
     def findroot(self, v: RbNode) -> RbNode:
         self._check_node(v)

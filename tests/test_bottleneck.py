@@ -33,61 +33,72 @@ def rand_pts(rng, n):
 
 # ------------------------------------------------------------ sorted matrices
 
+def rand_ints(rng, n, lo=-40, hi=40):
+    return [rng.randrange(lo, hi) for _ in range(n)]
+
+
+def open_entries(m, lo, hi):
+    """Every entry of ``m`` strictly between lo and hi, in draw order."""
+    return [m.open_at(lo, hi, k) for k in range(m.count_lt(hi) - m.count_lt(lo + 1))]
+
+
 def test_matrix_column_of_differences():
-    m = SortedMatrix([1, 3], [2], sign=-1)
-    assert [m.entry(i, 0) for i in range(2)] == [-1, 1]
+    m = SortedMatrix([1, 3], [2])
+    assert (m.min_entry(), m.max_entry()) == (-1, 1)
+    assert open_entries(m, -2, 2) == [-1, 1]
 
 
 def test_matrix_rows_and_columns_monotone():
     rng = random.Random(9)
-    rows = sorted(rng.randrange(-40, 40) for _ in range(12))
-    cols = sorted(rng.randrange(-40, 40) for _ in range(9))
-    for sign in (1, -1):
-        m = SortedMatrix(rows, cols, sign)
-        for i in range(12):
-            col_vals = [m.entry(i, j) for j in range(9)]
-            assert col_vals == sorted(col_vals) or col_vals == sorted(
-                col_vals, reverse=True
-            )
-        for j in range(9):
-            row_vals = [m.entry(i, j) for i in range(12)]
-            assert row_vals == sorted(row_vals)
+    rows, cols = rand_ints(rng, 12), rand_ints(rng, 9)
+    m = SortedMatrix(rows, cols)
+    entries = open_entries(m, m.min_entry() - 1, m.max_entry() + 1)
+    assert sorted(entries) == sorted(r - c for r in rows for c in cols)
+    # row-major draw order over ascending rows and descending columns
+    grid = [entries[i * 9 : (i + 1) * 9] for i in range(12)]
+    for row in grid:
+        assert row == sorted(row)
+    for col in zip(*grid):
+        assert list(col) == sorted(col)
 
 
 def test_transposed_matrices_negate():
     rng = random.Random(10)
-    P, Q = rand_pts(rng, 8), rand_pts(rng, 6)
-    mats = build_sorted_matrices(P, Q)
-    dx, dbx = mats["D_x"], mats["Dbar_x"]
-    for i in range(dbx.shape[0]):
-        for j in range(dbx.shape[1]):
-            assert dbx.entry(i, j) == -dx.entry(j, i)
+    pp = [tuple(rand_ints(rng, 2)) for _ in range(8)]
+    qq = [tuple(rand_ints(rng, 2)) for _ in range(6)]
+    mats = build_sorted_matrices(pp, qq)
+    assert len(mats) == 4
+    for axis, (d, dbar) in enumerate(zip(mats[::2], mats[1::2])):
+        diffs = sorted(p[axis] - q[axis] for p in pp for q in qq)
+        assert sorted(open_entries(d, -100, 100)) == diffs
+        assert sorted(open_entries(dbar, -100, 100)) == sorted(-x for x in diffs)
 
 
 def test_count_staircases():
-    m = SortedMatrix([1, 5, 3], [2, 0], sign=-1)
-    vals = sorted(m.entry(i, j) for i in range(3) for j in range(2))
+    m = SortedMatrix([1, 5, 3], [2, 0])
+    vals = [r - c for r in (1, 5, 3) for c in (2, 0)]
     for x in range(-2, 7):
-        assert m.count_le(x) == sum(1 for v in vals if v <= x)
         assert m.count_lt(x) == sum(1 for v in vals if v < x)
+        for hi in range(x + 1, 8):
+            assert sorted(open_entries(m, x, hi)) == sorted(v for v in vals if x < v < hi)
 
 
-def test_open_entry_agrees_with_staircase_counts_on_floats():
-    # 6.2 + 0.6 == 6.8, but 6.8 - 6.2 rounds below 0.6
-    m = SortedMatrix([6.2, 7.2], [-0.6], sign=-1)
-    assert m.count_lt(8.2) - m.count_le(6.8) == 1
-    assert m.open_at(6.8, 8.2, 0) == 7.2 + 0.6
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5])
+def test_build_sorted_matrices_rejects_non_int_coordinates(bad):
+    # the staircase counts and draws are exact on ints only
+    with pytest.raises(InputError, match="int coordinates"):
+        build_sorted_matrices([(0, 1)], [(bad, 2)])
+    with pytest.raises(InputError, match="dimension"):
+        build_sorted_matrices([(0, 1)], [(2,)])
 
 
 def test_sampled_search_finds_smallest_feasible_entry():
     rng = random.Random(13)
-    P, Q = rand_pts(rng, 20), rand_pts(rng, 20)
-    mats = build_sorted_matrices(P, Q)
+    pp = [tuple(rand_ints(rng, 2, -300, 300)) for _ in range(20)]
+    qq = [tuple(rand_ints(rng, 2, -300, 300)) for _ in range(20)]
+    mats = build_sorted_matrices(pp, qq)
     flat = sorted(
-        m.entry(i, j)
-        for m in mats.values()
-        for i in range(m.shape[0])
-        for j in range(m.shape[1])
+        s * (p[axis] - q[axis]) for s in (1, -1) for axis in (0, 1) for p in pp for q in qq
     )
     for k, t in enumerate(rng.sample(flat, 30) + [flat[0], flat[-1]]):
         calls = []
@@ -101,13 +112,12 @@ def test_sampled_search_finds_smallest_feasible_entry():
         assert len(calls) == len(set(calls))
 
 
-def _recount_both_search(matrices, feasible, rng):
+def _recount_both_search(mats, feasible, rng):
     """The search loop that walks every staircase at both bounds per draw."""
-    mats = list(matrices.values()) if isinstance(matrices, dict) else list(matrices)
     lo = min(m.min_entry() for m in mats) - 1
     hi = max(m.max_entry() for m in mats)
     while True:
-        counts = [m.count_lt(hi) - m.count_le(lo) for m in mats]
+        counts = [m.count_lt(hi) - m.count_lt(lo + 1) for m in mats]
         if sum(counts) == 0:
             return hi
         idx = rng.randrange(sum(counts))

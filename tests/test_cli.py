@@ -290,6 +290,63 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     assert code == 2 and "cannot read" in stderr
 
 
+def test_missing_cover_file_exits_2_naming_it(tmp_path, capsys, triangle):
+    pts, rng = triangle
+    missing = str(tmp_path / "missing.txt")
+    code, _, stderr = run_cli(capsys, "match", pts, rng, "--cover", missing)
+    assert code == 2 and f"cannot read {missing}" in stderr
+
+
+@pytest.mark.parametrize("flag", ["--out", "--out-dir"])
+def test_unwritable_cover_output_exits_2_naming_it(tmp_path, capsys, triangle, flag):
+    pts, rng = triangle
+    target = tmp_path / "no_such_dir"
+    code, _, stderr = run_cli(
+        capsys, "cover", pts, rng, "--shape", "box", flag,
+        str(target / "c.txt") if flag == "--out" else str(target),
+    )
+    assert code == 2 and f"cannot write {target}" in stderr
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("sigma=2 parts=2\nP: 0 | R: 0\n\nP: x | R: 1\n", "bad part on line 4"),
+        ("sigma=4 parts=2\nP: 0 | R: 0\nP: 7 | R: 1\n", "part on line 3 references a point index"),
+        ("sigma=99 parts=1\nP: 0 | R: 0\n", "header sigma=99"),
+    ],
+    ids=["bad-part", "index-out-of-range", "sigma"],
+)
+def test_cover_file_errors_name_the_file_and_line(tmp_path, capsys, triangle, body, where):
+    pts, rng = triangle
+    cov = write(tmp_path, "c.txt", body)
+    code, _, stderr = run_cli(capsys, "match", pts, rng, "--cover", cov)
+    assert code == 2 and f"error: {cov}: {where}" in stderr
+
+
+def test_jobs_start_no_more_workers_than_instances(monkeypatch, capsys, triangle):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("geomatch.cli.ProcessPoolExecutor", InProcessPool)
+    pts, rng = triangle
+    code, stdout, _ = run_cli(capsys, "match", pts, rng, pts, rng, "--jobs", "64")
+    assert code == 0 and len(json.loads(stdout)) == 2
+    assert asked == [2]
+
+
 def test_odd_file_count_rejected(tmp_path, capsys):
     d1 = write(tmp_path, "d1.csv", "1,3\n")
     code, _, stderr = run_cli(capsys, "pd", d1)

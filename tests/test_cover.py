@@ -11,6 +11,7 @@ from geomatch.cover import (
     cover_from_text,
     cover_size,
     cover_to_text,
+    disk_cover,
     trivial_cover,
     validate_cover,
 )
@@ -19,7 +20,7 @@ from geomatch.geometry import Box, Disk, Metric, Point
 from geomatch.numeric import InputError
 
 from brute import range_tree_parts
-from helpers import rand_boxes, rand_congruent_disks, rand_points
+from helpers import rand_boxes, rand_congruent_disks, rand_fraction, rand_points
 from oracle import brute_force_incidences
 
 
@@ -88,6 +89,40 @@ def test_disk_grid_takes_coordinates_past_the_float_range():
         ]
         cover = trivial_cover(pts, disks)
         assert edge_set(cover) == set(map(tuple, brute_force_incidences(pts, disks).edges))
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "fraction", "big"])
+def test_disk_cover_is_exact_and_edge_disjoint(kind):
+    rng = random.Random({"int": 31, "float": 32, "fraction": 33, "big": 34}[kind])
+    scalar = {
+        "int": lambda: rng.randrange(-40, 41),
+        "float": lambda: rng.randrange(-400, 401) / 8,
+        "fraction": lambda: rand_fraction(rng, -40, 40),
+        "big": lambda: 10**400 + rng.randrange(-40, 41),
+    }[kind]
+    for _ in range(12):
+        pts = [(scalar(), scalar()) for _ in range(rng.randrange(0, 20))]
+        centres = [(scalar(), scalar()) for _ in range(rng.randrange(0, 20))]
+        r_sq = rand_fraction(rng, 0, 300) if kind == "fraction" else rng.randrange(0, 300)
+        cover = disk_cover(pts, centres, r_sq)
+        report = validate_cover(
+            cover, [Point(p) for p in pts], [Disk(Point(c), None, r_sq) for c in centres]
+        )
+        assert report.ok, (report.missing, report.extra)
+        assert cover.parts == sorted(cover.parts)
+
+
+def test_disk_cover_with_a_fractional_squared_radius():
+    r_sq = Fraction(51, 2)  # floor 25
+    centres = [(0, 0)]
+    assert disk_cover([(3, 4)], centres, r_sq).parts == [([0], [0])]  # d^2 = 25
+    assert disk_cover([(1, 5)], centres, r_sq).parts == []  # d^2 = 26
+    assert disk_cover([(-3, -4), (1, 5), (5, 0)], centres, r_sq).parts == [
+        ([0], [0]),
+        ([2], [0]),
+    ]
+    with pytest.raises(InputError):
+        disk_cover([(0, 0)], centres, -1)
 
 
 def test_box_cover_matches_brute_force_all_dims():
