@@ -14,7 +14,10 @@ selection.  L2 works on squared distances so the decisions stay exact, and
 bisects the ranks of its sorted pair list.  Each test covers the incidences
 between one side and the metric balls around the other (a box tree for
 L-infinity and L1, ``cover.disk_cover`` for L2), and asks the flow module
-whether the target value is reached.
+whether the target value is reached.  The diagram search starts inside a
+bracket of two bounds that need no decision: a feasible upper bound (every
+point to its own diagonal projection) and a lower bound below which some
+point has no partner.
 """
 
 from __future__ import annotations
@@ -102,25 +105,30 @@ def build_sorted_matrices(pp, qq) -> list:
     return mats
 
 
-def sampled_search(mats: list, feasible, rng: random.Random | None = None):
-    """Smallest entry x of the sorted int matrices ``mats`` with
-    ``feasible(x)`` true, for a monotone ``feasible`` that holds at the
-    largest entry.
+def sampled_search(mats: list, feasible, rng: random.Random | None = None, *, lo=None, hi=None):
+    """Smallest x in (lo, hi], hi itself or an entry of the sorted int
+    matrices ``mats``, with ``feasible(x)`` true, for a monotone
+    ``feasible`` that fails at lo and holds at hi.  lo defaults to a
+    sentinel below every entry and hi to the largest entry; a caller that
+    knows tighter bounds passes them, and hi is never decided.
 
-    Keeps the open interval (lo, hi) between the largest entry known to be
-    infeasible (or a sentinel below every entry) and the smallest known to be
-    feasible, decides at an entry drawn uniformly from strictly inside it,
-    and stops once no entry is left inside.  Each draw is a rank query by
-    staircase walks, so the search makes O(log N) expected decisions over N
-    entries and never runs a selection."""
+    Keeps the open interval (lo, hi) between the largest value known to be
+    infeasible and the smallest entry known to be feasible, decides at an
+    entry drawn uniformly from strictly inside it, and stops once no entry
+    is left inside.  Each draw is a rank query by staircase walks, so the
+    search makes O(log N) expected decisions over N entries and never runs a
+    selection."""
     if rng is None:
         rng = random.Random(0)
-    lo = min(m.min_entry() for m in mats) - 1
-    hi = max(m.max_entry() for m in mats)
+    if lo is None:
+        lo = min(m.min_entry() for m in mats) - 1
+    if hi is None:
+        hi = max(m.max_entry() for m in mats)
     # per-matrix counts below hi and up to lo; a decision moves one bound,
     # so only that bound's counts are walked again
     below_hi = [m.count_lt(hi) for m in mats]
-    upto_lo = [0] * len(mats)  # lo lies below every entry
+    # the entries are ints: up to lo means below lo + 1
+    upto_lo = [m.count_lt(lo + 1) for m in mats]
     while True:
         counts = [b - a for b, a in zip(below_hi, upto_lo)]
         active = sum(counts)
@@ -137,7 +145,6 @@ def sampled_search(mats: list, feasible, rng: random.Random | None = None):
             below_hi = [m.count_lt(hi) for m in mats]
         else:
             lo = x
-            # the entries are ints: up to lo means below lo + 1
             upto_lo = [m.count_lt(lo + 1) for m in mats]
 
 
@@ -403,8 +410,11 @@ def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
     each other freely, contributed by one complete cover part.  (Letting a
     point reach any projection instead gives the same optimum: none is nearer
     than its own.)  The optimum is found by the sampled search over the
-    coordinate-difference candidates.  The answer is exact, with float
-    values read exactly."""
+    coordinate-difference candidates, started inside the bracket (lb - 1, ub]
+    of two bounds that cost no decision: ub, the largest distance of a point
+    to the diagonal, is feasible by sending every point to its own
+    projection, and below lb (see ``_diagram_lower_bound``) some point has no
+    partner at all.  The answer is exact, with float values read exactly."""
     dgm_x, dgm_y = _diagram(X), _diagram(Y)
     if not dgm_x.points and not dgm_y.points:
         return 0
@@ -427,8 +437,6 @@ def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
     centres = pts[nx:]
 
     def feasible(lam) -> bool:
-        if lam < 0:
-            return False
         own = [([i], [ny + i]) for i in range(nx) if to_diagonal[i] <= lam]
         own += [([nx + j], [j]) for j in range(ny) if to_diagonal[nx + j] <= lam]
         cover = _box_cover(tree, centres, lam, sd, own + free)
@@ -438,8 +446,47 @@ def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
     mats = [SortedMatrix(to_diagonal, (0,))]
     if nx and ny:
         mats += build_sorted_matrices(pts[:nx], pts[nx:])
-    lam = sampled_search(mats, feasible, rng)
-    # the search decides strictly below its initial bound, the largest entry
-    if lam == max(m.max_entry() for m in mats) and not feasible(lam):
-        raise InternalError("search landed on an infeasible bound")
+    lb = _diagram_lower_bound(pts, to_diagonal, nx)
+    # ub is an entry and feasible, so the search needs no decision at it
+    lam = sampled_search(mats, feasible, rng, lo=lb - 1, hi=max(to_diagonal))
     return Fraction(lam, 2 * scale)
+
+
+def _diagram_lower_bound(pts, to_diagonal, nx) -> int:
+    """The largest, over the points of both diagrams (``pts[:nx]`` and
+    ``pts[nx:]``, doubled int coordinates), of the smaller of the point's
+    distance to the diagonal and its L-infinity distance to the nearest point
+    of the other diagram.  Below it that point's row or column has no
+    incidence, so no bound there is feasible.
+
+    Points are taken in decreasing distance to the diagonal, until that
+    distance cannot raise the bound.  Each scans the other diagram outward
+    from its (x, y)-sorted position, one step on each side at a time; a side
+    stops at an x-gap of the point's best value so far, and the scan stops
+    once a partner within the bound turns up."""
+    others = (sorted(pts[nx:]), sorted(pts[:nx]))
+    lb = 0
+    for d, k in sorted(zip(to_diagonal, range(len(pts))), reverse=True):
+        if d <= lb:
+            break
+        px, py = pts[k]
+        other = others[k >= nx]
+        best = d
+        right = bisect_left(other, (px, py))
+        left = right - 1
+        while best > lb:
+            moved = False
+            if left >= 0 and px - other[left][0] < best:
+                qx, qy = other[left]
+                best = min(best, max(px - qx, abs(py - qy)))
+                left -= 1
+                moved = True
+            if right < len(other) and other[right][0] - px < best:
+                qx, qy = other[right]
+                best = min(best, max(qx - px, abs(py - qy)))
+                right += 1
+                moved = True
+            if not moved:
+                break
+        lb = max(lb, best)
+    return lb

@@ -71,7 +71,8 @@ def disk_cover(points, centres, r_sq) -> BicliqueCover:
     disk) order.  The pairs are found in 3x3 neighbourhoods of a grid of
     square cells whose side s is a rational just above the radius; each cell
     is the floor of an exact quotient, so no incidence is lost at any
-    coordinate size, and int inputs with an int ``r_sq`` stay ints."""
+    coordinate size.  Float coordinates are read exactly, once each, and
+    int inputs with an int ``r_sq`` stay ints."""
     r_sq = exact(r_sq)
     if r_sq < 0:
         raise InputError("negative squared radius")
@@ -82,12 +83,12 @@ def disk_cover(points, centres, r_sq) -> BicliqueCover:
     k = math.isqrt(r_sq.numerator * d) + 1
     grid = defaultdict(list)
     for j, (x, y) in enumerate(centres):
-        grid[exact(x) * d // k, exact(y) * d // k].append((j, x, y))
+        x, y = exact(x), exact(y)
+        grid[x * d // k, y * d // k].append((j, x, y))
     parts = []
     for i, (px, py) in enumerate(points):
-        gx, gy = exact(px) * d // k, exact(py) * d // k
-        # squared distances on the coordinates as given, as
-        # ``geometry.contains`` and ``validate_cover`` take them
+        px, py = exact(px), exact(py)
+        gx, gy = px * d // k, py * d // k
         hits = [
             j
             for cx in (gx - 1, gx, gx + 1)

@@ -1,8 +1,9 @@
 """Points, ranges and metrics shared by the cover, flow and matching solvers.
 
 Ranges are closed: a point on the boundary of a box or disk is incident to it.
-Disk membership is always decided on squared distances, so rational inputs
-stay exact even though an L2 radius itself may be irrational.
+Disk membership is always decided on squared distances, with floats read
+exactly, so every decision is exact even though an L2 radius itself may be
+irrational.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .numeric import InputError
+from .numeric import InputError, exact
 
 
 class Metric(Enum):
@@ -67,7 +68,7 @@ class Box:
 class Disk:
     """Closed planar disk.  ``radius_sq`` is the authoritative field for
     membership tests; pass it explicitly to get exact decisions for radii that
-    are only known as squared values."""
+    are only known as squared values.  A float radius is squared exactly."""
 
     center: Point
     radius: object
@@ -79,7 +80,7 @@ class Disk:
         if self.radius_sq is None:
             if self.radius < 0:
                 raise InputError("negative disk radius")
-            object.__setattr__(self, "radius_sq", self.radius * self.radius)
+            object.__setattr__(self, "radius_sq", exact(self.radius) ** 2)
         elif self.radius_sq < 0:
             raise InputError("negative squared radius")
 
@@ -92,10 +93,10 @@ Range = Union[Box, Disk]
 
 
 def squared_distance(p: Point, q: Point):
-    """Squared L2 distance, exact on ints and Fractions."""
+    """Squared L2 distance, exact: floats are read through ``exact``."""
     if p.dim != q.dim:
         raise InputError("points disagree on dimension")
-    return sum((a - b) * (a - b) for a, b in zip(p.coords, q.coords))
+    return sum((exact(a) - exact(b)) ** 2 for a, b in zip(p.coords, q.coords))
 
 
 def distance(metric: Metric, p: Point, q: Point):
@@ -114,7 +115,7 @@ def distance(metric: Metric, p: Point, q: Point):
 
 
 def contains(r: Range, p: Point) -> bool:
-    """Closed containment test, exact for rational inputs."""
+    """Closed containment test, exact for int, Fraction and float inputs."""
     if isinstance(r, Box):
         if r.dim != p.dim:
             raise InputError("range and point disagree on dimension")

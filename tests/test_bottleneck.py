@@ -19,7 +19,7 @@ from geomatch.flow import SupplyDemand, matching_value
 from geomatch.geometry import Metric, Point, rotate45
 from geomatch.numeric import InputError
 
-from brute import _DIST, bottleneck_brute, pd_brute, range_tree_parts
+from brute import _DIST, bottleneck_brute, linf, pd_brute, range_tree_parts
 from helpers import rand_fraction, rand_points, rand_sd
 from oracle import ExplicitBipartite, reference_max_flow
 
@@ -100,22 +100,33 @@ def test_sampled_search_finds_smallest_feasible_entry():
     flat = sorted(
         s * (p[axis] - q[axis]) for s in (1, -1) for axis in (0, 1) for p in pp for q in qq
     )
-    for k, t in enumerate(rng.sample(flat, 30) + [flat[0], flat[-1]]):
+    cases = [(t, {}) for t in rng.sample(flat, 30) + [flat[0], flat[-1]]]
+    # given intervals: lo below the answer (an entry, or between entries) and
+    # hi a feasible entry, possibly the answer itself
+    for t in rng.sample(flat, 30) + [flat[0], flat[-1]]:
+        below = [x for x in flat if x < t]
+        lo = rng.choice(below) - rng.randrange(2) if below else t - 1
+        cases.append((t, {"lo": lo, "hi": rng.choice([x for x in flat if x >= t])}))
+    for k, (t, bounds) in enumerate(cases):
         calls = []
 
         def feasible(x, t=t):
             calls.append(x)
             return x >= t
 
-        assert sampled_search(mats, feasible, random.Random(k)) == t
+        assert sampled_search(mats, feasible, random.Random(k), **bounds) == t
         # each decision is made strictly inside the shrinking interval
         assert len(calls) == len(set(calls))
+        lo, hi = bounds.get("lo", flat[0] - 1), bounds.get("hi", flat[-1])
+        assert all(lo < x < hi for x in calls)
 
 
-def _recount_both_search(mats, feasible, rng):
+def _recount_both_search(mats, feasible, rng, *, lo=None, hi=None):
     """The search loop that walks every staircase at both bounds per draw."""
-    lo = min(m.min_entry() for m in mats) - 1
-    hi = max(m.max_entry() for m in mats)
+    if lo is None:
+        lo = min(m.min_entry() for m in mats) - 1
+    if hi is None:
+        hi = max(m.max_entry() for m in mats)
     while True:
         counts = [m.count_lt(hi) - m.count_lt(lo + 1) for m in mats]
         if sum(counts) == 0:
@@ -139,19 +150,21 @@ def test_search_recounting_one_bound_makes_the_same_decisions(monkeypatch):
         P, Q = rand_pts(rng, 9), rand_pts(rng, 9)
         cases.append(lambda P=P, Q=Q: bottleneck_search(P, Q, Metric.LINF).lambda_star)
         cases.append(lambda P=P, Q=Q: bottleneck_search(P, Q, Metric.L1).lambda_star)
-        X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
-        Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+        # 9 crowded points a side: smaller or sparser diagrams often leave
+        # the bracket of pd_bottleneck no candidate to decide
+        X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fractions(rng, 9, 2)]
+        Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fractions(rng, 9, 2)]
         cases.append(lambda X=X, Y=Y: pd_bottleneck(X, Y))
 
     def decisions(search, run):
         decided = []
 
-        def logged(matrices, feasible, rng=None):
+        def logged(matrices, feasible, rng=None, **bounds):
             def logged_feasible(x):
                 decided.append(x)
                 return feasible(x)
 
-            return search(matrices, logged_feasible, rng)
+            return search(matrices, logged_feasible, rng, **bounds)
 
         monkeypatch.setattr(bottleneck_mod, "sampled_search", logged)
         return run(), decided
@@ -480,7 +493,7 @@ def _count_decisions(monkeypatch, search_name, feas_pos, cover_owner, cover_name
     counts = {"asked": 0, "made": 0}
     search, cover = getattr(bottleneck_mod, search_name), getattr(cover_owner, cover_name)
 
-    def counted_search(*args):
+    def counted_search(*args, **bounds):
         args = list(args)
         feasible = args[feas_pos]
 
@@ -490,7 +503,7 @@ def _count_decisions(monkeypatch, search_name, feas_pos, cover_owner, cover_name
             return feasible(v)
 
         args[feas_pos] = asked
-        return search(*args)
+        return search(*args, **bounds)
 
     def counted_cover(*args, **kwargs):
         counts["made"] += 1
@@ -521,11 +534,16 @@ def test_search_decides_only_when_asked(monkeypatch, metric):
 def test_pd_decides_only_when_asked(monkeypatch):
     counts = _count_decisions(monkeypatch, "sampled_search", 1, BoxTree, "parts")
     rng = random.Random(29)
-    X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
-    Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
-    assert pd_bottleneck(X, Y) == pd_brute(X, Y)
-    assert counts["asked"] > 0
-    assert counts["made"] == counts["asked"]
+    asked = 0
+    # the search's bracket leaves some instances no candidate to decide
+    for _ in range(6):
+        X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+        Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+        assert pd_bottleneck(X, Y) == pd_brute(X, Y)
+        assert counts["made"] == counts["asked"]
+        asked += counts["asked"]
+        counts.update(asked=0, made=0)
+    assert asked > 0
 
 
 def _rebuilt_runs(monkeypatch, run) -> list:
@@ -608,8 +626,12 @@ def test_pd_symmetry():
         assert pd_bottleneck(X, Y) == pd_bottleneck(Y, X)
 
 
+def rand_fractions(rng, n, span=10):
+    return [rand_fraction(rng, -span, span) for _ in range(n)]
+
+
 def rand_fraction_list(rng, n):
-    return [rand_fraction(rng, -10, 10) for _ in range(rng.randrange(0, n))]
+    return rand_fractions(rng, rng.randrange(0, n))
 
 
 def test_pd_matches_brute_force():
@@ -618,6 +640,68 @@ def test_pd_matches_brute_force():
         X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 7)]
         Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 7)]
         assert pd_bottleneck(X, Y) == pd_brute(X, Y)
+
+
+def _pd_bracket(X, Y):
+    """(lb, ub) of the diagram search, by brute force: ub is the largest
+    distance to the diagonal, lb the largest over every point of the smaller
+    of that distance and the distance to the other diagram's nearest point."""
+    to_diagonal = lambda p: Fraction(p[1] - p[0], 2)
+    ub = max(map(to_diagonal, X + Y))
+    lb = max(
+        min([to_diagonal(p)] + [linf(p, q) for q in other])
+        for pts, other in ((X, Y), (Y, X))
+        for p in pts
+    )
+    return lb, ub
+
+
+def test_pd_search_decides_inside_its_bracket(monkeypatch):
+    rng = random.Random(31)
+    crowded = lambda k: [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fractions(rng, k, 2)]
+    equal_births = lambda k: [(0, rand_fraction(rng, 1, 6)) for _ in range(k)]
+    equal_deaths = lambda k: [(b, 4) for b in rand_fractions(rng, k, 3)]
+    cases = []
+    for _ in range(8):
+        n, m = rng.randrange(1, 8), rng.randrange(1, 8)
+        X = crowded(n)
+        cases += [
+            (X, crowded(m)),
+            (X, []),
+            (X, list(X)),
+            # far apart: every point goes to the diagonal
+            (X, [(b + 100, d + 100) for b, d in crowded(m)]),
+            (equal_births(n), equal_births(m)),
+            (equal_deaths(n), equal_deaths(m)),
+        ]
+    bracket = {}
+
+    def logged(mats, feasible, rng=None, *, lo, hi):
+        def logged_feasible(x):
+            bracket["decided"].append(x)
+            return feasible(x)
+
+        bracket.update(lo=lo, hi=hi)
+        return sampled_search(mats, logged_feasible, rng, lo=lo, hi=hi)
+
+    monkeypatch.setattr(bottleneck_mod, "sampled_search", logged)
+    at = {"lb": 0, "ub": 0, "inside": 0}
+    made = 0
+    for X, Y in cases:
+        bracket["decided"] = []
+        star = pd_bottleneck(X, Y)
+        assert star == pd_brute(X, Y)
+        lb, ub = _pd_bracket(X, Y)
+        # the search runs on ints: its unit is a fixed fraction of the input's
+        unit = ub / bracket["hi"]
+        assert (bracket["lo"] + 1) * unit == lb
+        # ub is feasible by construction and never decided
+        assert all(bracket["lo"] < x < bracket["hi"] for x in bracket["decided"])
+        assert lb <= star <= ub
+        made += len(bracket["decided"])
+        at["lb" if star == lb else "ub" if star == ub else "inside"] += 1
+    assert all(at.values()), at
+    assert made
 
 
 def test_pd_scaled_inputs_match_brute_force():

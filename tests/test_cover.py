@@ -16,7 +16,7 @@ from geomatch.cover import (
     validate_cover,
 )
 from geomatch.bottleneck import decide
-from geomatch.geometry import Box, Disk, Metric, Point
+from geomatch.geometry import Box, Disk, Metric, Point, contains
 from geomatch.numeric import InputError
 
 from brute import range_tree_parts
@@ -123,6 +123,20 @@ def test_disk_cover_with_a_fractional_squared_radius():
     ]
     with pytest.raises(InputError):
         disk_cover([(0, 0)], centres, -1)
+
+
+def test_float_disks_decide_exactly():
+    # in floats the squared distance and 7.8 ** 2 both round to the same
+    # value; exactly, the point lies outside the disk
+    p, c = Point((3.9, -9.8)), Point((-3.3, -6.8))
+    dx, dy = Fraction(3.9) - Fraction(-3.3), Fraction(-9.8) - Fraction(-6.8)
+    assert dx * dx + dy * dy > Fraction(7.8) ** 2
+    disk = Disk(c, 7.8)
+    assert disk.radius_sq == Fraction(7.8) ** 2
+    assert not contains(disk, p)
+    assert trivial_cover([p], [disk]).parts == []
+    assert disk_cover([p.coords], [c.coords], Fraction(7.8) ** 2).parts == []
+    assert not decide([p], [c], Metric.L2, 7.8).feasible
 
 
 def test_box_cover_matches_brute_force_all_dims():
