@@ -22,7 +22,6 @@ point has no partner.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .flow import (
     seed_flow,
 )
 from .geometry import Metric, Point
-from .numeric import InputError, InternalError, exact, integer_scale, scaled_ints
+from .numeric import InputError, InternalError, exact, float_sqrt, integer_scale, scaled_ints
 
 _L2_MATERIALIZE_LIMIT = 10**7
 
@@ -332,7 +331,7 @@ def bottleneck_search(
     if not ints:
         lam = Fraction(lam, scale * scale if metric is Metric.L2 else scale)
     if metric is Metric.L2:
-        return BottleneckResult(math.sqrt(float(lam)), metric, witness, lambda_star_sq=lam)
+        return BottleneckResult(float_sqrt(lam), metric, witness, lambda_star_sq=lam)
     return BottleneckResult(lam, metric, witness)
 
 

@@ -28,7 +28,7 @@ from .flow import (
 )
 from .geometry import Box, Disk, Metric, Point
 from .implicit_dinitz import max_matching_implicit
-from .numeric import InputError, InternalError, parse_scalar, scalar_to_json
+from .numeric import InputError, InternalError, parse_scalar, scalar_to_json, to_float
 
 _METRICS = {"linf": Metric.LINF, "l1": Metric.L1, "l2": Metric.L2}
 
@@ -156,7 +156,7 @@ def parse_diagram(path: str):
 def _shown(task: dict):
     """How a task prints its numbers: every result is exact, and
     ``--numeric float`` only rounds it to a float when printing."""
-    return float if task["numeric"] == "float" else scalar_to_json
+    return to_float if task["numeric"] == "float" else scalar_to_json
 
 
 def _matching_json(matching, shown):

@@ -7,11 +7,10 @@ part (A, B) with |A| >= 2 and |B| >= 2 sends them through one middle vertex,
 one point or one range has |A|*|B| <= |A| + |B| - 1, so its incidences are
 direct point-to-range edges and it has no middle vertex.
 
-The kernel is shared with the implicit engine (``implicit_dinitz``), whose
-phase networks have the same shape: ``FlowNetwork`` lays out the arrays of
-``build_network`` and ``expand_level_graph``, ``_blocking_flow`` is the one
-blocking-flow DFS of ``max_flow_dinitz`` and of the engine, and
-``_pair_part`` the one pairing of a middle vertex's flows.
+The kernel is shared with the implicit engine (``implicit_dinitz``), and
+only this module knows the edge layout: ``layered_network`` builds the
+networks of both Dinitz drivers, ``_blocking_flow`` is their one DFS and
+``project_flow`` their one reader of a flow.
 """
 
 from __future__ import annotations
@@ -54,7 +53,9 @@ class FlowNetwork:
     """Directed network from source 0 to sink 1 as a paired edge list: edge
     ``e ^ 1`` is the reverse of edge ``e``; original edge k has id 2k, runs
     from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``, and a
-    vertex's adjacency lists its edges by ascending id.
+    vertex's adjacency lists its edges by ascending id.  The point and the
+    range block follow the sink; ``points`` and ``ranges`` hold the index of
+    each of their vertices.
 
     ``direct`` is the id block, reverse slots included, of the direct
     point-to-range edges that ``build_network`` lays out; ``max_flow_dinitz``
@@ -66,8 +67,10 @@ class FlowNetwork:
     source = 0
     sink = 1
 
-    def __init__(self, n: int, tails, heads, caps, *, direct=range(0), level=None):
+    def __init__(self, n, tails, heads, caps, *, points, ranges, direct=range(0), level=None):
         self.n = n
+        self.points = points
+        self.ranges = ranges
         self.direct = direct
         self.level = level
         m = len(tails)
@@ -100,38 +103,74 @@ class Flow:
         return self.values[edge_id // 2]
 
 
-def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
-    """Flow network for a cover: vertex count 2 + |P| + |R| + (parts with a
-    middle vertex), edge count |P| + |R| + sum over parts of |A|*|B| for a
-    part with a singleton side and |A| + |B| for the others.
+def layered_network(pid, rid, mid0, feeders, drains, steps):
+    """Tails, heads and capacities, in id order, of the edges of a network in
+    the one layout of both Dinitz drivers, and the step of each middle vertex.
 
-    Vertices: source 0, sink 1, then the points, the ranges and one middle
-    vertex per part with two or more points and two or more ranges, in cover
-    order.  Original edge ids follow one fixed layout: a feeder per point, a
-    drain per range, then the direct edges of every part with a singleton
-    side (``net.direct``), then the pins (point to middle vertex) and the
-    pouts (middle vertex to range) of the other parts.  Each block runs in
-    cover order and in the order of each part's lists, a part's direct edges
-    point by point.  A vertex's adjacency lists its edges by ascending id."""
+    ``pid`` and ``rid`` map point and range indices to vertices; middle
+    vertices count from ``mid0``.  Edge ids run: the (indices, capacities)
+    feeders and drains, then per (parts, backward) step its (points, ranges)
+    parts in order and its (range, point, cap) backward edges.  A part with
+    two or more points and two or more ranges gets a middle vertex, its pins
+    then its pouts; any other part becomes direct edges, point by point."""
+    (fp, fcaps), (dr, dcaps) = feeders, drains
+    tails = [0] * len(fp) + [rid[r] for r in dr]
+    heads = [pid[p] for p in fp] + [1] * len(dr)
+    caps = [*fcaps, *dcaps]
+    mid_step = []
+    # one append per edge and no call per part: most parts hold one edge
+    tail, head = tails.append, heads.append
+    for j, (parts, backward) in enumerate(steps):
+        for ps, rs in parts:
+            if len(rs) == 1:  # direct edges into one range
+                v = rid[rs[0]]
+                for p in ps:
+                    tail(pid[p])
+                    head(v)
+            elif len(ps) > 1 and len(rs) > 1:
+                mid = mid0 + len(mid_step)
+                mid_step.append(j)
+                for p in ps:
+                    tail(pid[p])
+                    head(mid)
+                for r in rs:
+                    tail(mid)
+                    head(rid[r])
+            else:  # direct edges out of one point
+                for p in ps:
+                    for r in rs:
+                        tail(pid[p])
+                        head(rid[r])
+        caps += [INF] * (len(tails) - len(caps))
+        for r, p, cap in backward:
+            tail(rid[r])
+            head(pid[p])
+            caps.append(cap)
+    return tails, heads, caps, mid_step
+
+
+def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
+    """Flow network for a cover: ``layered_network`` with one step, the parts
+    with a singleton side first, so their direct edges form the id block
+    ``net.direct``.  2 + |P| + |R| + (parts with a middle vertex) vertices and
+    |P| + |R| + sum of |A|*|B| (singleton side) or |A| + |B| (other) edges."""
     np_, nr = cover.left_count, cover.right_count
     if len(sd.supplies) != np_ or len(sd.demands) != nr:
         raise InputError("supply/demand lengths disagree with the cover")
-    mids = [part for part in cover.parts if len(part[0]) > 1 and len(part[1]) > 1]
     direct = [part for part in cover.parts if len(part[0]) < 2 or len(part[1]) < 2]
-    rbase = 2 + np_
-    mid0 = rbase + nr
-    # tail and head vertex of each original edge, in id order
-    tails = [0] * np_ + list(range(rbase, mid0))
-    tails += [2 + p for pts, rngs in direct for p in pts for _ in rngs]
-    direct_ids = range(2 * (np_ + nr), 2 * len(tails))
-    tails += [2 + p for pts, _ in mids for p in pts]
-    tails += [mid for mid, (_, rngs) in enumerate(mids, mid0) for _ in rngs]
-    heads = list(range(2, rbase)) + [1] * nr
-    heads += [rbase + r for pts, rngs in direct for _ in pts for r in rngs]
-    heads += [mid for mid, (pts, _) in enumerate(mids, mid0) for _ in pts]
-    heads += [rbase + r for _, rngs in mids for r in rngs]
-    caps = list(sd.supplies) + list(sd.demands) + [INF] * (len(tails) - np_ - nr)
-    return FlowNetwork(mid0 + len(mids), tails, heads, caps, direct=direct_ids)
+    mids = [part for part in cover.parts if len(part[0]) > 1 and len(part[1]) > 1]
+    mid0 = 2 + np_ + nr
+    # lists, not ranges: indexed once per edge, and a list index is cheaper
+    pid, rid = list(range(2, 2 + np_)), list(range(2 + np_, mid0))
+    feeders, drains = (range(np_), sd.supplies), (range(nr), sd.demands)
+    tails, heads, caps, mid_step = layered_network(
+        pid, rid, mid0, feeders, drains, [(direct + mids, ())]
+    )
+    # the pins and pouts of the middle vertices close the list
+    direct_ids = range(2 * (np_ + nr), 2 * (len(tails) - sum(len(a) + len(b) for a, b in mids)))
+    n = mid0 + len(mid_step)
+    points, ranges = list(range(np_)), list(range(nr))
+    return FlowNetwork(n, tails, heads, caps, points=points, ranges=ranges, direct=direct_ids)
 
 
 def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
@@ -253,10 +292,10 @@ Matching = list
 def seed_flow(net: FlowNetwork, cover, matching: Matching) -> dict:
     """Route a matching through the network ``build_network`` made for
     ``cover``, as an initial flow for ``max_flow_dinitz``: each triple
-    (p, r, a) sends a along the feeder of p, a direct edge from p to r or
-    else the pin and pout of a part holding both, and the drain of r.  The
-    matching must respect the supplies and demands; a pair that no part
-    holds raises InternalError."""
+    (p, r, a) sends a along the feeder of p (id 2p in the layout), a direct
+    edge from p to r or else the pin and pout of a part holding both, and the
+    drain of r (id 2(|P| + r)).  The matching must respect the supplies and
+    demands; a pair that no part holds raises InternalError."""
     np_ = cover.left_count
     head, eto = net.head, net.eto
     flow = defaultdict(int)
@@ -277,39 +316,46 @@ def seed_flow(net: FlowNetwork, cover, matching: Matching) -> dict:
     return flow
 
 
-def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
-    """Read the matching off a flow in ``build_network``'s layout: each direct
-    edge with flow is a triple, and the flows through each middle vertex are
-    paired by ``_pair_part``.  Duplicate (p, r) pairs from overlapping parts
-    are merged.
+def project_flow(net: FlowNetwork, values, first: int):
+    """(adds, subs): the (point, range, amount) triples of the flow ``values``
+    on the edges of ``net`` from id ``first`` on.  ``adds`` holds the direct
+    edges' flows in id order, then each middle vertex's paired flows; ``subs``
+    the backward edges'.  An edge's role follows from its ends' blocks."""
+    points, ranges, eto = net.points, net.ranges, net.eto
+    rbase = 2 + len(points)
+    mid0 = rbase + len(ranges)
+    mids = [([], []) for _ in range(mid0, net.n)]  # per middle vertex: inflows, outflows
+    adds, subs = [], []
+    for k in range(first, len(values)):
+        amt = values[k]
+        if not amt > 0:
+            continue
+        u, v = eto[2 * k + 1], eto[2 * k]
+        if u < rbase:  # out of a point: a pin or a direct edge
+            if v >= mid0:
+                mids[v - mid0][0].append([points[u - 2], amt])
+            else:
+                adds.append((points[u - 2], ranges[v - rbase], amt))
+        elif u < mid0:  # out of a range: a backward edge
+            subs.append((points[v - 2], ranges[u - rbase], amt))
+        else:  # a pout
+            mids[u - mid0][1].append([ranges[v - rbase], amt])
+    for lp, lr in mids:
+        if lp or lr:
+            adds += _pair_part(lp, lr)
+    return adds, subs
 
-    A middle vertex is read from its adjacency: the reversed pins in the
-    order of the part's points, then the pouts in the order of its ranges."""
-    vals, eto, head = flow.values, net.eto, net.head
+
+def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
+    """Read the matching off a flow on ``build_network(cover, ...)`` with
+    ``project_flow``, merging the duplicate (p, r) pairs of overlapping
+    parts."""
     np_, nr = cover.left_count, cover.right_count
-    rbase = 2 + np_
-    mid0 = rbase + nr
-    if net.n != mid0 + sum(len(a) > 1 and len(b) > 1 for a, b in cover.parts):
+    if net.n != 2 + np_ + nr + sum(len(a) > 1 and len(b) > 1 for a, b in cover.parts):
         raise InternalError("network does not follow the cover's layout")
     merged = defaultdict(int)
-    first, stop = net.direct.start // 2, net.direct.stop // 2
-    for k in range(first, stop):
-        if vals[k] > 0:
-            merged[(eto[2 * k + 1] - 2, eto[2 * k] - rbase)] += vals[k]
-    # pins are the edges past the direct block that enter a middle vertex
-    busy = sorted(
-        {eto[2 * k] for k in range(stop, len(vals)) if vals[k] > 0 and eto[2 * k] >= mid0}
-    )
-    for mid in busy:
-        # an odd edge here is a reversed pin, flow vals[e >> 1] of its twin
-        lp = [[eto[e] - 2, vals[e >> 1]] for e in head[mid] if e & 1 and vals[e >> 1] > 0]
-        lr = [
-            [eto[e] - rbase, vals[e >> 1]]
-            for e in head[mid]
-            if not e & 1 and vals[e >> 1] > 0
-        ]
-        for p, r, amt in _pair_part(lp, lr):
-            merged[(p, r)] += amt
+    for p, r, amt in project_flow(net, flow.values, np_ + nr)[0]:
+        merged[(p, r)] += amt
     return [(p, r, amt) for (p, r), amt in sorted(merged.items()) if amt > 0]
 
 

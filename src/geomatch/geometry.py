@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .numeric import InputError, exact
+from .numeric import InputError, exact, float_sqrt
 
 
 class Metric(Enum):
@@ -100,17 +100,17 @@ def squared_distance(p: Point, q: Point):
 
 
 def distance(metric: Metric, p: Point, q: Point):
-    """Distance under the given metric.  L2 returns a float; use
-    :func:`squared_distance` when exactness matters."""
+    """Distance under the given metric, floats read through ``exact``: L∞
+    and L1 exact, L2 the float nearest to the root of ``squared_distance``."""
     if p.dim != q.dim:
         raise InputError("points disagree on dimension")
-    diffs = [abs(a - b) for a, b in zip(p.coords, q.coords)]
+    diffs = [abs(exact(a) - exact(b)) for a, b in zip(p.coords, q.coords)]
     if metric is Metric.LINF:
         return max(diffs)
     if metric is Metric.L1:
         return sum(diffs)
     if metric is Metric.L2:
-        return math.sqrt(float(squared_distance(p, q)))
+        return float_sqrt(squared_distance(p, q))
     raise InputError(f"unknown metric {metric!r}")
 
 

@@ -6,15 +6,10 @@ reversal edges from ranges back to points.  A phase never materializes the
 point-range edges: the level graph stores, per consecutive layer pair, the
 cover parts touched by the frontier (each part restricted to the nodes that
 actually sit on those two levels), and only feeder, backward, and draining
-edges explicitly.  Expansion then inserts one middle vertex per stored part
-with two or more points and two or more ranges and lists the incidences of
-the other parts as direct edges, so a phase costs O(n + sigma) regardless of
-how dense the incidences are.
-
-A phase network is a ``FlowNetwork`` like the explicit route's, with a level
-per vertex that rises strictly along every edge of the phase DAG; the one
-blocking-flow DFS of ``flow`` runs on it, and the flows of each middle vertex
-are paired by the same ``_pair_part`` as in ``flow.flow_to_matching``.
+edges explicitly, so a phase costs O(n + sigma) however dense the
+incidences are.  ``flow.layered_network`` expands it in the explicit route's
+layout, with levels that rise along every edge; ``flow``'s one DFS finds the
+blocking flow and ``flow.project_flow`` reads it back as (point, range) pairs.
 
 Between phases the flow support is pruned to a forest (rblct module), which
 keeps the backward edge count linear in the node count.
@@ -26,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cover import BicliqueCover
-from .flow import INF, Flow, FlowNetwork, Matching, SupplyDemand, _blocking_flow, _pair_part
+from .flow import Flow, FlowNetwork, Matching, SupplyDemand
+from .flow import _blocking_flow, layered_network, project_flow
 from .numeric import InputError, InternalError, integer_scale, scaled_ints
 from .rblct import prune_to_forest
 
@@ -55,7 +51,7 @@ class LevelGraph:
     """One phase's layered residual graph.
 
     Point layer j sits at level 2j+1, range layer j at level 2j+2, t at
-    ``t_level``.  ``forward[j]`` holds (part id, points, ranges) triples:
+    ``t_level``.  ``forward[j]`` holds (points, ranges) pairs:
     the cover parts consumed by point layer j, each restricted to that
     layer on the point side and to first-reached ranges on the range side.
     ``backward[j]`` holds (range, point, capacity) flow-reversal edges from
@@ -66,8 +62,8 @@ class LevelGraph:
     range_layers: list
     forward: list
     backward: list
-    feeders: list  # (point, unused supply) for layer 0
-    drains: list  # (range, unmet demand) at level t_level - 1
+    feeders: tuple  # (points of layer 0, their unused supplies)
+    drains: tuple  # (ranges at level t_level - 1, their unmet demands)
     t_level: int
 
     @property
@@ -145,7 +141,7 @@ def build_level_graph(
             pts_i = [p for p in c.parts[i][0] if p in fset]
             rngs_i = [r for r in c.parts[i][1] if not r_done[r]]
             if pts_i and rngs_i:
-                step_parts.append((i, pts_i, rngs_i))
+                step_parts.append((pts_i, rngs_i))
                 for r in rngs_i:
                     if r not in seen_r:
                         seen_r.add(r)
@@ -164,8 +160,8 @@ def build_level_graph(
                 range_layers=range_layers,
                 forward=forward,
                 backward=backward,
-                feeders=[(p, sd.supplies[p] - f.used[p]) for p in first],
-                drains=[(r, sd.demands[r] - f.met[r]) for r in unmet],
+                feeders=(first, [sd.supplies[p] - f.used[p] for p in first]),
+                drains=(unmet, [sd.demands[r] - f.met[r] for r in unmet]),
                 t_level=2 * len(range_layers) + 1,
             )
 
@@ -192,57 +188,24 @@ def build_level_graph(
 
 
 def expand_level_graph(L: LevelGraph) -> FlowNetwork:
-    """Explicit flow network for one phase, O(sigma) edges, all of the cover
-    part edges uncapacitated.  A stored part with two or more points and two
-    or more ranges becomes a middle vertex; a part with one point or one
-    range becomes direct point-to-range edges, added where its pins would
-    be, so each point's adjacency keeps the order the middle vertices give.
-
-    Vertices: source 0, sink 1, the points and the ranges in layer order,
-    then the middle vertices in step order.  Edge ids run feeders, then per
-    step its parts and its backward edges, then drains.  Point layer j sits
-    at level 3j+1, the middle vertices of step j at 3j+2 and range layer j at
-    3j+3, so every edge climbs and every reverse slot descends."""
+    """One phase's flow network, O(sigma) edges: ``flow.layered_network``
+    with one step per range layer, points and ranges in layer order.  Point
+    layer j sits at level 3j+1, the middle vertices of step j at 3j+2 and
+    range layer j at 3j+3, so every edge climbs and every reverse slot
+    descends."""
     pts = [p for layer in L.point_layers for p in layer]
     rngs = [r for layer in L.range_layers for r in layer]
     pid = {p: v for v, p in enumerate(pts, 2)}
-    base = 2 + len(pts)
-    rid = {r: v for v, r in enumerate(rngs, base)}
+    rid = {r: v for v, r in enumerate(rngs, 2 + len(pts))}
+    mid0 = 2 + len(pts) + len(rngs)
+    # the last range layer has no backward edges
+    steps = zip(L.forward, L.backward + [()])
+    tails, heads, caps, mid_step = layered_network(pid, rid, mid0, L.feeders, L.drains, steps)
     level = [0, 3 * len(L.range_layers) + 1]
     level += [3 * j + 1 for j, layer in enumerate(L.point_layers) for _ in layer]
     level += [3 * j + 3 for j, layer in enumerate(L.range_layers) for _ in layer]
-    tails = [0] * len(L.feeders)
-    heads = [pid[p] for p, _ in L.feeders]
-    caps = [cap for _, cap in L.feeders]
-    # one append per edge and no call per part: most parts hold one edge
-    tail, head = tails.append, heads.append
-    for j, step in enumerate(L.forward):
-        for _, ps, rs in step:
-            if len(ps) > 1 and len(rs) > 1:
-                mid = len(level)  # one level per vertex made so far
-                level.append(3 * j + 2)
-                for p in ps:
-                    tail(pid[p])
-                    head(mid)
-                for r in rs:
-                    tail(mid)
-                    head(rid[r])
-            else:
-                for p in ps:
-                    for r in rs:
-                        tail(pid[p])
-                        head(rid[r])
-        caps += [INF] * (len(tails) - len(caps))
-        if j < len(L.backward):
-            for r, p, cap in L.backward[j]:
-                tail(rid[r])
-                head(pid[p])
-                caps.append(cap)
-    for r, cap in L.drains:
-        tail(rid[r])
-        head(1)
-        caps.append(cap)
-    return FlowNetwork(len(level), tails, heads, caps, level=level)
+    level += [3 * j + 2 for j in mid_step]
+    return FlowNetwork(len(level), tails, heads, caps, points=pts, ranges=rngs, level=level)
 
 
 def blocking_flow(Lp: FlowNetwork) -> Flow:
@@ -256,48 +219,16 @@ def blocking_flow(Lp: FlowNetwork) -> Flow:
     return Flow(res[1::2], total)
 
 
-def augment_and_project(
-    f: PhaseState,
-    g: Flow,
-    L: LevelGraph,
-    net: FlowNetwork | None = None,
-) -> PhaseState:
-    """Fold a blocking flow back into (point, range) terms: backward flows
-    subtract from the stored pairs, then direct flows and the re-paired
-    per-part middle flows add to them, and the feeder/drain totals update
-    the supply/demand bookkeeping.  Mutates and returns ``f``.
-
-    Each edge's role follows from the vertex blocks of its two ends (see
-    ``expand_level_graph``): source, sink, point, range or middle vertex."""
-    if net is None:
-        net = expand_level_graph(L)
-    pts = [p for layer in L.point_layers for p in layer]
-    rngs = [r for layer in L.range_layers for r in layer]
-    base = 2 + len(pts)
-    mid0 = base + len(rngs)
-    ins = [[] for _ in range(mid0, net.n)]
-    outs = [[] for _ in range(mid0, net.n)]
-    subs = []
-    adds = []
-    eto = net.eto
-    for k, amt in enumerate(g.values):
-        if not amt > 0:
-            continue
-        u, v = eto[2 * k + 1], eto[2 * k]
-        if u == 0:  # feeder
-            f.used[pts[v - 2]] += amt
-        elif v == 1:  # drain
-            f.met[rngs[u - base]] += amt
-        elif u < base:  # out of a point: a pin or a direct edge
-            if v >= mid0:
-                ins[v - mid0].append([pts[u - 2], amt])
-            else:
-                adds.append((pts[u - 2], rngs[v - base], amt))
-        elif u < mid0:  # out of a range: a backward edge
-            subs.append((pts[v - 2], rngs[u - base], amt))
-        else:  # a pout
-            outs[u - mid0].append([rngs[v - base], amt])
-
+def augment_and_project(f: PhaseState, g: Flow, L: LevelGraph, net: FlowNetwork) -> PhaseState:
+    """Fold a blocking flow on ``net = expand_level_graph(L)`` into ``f``:
+    feeder and drain flows update the supply/demand bookkeeping, then the
+    pairs of ``flow.project_flow`` subtract and add.  Returns ``f``."""
+    (fp, _), (dr, _) = L.feeders, L.drains
+    for p, amt in zip(fp, g.values):
+        f.used[p] += amt
+    for r, amt in zip(dr, g.values[len(fp) : len(fp) + len(dr)]):
+        f.met[r] += amt
+    adds, subs = project_flow(net, g.values, len(fp) + len(dr))
     for p, r, amt in subs:
         cur = f.flow.get((p, r))
         if cur is None:
@@ -309,8 +240,6 @@ def augment_and_project(
             f.flow[(p, r)] = cur
         else:
             del f.flow[(p, r)]
-    for lp, lr in zip(ins, outs):
-        adds += _pair_part(lp, lr)
     for p, r, amt in adds:
         key = (p, r)
         f.flow[key] = f.flow.get(key, 0) + amt
@@ -367,7 +296,7 @@ def max_matching_implicit(
         g = blocking_flow(net)
         if not g.value > 0:
             raise InternalError("reachable t but empty blocking flow")
-        augment_and_project(state, g, L, net=net)
+        augment_and_project(state, g, L, net)
         state = prune_to_forest(state)
         if trace is not None:
             pushed = g.value if scale is None else Fraction(g.value, scale)

@@ -65,6 +65,31 @@ def scaled_ints(values, scale: int) -> tuple:
     return tuple(v.numerator * (scale // v.denominator) for v in map(exact, values))
 
 
+def to_float(x) -> float:
+    """The float nearest to an exact x; past the float range, an InputError
+    that names x."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"{x} lies past the float range") from None
+
+
+def float_sqrt(x) -> float:
+    """The float nearest to the square root of an exact x >= 0, through
+    integer square roots (``math.sqrt(float(x))`` rounds twice and fails past
+    the float range).  A root past the float range is an InputError."""
+    x = exact(x)
+    n, d = x.numerator, x.denominator
+    # s = floor(sqrt(x) 2^k) has 56+ bits: an inexact root rounds as (2s + 1) / 2^(k+1)
+    k = max(0, 58 - (n.bit_length() - d.bit_length()) // 2)
+    q, rem = divmod(n << 2 * k, d)
+    s = math.isqrt(q)
+    try:
+        return float(Fraction(2 * s + (rem != 0 or s * s != q), 2 << k))
+    except OverflowError:
+        raise InputError(f"the square root of {x} lies past the float range") from None
+
+
 def scalar_to_json(x):
     """Render a scalar for JSON output: exact fraction strings, floats as-is."""
     if isinstance(x, Fraction):

@@ -278,6 +278,32 @@ def test_pd_float_output_is_exact_answer_rounded(tmp_path, capsys):
         assert code == 0 and json.loads(stdout)["w_inf"] == want
 
 
+def test_l2_bottleneck_past_the_float_squares_prints_its_root(tmp_path, capsys):
+    # lambda*^2 = 10^400 lies past the float range, lambda* = 10^200 does not
+    red = write(tmp_path, "r.csv", "0,0\n")
+    blue = write(tmp_path, "b.csv", f"{10**200},0\n")
+    code, stdout, _ = run_cli(capsys, "bottleneck", red, blue, "--metric", "l2")
+    assert code == 0
+    assert json.loads(stdout)["lambda_star"] == 1e200
+    assert json.loads(stdout)["lambda_star_sq"] == str(10**400)
+
+
+def test_float_output_past_the_float_range_exits_2_naming_it(tmp_path, capsys):
+    d1 = write(tmp_path, "d1.csv", f"0,{10**400}\n")
+    d2 = write(tmp_path, "d2.csv", "0,1\n")
+    code, stdout, stderr = run_cli(capsys, "pd", d1, d2, "--numeric", "float")
+    assert code == 2 and stdout == ""
+    assert f"{5 * 10**399} lies past the float range" in stderr
+    code, stdout, _ = run_cli(capsys, "pd", d1, d2)
+    assert code == 0 and json.loads(stdout)["w_inf"] == str(5 * 10**399)
+    # an L2 lambda* is always printed as a float
+    red = write(tmp_path, "r.csv", "0,0\n")
+    blue = write(tmp_path, "b.csv", f"{10**400},0\n")
+    code, stdout, stderr = run_cli(capsys, "bottleneck", red, blue, "--metric", "l2")
+    assert code == 2 and stdout == ""
+    assert f"the square root of {10**800} lies past the float range" in stderr
+
+
 def test_pd_below_diagonal_is_input_error(tmp_path, capsys):
     d1 = write(tmp_path, "d1.csv", "3,1\n")
     d2 = write(tmp_path, "d2.csv", "")

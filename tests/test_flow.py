@@ -109,19 +109,20 @@ def test_matching_validation_catches_violations():
 
 
 def test_network_follows_the_cover_layout():
-    # a full part, a one-point part and a one-range part
-    cover = BicliqueCover(3, 3, [([0, 2], [1, 2]), ([1], [0, 2]), ([0, 1], [1])])
+    # a full part, a one-point part, a one-range part and a second full part
+    parts = [([0, 2], [1, 2]), ([1], [0, 2]), ([0, 1], [1]), ([1, 2], [0, 1])]
+    cover = BicliqueCover(3, 3, parts)
     net = build_network(cover, SupplyDemand((2, 3, 5), (1, 4, 6)))
-    # vertices: source 0, sink 1, points 2-4, ranges 5-7, one middle vertex 8
-    assert net.n == 9
+    # vertices: source 0, sink 1, points 2-4, ranges 5-7, middle vertices 8-9
+    assert net.n == 10
     tails = [net.eto[e + 1] for e in range(0, len(net.eto), 2)]
     heads = [net.eto[e] for e in range(0, len(net.eto), 2)]
     # feeders, drains, the direct edges of the one-point and the one-range
-    # part, then the pins and the pouts of the full part
-    assert tails == [0, 0, 0, 5, 6, 7, 3, 3, 2, 3, 2, 4, 8, 8]
-    assert heads == [2, 3, 4, 1, 1, 1, 5, 7, 6, 6, 8, 8, 6, 7]
+    # part, then per full part its pins and its pouts
+    assert tails == [0, 0, 0, 5, 6, 7, 3, 3, 2, 3, 2, 4, 8, 8, 3, 4, 9, 9]
+    assert heads == [2, 3, 4, 1, 1, 1, 5, 7, 6, 6, 8, 8, 6, 7, 9, 9, 5, 6]
     assert net.direct == range(12, 20)
-    assert net.ecap[0::2] == [2, 3, 5, 1, 4, 6] + [INF] * 8
+    assert net.ecap[0::2] == [2, 3, 5, 1, 4, 6] + [INF] * 12
     for u in range(net.n):
         assert net.head[u] == [e for e in range(len(net.eto)) if net.eto[e ^ 1] == u]
 

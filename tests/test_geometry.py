@@ -33,6 +33,16 @@ def test_squared_distance_exact():
     assert distance(Metric.L1, p, q) == Fraction(7, 2)
 
 
+def test_distance_reads_floats_exactly():
+    # 0.7 - (-0.3) rounds to 1.0 in floats; the exact difference is below 1
+    p, q = Point((0.7, 0.0)), Point((-0.3, 0.0))
+    want = Fraction(18014398509481983, 18014398509481984)
+    assert want == Fraction(0.7) - Fraction(-0.3)
+    assert distance(Metric.LINF, p, q) == want
+    assert distance(Metric.L1, p, q) == want
+    assert distance(Metric.L2, p, q) == float(want)
+
+
 def test_box_contains_closed_boundary():
     b = Box(Point((0, 0)), Point((2, 2)))
     assert contains(b, Point((0, 0)))

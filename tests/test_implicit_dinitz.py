@@ -64,7 +64,7 @@ def test_expanded_network_vertex_count():
         net = expand_level_graph(L)
         pts = sum(len(layer) for layer in L.point_layers)
         rngs = sum(len(layer) for layer in L.range_layers)
-        mids = sum(len(a) > 1 and len(b) > 1 for step in L.forward for _, a, b in step)
+        mids = sum(len(a) > 1 and len(b) > 1 for step in L.forward for a, b in step)
         assert net.n == 2 + pts + rngs + mids
         assert mids == (cover is full)
 
@@ -114,6 +114,11 @@ def test_blocking_flow_is_blocking_on_random_level_graphs():
         st = new_phase_state(n_p, n_r)
         while (L := build_level_graph(st, cover, sd)) is not Done:
             net = expand_level_graph(L)
+            # feeders first, then drains, then the steps' parts and backward edges
+            ends = zip(net.eto[1::2], net.eto[0::2])
+            roles = ["feeder" if u == 0 else "drain" if v == 1 else "step" for u, v in ends]
+            nf, nd = len(L.feeders[0]), len(L.drains[0])
+            assert roles == ["feeder"] * nf + ["drain"] * nd + ["step"] * (len(roles) - nf - nd)
             mids += net.n - 2 - sum(map(len, L.point_layers)) - sum(map(len, L.range_layers))
             backward += sum(map(len, L.backward))
             g = blocking_flow(net)
