@@ -248,7 +248,7 @@ def _solve(cover, sd, want_matching=True, seed=None) -> tuple:
     """One decision over a cover: (feasible, maximum matching or None).
     ``seed``, a matching over pairs the cover holds, starts the flow."""
     net = build_network(cover, sd)
-    initial = seed_flow(net, cover, seed) if seed else None
+    initial = seed_flow(net, seed) if seed else None
     flow = max_flow_dinitz(net, initial)
     feasible = sd.target == flow.value
     if not want_matching:

@@ -5,12 +5,15 @@ drains carry demands; the incidences in between are uncapacitated.  A cover
 part (A, B) with |A| >= 2 and |B| >= 2 sends them through one middle vertex,
 |A| + |B| edges instead of |A|*|B| (Feder-Motwani compression).  A part with
 one point or one range has |A|*|B| <= |A| + |B| - 1, so its incidences are
-direct point-to-range edges and it has no middle vertex.
+direct point-to-range edges and it has no middle vertex.  Parts keep the
+cover's order.
 
 The kernel is shared with the implicit engine (``implicit_dinitz``), and
-only this module knows the edge layout: ``layered_network`` builds the
-networks of both Dinitz drivers, ``_blocking_flow`` is their one DFS and
-``project_flow`` their one reader of a flow.
+only this module knows the layout.  A network describes itself by vertex
+blocks: source 0, sink 1, the points, the ranges, then the middle vertices.
+``layered_network`` builds the networks of both Dinitz drivers,
+``_blocking_flow`` is their one DFS and ``project_flow`` their one reader
+of a flow.
 """
 
 from __future__ import annotations
@@ -55,23 +58,18 @@ class FlowNetwork:
     from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``, and a
     vertex's adjacency lists its edges by ascending id.  The point and the
     range block follow the sink; ``points`` and ``ranges`` hold the index of
-    each of their vertices.
-
-    ``direct`` is the id block, reverse slots included, of the direct
-    point-to-range edges that ``build_network`` lays out; ``max_flow_dinitz``
-    counts each of them as two levels, the length of a path through a
-    middle vertex.  ``level`` is set on the phase networks of the implicit
-    engine: one level per vertex, rising strictly along every original
-    edge."""
+    each of their vertices, and the middle vertices close the list.  The
+    feeders and drains lead the edge list.  ``level`` is set on the phase
+    networks of the implicit engine: one level per vertex, rising strictly
+    along every original edge."""
 
     source = 0
     sink = 1
 
-    def __init__(self, n, tails, heads, caps, *, points, ranges, direct=range(0), level=None):
+    def __init__(self, n, tails, heads, caps, *, points, ranges, level=None):
         self.n = n
         self.points = points
         self.ranges = ranges
-        self.direct = direct
         self.level = level
         m = len(tails)
         self.eto = [0] * (2 * m)
@@ -151,26 +149,21 @@ def layered_network(pid, rid, mid0, feeders, drains, steps):
 
 def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
     """Flow network for a cover: ``layered_network`` with one step, the parts
-    with a singleton side first, so their direct edges form the id block
-    ``net.direct``.  2 + |P| + |R| + (parts with a middle vertex) vertices and
+    in cover order.  2 + |P| + |R| + (parts with a middle vertex) vertices and
     |P| + |R| + sum of |A|*|B| (singleton side) or |A| + |B| (other) edges."""
     np_, nr = cover.left_count, cover.right_count
     if len(sd.supplies) != np_ or len(sd.demands) != nr:
         raise InputError("supply/demand lengths disagree with the cover")
-    direct = [part for part in cover.parts if len(part[0]) < 2 or len(part[1]) < 2]
-    mids = [part for part in cover.parts if len(part[0]) > 1 and len(part[1]) > 1]
     mid0 = 2 + np_ + nr
     # lists, not ranges: indexed once per edge, and a list index is cheaper
     pid, rid = list(range(2, 2 + np_)), list(range(2 + np_, mid0))
     feeders, drains = (range(np_), sd.supplies), (range(nr), sd.demands)
     tails, heads, caps, mid_step = layered_network(
-        pid, rid, mid0, feeders, drains, [(direct + mids, ())]
+        pid, rid, mid0, feeders, drains, [(cover.parts, ())]
     )
-    # the pins and pouts of the middle vertices close the list
-    direct_ids = range(2 * (np_ + nr), 2 * (len(tails) - sum(len(a) + len(b) for a, b in mids)))
     n = mid0 + len(mid_step)
     points, ranges = list(range(np_)), list(range(nr))
-    return FlowNetwork(n, tails, heads, caps, points=points, ranges=ranges, direct=direct_ids)
+    return FlowNetwork(n, tails, heads, caps, points=points, ranges=ranges)
 
 
 def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
@@ -178,16 +171,16 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
     flow per phase, on exact capacities; the input network is not mutated.
     Each BFS stops at the sink's level, past which no shortest path runs.
 
-    A direct edge and its reverse slot (``net.direct``) span two levels, so
-    a point-to-range hop spans two levels whether or not its part has a
-    middle vertex.
+    A residual edge between two vertices of the point and range blocks, a
+    direct edge or its reverse slot, spans two levels, so a point-to-range
+    hop spans two levels whether or not its part has a middle vertex.
 
     ``initial`` maps original edge ids to the amounts of a feasible flow to
     start from (see ``seed_flow``); the phases augment it to a maximum."""
     res = list(net.ecap)
     s, t, n = net.source, net.sink, net.n
     head, eto = net.head, net.eto
-    lo, hi = net.direct.start, net.direct.stop
+    mid0 = 2 + len(net.points) + len(net.ranges)
     total = 0
     if initial:
         for e, amt in initial.items():
@@ -202,9 +195,11 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
 
     def bfs() -> bool:
         # Two buckets, the vertices one and two levels past the ones being
-        # expanded.  In a network from build_network every vertex has a fixed
-        # level parity (points and ranges odd, the rest even: one-level edges
-        # change it and two-level edges keep it), so a vertex's first level
+        # expanded.  In a network from build_network every edge joins the
+        # point and range blocks to the source, the sink or a middle vertex
+        # (one level, changing parity) or stays within those two blocks (two
+        # levels, keeping it).  So every vertex has a fixed level parity,
+        # points and ranges odd and the rest even, and a vertex's first level
         # is already its least one.  With those levels a residual edge never
         # climbs more levels than it spans, and parity rules out one level on
         # a two-level edge, so the blocking flow's test, a higher level at
@@ -216,10 +211,11 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
         while frontier or near:
             d += 1
             for u in frontier:
+                inner = 1 < u < mid0  # a point or a range
                 for e in head[u]:
                     v = eto[e]
                     if level[v] < 0 and res[e] > 0:
-                        if lo <= e < hi:
+                        if inner and 1 < v < mid0:
                             level[v] = d + 1
                             far.append(v)
                         else:
@@ -289,14 +285,14 @@ def _blocking_flow(head, eto, res, level, s, t):
 Matching = list
 
 
-def seed_flow(net: FlowNetwork, cover, matching: Matching) -> dict:
-    """Route a matching through the network ``build_network`` made for
-    ``cover``, as an initial flow for ``max_flow_dinitz``: each triple
-    (p, r, a) sends a along the feeder of p (id 2p in the layout), a direct
-    edge from p to r or else the pin and pout of a part holding both, and the
-    drain of r (id 2(|P| + r)).  The matching must respect the supplies and
-    demands; a pair that no part holds raises InternalError."""
-    np_ = cover.left_count
+def seed_flow(net: FlowNetwork, matching: Matching) -> dict:
+    """Route a matching through a network from ``build_network``, as an
+    initial flow for ``max_flow_dinitz``: each triple (p, r, a) sends a along
+    the feeder of p (id 2p in the layout), a direct edge from p to r or else
+    the pin and pout of a part holding both, and the drain of r (id
+    2(|P| + r)).  The matching must respect the supplies and demands; a pair
+    that no part holds raises InternalError."""
+    np_ = len(net.points)
     head, eto = net.head, net.eto
     flow = defaultdict(int)
     for p, r, amt in matching:
@@ -316,12 +312,14 @@ def seed_flow(net: FlowNetwork, cover, matching: Matching) -> dict:
     return flow
 
 
-def project_flow(net: FlowNetwork, values, first: int):
+def project_flow(net: FlowNetwork, values):
     """(adds, subs): the (point, range, amount) triples of the flow ``values``
-    on the edges of ``net`` from id ``first`` on.  ``adds`` holds the direct
-    edges' flows in id order, then each middle vertex's paired flows; ``subs``
-    the backward edges'.  An edge's role follows from its ends' blocks."""
+    on the edges of ``net`` past its feeders and drains, which lead the
+    layout.  ``adds`` holds the direct edges' flows in id order, then each
+    middle vertex's paired flows; ``subs`` the backward edges'.  An edge's
+    role follows from its ends' blocks."""
     points, ranges, eto = net.points, net.ranges, net.eto
+    first = len(net.head[net.source]) + len(net.head[net.sink])
     rbase = 2 + len(points)
     mid0 = rbase + len(ranges)
     mids = [([], []) for _ in range(mid0, net.n)]  # per middle vertex: inflows, outflows
@@ -349,12 +347,14 @@ def project_flow(net: FlowNetwork, values, first: int):
 def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
     """Read the matching off a flow on ``build_network(cover, ...)`` with
     ``project_flow``, merging the duplicate (p, r) pairs of overlapping
-    parts."""
-    np_, nr = cover.left_count, cover.right_count
-    if net.n != 2 + np_ + nr + sum(len(a) > 1 and len(b) > 1 for a, b in cover.parts):
-        raise InternalError("network does not follow the cover's layout")
+    parts.  The reading needs only the network; a flow or a network of
+    another shape raises InternalError."""
+    if len(flow.values) != net.edge_count:
+        raise InternalError("flow does not fit the network")
+    if len(net.points) != cover.left_count or len(net.ranges) != cover.right_count:
+        raise InternalError("network does not fit the cover")
     merged = defaultdict(int)
-    for p, r, amt in project_flow(net, flow.values, np_ + nr)[0]:
+    for p, r, amt in project_flow(net, flow.values)[0]:
         merged[(p, r)] += amt
     return [(p, r, amt) for (p, r), amt in sorted(merged.items()) if amt > 0]
 

@@ -38,8 +38,7 @@ class PhaseState:
     flow: dict  # (point, range) -> positive amount
     used: list  # shipped supply per point
     met: list  # received demand per range
-    phase: int = 0
-    t_levels: list = field(default_factory=list)
+    t_levels: list = field(default_factory=list)  # one per phase
 
 
 def new_phase_state(n_points: int, n_ranges: int) -> PhaseState:
@@ -65,15 +64,6 @@ class LevelGraph:
     feeders: tuple  # (points of layer 0, their unused supplies)
     drains: tuple  # (ranges at level t_level - 1, their unmet demands)
     t_level: int
-
-    @property
-    def levels(self) -> list:
-        out = [("s",)]
-        for j, pts in enumerate(self.point_layers):
-            out.append(tuple(pts))
-            out.append(tuple(self.range_layers[j]))
-        out.append(("t",))
-        return out
 
 
 def build_point_index(cover: BicliqueCover) -> list:
@@ -221,15 +211,16 @@ def blocking_flow(Lp: FlowNetwork) -> Flow:
 
 def augment_and_project(f: PhaseState, g: Flow, L: LevelGraph, net: FlowNetwork) -> PhaseState:
     """Fold a blocking flow on ``net = expand_level_graph(L)`` into ``f``:
-    feeder and drain flows update the supply/demand bookkeeping, then the
-    pairs of ``flow.project_flow`` subtract and add.  Returns ``f``."""
-    (fp, _), (dr, _) = L.feeders, L.drains
-    for p, amt in zip(fp, g.values):
-        f.used[p] += amt
-    for r, amt in zip(dr, g.values[len(fp) : len(fp) + len(dr)]):
-        f.met[r] += amt
-    adds, subs = project_flow(net, g.values, len(fp) + len(dr))
+    the pairs of ``flow.project_flow`` subtract and add, and by conservation
+    each pair moves the supply/demand bookkeeping of its point and range by
+    its amount.  Returns ``f``."""
+    adds, subs = project_flow(net, g.values)
+    used, met = f.used, f.met
+    pushed = 0
     for p, r, amt in subs:
+        used[p] -= amt
+        met[r] -= amt
+        pushed -= amt
         cur = f.flow.get((p, r))
         if cur is None:
             raise InternalError("backward flow on a pair with no stored flow")
@@ -241,10 +232,13 @@ def augment_and_project(f: PhaseState, g: Flow, L: LevelGraph, net: FlowNetwork)
         else:
             del f.flow[(p, r)]
     for p, r, amt in adds:
+        used[p] += amt
+        met[r] += amt
+        pushed += amt
         key = (p, r)
         f.flow[key] = f.flow.get(key, 0) + amt
-
-    f.phase += 1
+    if pushed != g.value:
+        raise InternalError("projected pairs do not carry the blocking flow")
     f.t_levels.append(L.t_level)
     return f
 
@@ -301,7 +295,7 @@ def max_matching_implicit(
         if trace is not None:
             pushed = g.value if scale is None else Fraction(g.value, scale)
             trace.append((L.t_level, pushed, len(state.flow)))
-        if state.phase > max_phases:
+        if len(state.t_levels) > max_phases:
             raise InternalError("phase count exceeded the layer bound")
     if scale is None:
         return sorted((p, r, a) for (p, r), a in state.flow.items())

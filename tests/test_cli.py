@@ -204,6 +204,19 @@ def test_bottleneck_metrics(tmp_path, capsys):
     assert code == 0 and body["lambda_star_sq"] == "5"
 
 
+def test_l2_bottleneck_output_ignores_the_seed(tmp_path, capsys):
+    # up to 10^7 pairs an L2 search bisects ranks and draws no pivot
+    rng = random.Random(17)
+    rows = lambda pts: "".join(",".join(map(str, p.coords)) + "\n" for p in pts)
+    red = write(tmp_path, "red.csv", rows(rand_points(rng, 12)))
+    blue = write(tmp_path, "blue.csv", rows(rand_points(rng, 12)))
+    outs = [
+        run_cli(capsys, "bottleneck", red, blue, "--metric", "l2", "--seed", seed)
+        for seed in ("0", "7")
+    ]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
 def test_bottleneck_decision_flag(tmp_path, capsys):
     red = write(tmp_path, "red.csv", "0,0\n")
     blue = write(tmp_path, "blue.csv", "1,2\n")

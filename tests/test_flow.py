@@ -16,6 +16,7 @@ from geomatch.flow import (
     validate_matching,
 )
 from geomatch.geometry import Box, Point
+from geomatch.implicit_dinitz import build_level_graph, expand_level_graph, new_phase_state
 from geomatch.numeric import InputError, InternalError
 
 from helpers import assert_blocking, rand_boxes, rand_fraction, rand_points, rand_sd
@@ -117,11 +118,10 @@ def test_network_follows_the_cover_layout():
     assert net.n == 10
     tails = [net.eto[e + 1] for e in range(0, len(net.eto), 2)]
     heads = [net.eto[e] for e in range(0, len(net.eto), 2)]
-    # feeders, drains, the direct edges of the one-point and the one-range
-    # part, then per full part its pins and its pouts
-    assert tails == [0, 0, 0, 5, 6, 7, 3, 3, 2, 3, 2, 4, 8, 8, 3, 4, 9, 9]
-    assert heads == [2, 3, 4, 1, 1, 1, 5, 7, 6, 6, 8, 8, 6, 7, 9, 9, 5, 6]
-    assert net.direct == range(12, 20)
+    # feeders, drains, then the parts in cover order: a full part's pins
+    # and pouts, the direct edges of any other part point by point
+    assert tails == [0, 0, 0, 5, 6, 7, 2, 4, 8, 8, 3, 3, 2, 3, 3, 4, 9, 9]
+    assert heads == [2, 3, 4, 1, 1, 1, 8, 8, 6, 7, 5, 7, 6, 6, 9, 9, 5, 6]
     assert net.ecap[0::2] == [2, 3, 5, 1, 4, 6] + [INF] * 12
     for u in range(net.n):
         assert net.head[u] == [e for e in range(len(net.eto)) if net.eto[e ^ 1] == u]
@@ -133,7 +133,6 @@ def test_singleton_sided_parts_build_no_middle_vertex():
     net = build_network(cover, SupplyDemand.unit(4, 3))
     assert net.n == 2 + 4 + 3
     assert net.edge_count == 4 + 3 + sum(len(a) * len(b) for a, b in parts)
-    assert net.direct == range(2 * 7, 2 * net.edge_count)
 
 
 def _mixed_cover(rng, g):
@@ -188,7 +187,7 @@ def test_mixed_covers_match_the_reference(unit):
             )
             sub_net = build_network(sub, sd)
             seed = flow_to_matching(max_flow_dinitz(sub_net), sub_net, sub)
-            runs.append(max_flow_dinitz(net, seed_flow(net, cover, seed)))
+            runs.append(max_flow_dinitz(net, seed_flow(net, seed)))
         for flow in runs:
             assert flow.value == want
             assert_blocking(net, flow)
@@ -236,6 +235,53 @@ def test_dinitz_levels_stop_at_the_sink(monkeypatch):
     assert sum(level > 4 for level in phases) > 10
 
 
+def _shuffled_parts(rng, n, m):
+    """Parts on n >= 2 points and m >= 2 ranges: one-point, one-range and
+    full ones (two or more of each) in random order."""
+    parts = []
+    for _ in range(rng.randrange(1, 8)):
+        a = sorted(rng.sample(range(n), rng.randrange(2, n + 1)))
+        b = sorted(rng.sample(range(m), rng.randrange(2, m + 1)))
+        kind = rng.randrange(3)
+        parts.append((a[:1] if kind == 0 else a, b[:1] if kind == 1 else b))
+    return parts
+
+
+def test_first_phase_levels_follow_the_vertex_blocks(monkeypatch):
+    # at zero flow the first BFS levels points 1, middle vertices 2, reached
+    # ranges 3 and the sink 4, wherever a part sits in the cover: a
+    # point-to-range edge spans two levels by its ends' blocks, not its id;
+    # the engine's first phase network fixes the same levels
+    firsts = []
+
+    def first_levels(head, eto, res, level, s, t):
+        firsts.append(list(level))
+        return blocking_flow(head, eto, res, level, s, t)
+
+    blocking_flow = flow_mod._blocking_flow
+    monkeypatch.setattr(flow_mod, "_blocking_flow", first_levels)
+    rng = random.Random(44)
+    # a full part ahead of direct ones, which an id block after the
+    # feeders and drains would take for the direct edges
+    covers = [BicliqueCover(3, 3, [([0, 1], [0, 1]), ([2], [1, 2]), ([0, 2], [2])])]
+    for _ in range(60):
+        n, m = rng.randrange(2, 9), rng.randrange(2, 9)
+        covers.append(BicliqueCover(n, m, _shuffled_parts(rng, n, m)))
+    for cover in covers:
+        n, m = cover.left_count, cover.right_count
+        sd = rand_sd(rng, n, m)
+        reached = {r for _, rs in cover.parts for r in rs}
+        mids = sum(len(a) > 1 and len(b) > 1 for a, b in cover.parts)
+        ranges = [3 if r in reached else -1 for r in range(m)]
+        want = [0, 4] + [1] * n + ranges + [2] * mids
+        del firsts[:]
+        max_flow_dinitz(build_network(cover, sd))
+        assert firsts[0] == want
+        engine = expand_level_graph(build_level_graph(new_phase_state(n, m), cover, sd))
+        assert sorted(engine.ranges) == sorted(reached)
+        assert engine.level == [0, 4] + [1] * n + [3] * len(reached) + [2] * mids
+
+
 def _centred_boxes(centres, half):
     return [
         Box(Point(tuple(c - half for c in q.coords)), Point(tuple(c + half for c in q.coords)))
@@ -269,7 +315,7 @@ def test_seeded_dinitz_matches_cold(unit):
         seeded += bool(seed)
         net = build_network(cover, sd)
         cold = max_flow_dinitz(net)
-        warm = max_flow_dinitz(net, seed_flow(net, cover, seed))
+        warm = max_flow_dinitz(net, seed_flow(net, seed))
         assert warm.value == cold.value
         assert_blocking(net, warm)
         matching = flow_to_matching(warm, net, cover)
@@ -281,13 +327,13 @@ def test_seeded_dinitz_matches_cold(unit):
 def test_seed_pair_outside_the_cover_raises():
     cover = BicliqueCover(2, 2, [([0], [0]), ([1], [1])])
     net = build_network(cover, SupplyDemand.unit(2, 2))
-    assert max_flow_dinitz(net, seed_flow(net, cover, [(1, 1, 1)])).value == 2
+    assert max_flow_dinitz(net, seed_flow(net, [(1, 1, 1)])).value == 2
     with pytest.raises(InternalError):
-        seed_flow(net, cover, [(0, 1, 1)])
+        seed_flow(net, [(0, 1, 1)])
 
 
 def test_initial_flow_over_capacity_raises():
     cover = BicliqueCover(1, 1, [([0], [0])])
     net = build_network(cover, SupplyDemand.unit(1, 1))
     with pytest.raises(InternalError):
-        max_flow_dinitz(net, seed_flow(net, cover, [(0, 0, 2)]))
+        max_flow_dinitz(net, seed_flow(net, [(0, 0, 2)]))

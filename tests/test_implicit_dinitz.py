@@ -39,7 +39,6 @@ def test_phase_state_shape():
     assert st.flow == {}
     assert st.used == [0, 0, 0]
     assert st.met == [0, 0]
-    assert st.phase == 0
     assert st.t_levels == []
 
 
@@ -49,8 +48,6 @@ def test_first_level_graph_shape():
     assert L is not Done
     assert L.t_level == 3
     assert L.backward == []
-    assert L.levels[0] == ("s",)
-    assert L.levels[-1] == ("t",)
     assert list(L.point_layers[0]) == [0, 1]
     assert list(L.range_layers[0]) == [0, 1]
 
@@ -124,9 +121,25 @@ def test_blocking_flow_is_blocking_on_random_level_graphs():
             g = blocking_flow(net)
             assert_blocking(net, g)
             st = prune_to_forest(augment_and_project(st, g, L, net))
+            # the supply/demand bookkeeping is the flow's per-node totals
+            used, met = [0] * n_p, [0] * n_r
+            for (p, r), amt in st.flow.items():
+                used[p] += amt
+                met[r] += amt
+            assert (st.used, st.met) == (used, met)
         g = ExplicitBipartite(n_p, n_r, sorted({(p, r) for a, b in parts for p in a for r in b}))
         assert sum(st.used) == reference_max_flow(g, sd.supplies, sd.demands)
     assert mids > 100 and backward > 20
+
+
+def test_projection_short_of_the_blocking_flow_raises():
+    st = new_phase_state(2, 2)
+    L = build_level_graph(st, TRIANGLE, TRIANGLE_SD)
+    net = expand_level_graph(L)
+    g = blocking_flow(net)
+    g.value += 1  # one unit more than the pairs carry
+    with pytest.raises(InternalError):
+        augment_and_project(st, g, L, net)
 
 
 def test_triangle_instance_value():
