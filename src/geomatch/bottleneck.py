@@ -10,14 +10,23 @@ form two implicitly sorted int matrices per axis.  A search keeps an open
 interval of candidate values (infeasible below, feasible above), decides
 feasibility at a uniformly sampled candidate strictly inside it, and shrinks
 the interval until none is left: O(log n) expected feasibility tests and no
-selection.  L2 works on squared distances so the decisions stay exact, and
-bisects the ranks of its sorted pair list.  Each test covers the incidences
-between one side and the metric balls around the other (a box tree for
-L-infinity and L1, ``cover.disk_cover`` for L2), and asks the flow module
-whether the target value is reached.  The diagram search starts inside a
-bracket of two bounds that need no decision: a feasible upper bound (every
-point to its own diagonal projection) and a lower bound below which some
-point has no partner.
+selection.  Each test covers the incidences between one side and the
+metric balls around the other (a box tree for L-infinity and L1), and asks
+the flow module whether the target value is reached; a feasible test's
+witness moves the interval's upper end down to its own bottleneck.
+
+L2 works on squared distances so the decisions stay exact.  It sorts its
+(squared distance, i, j) pairs once and grows one flow network along them,
+one direct edge per pair: a decision appends the pairs past the largest
+infeasible prefix and continues that prefix's maximum flow.  A feasible
+decision moves the upper end to the last pair its flow uses; an infeasible
+one moves the lower end past every pair that its minimum cut does not
+cross.  Past 10^7 pairs the sorted list is not kept, and the search draws
+its pivots by reservoir sampling and decides each on ``cover.disk_cover``.
+
+The diagram search starts inside a bracket of two bounds that need no
+decision: a feasible upper bound (every point to its own diagonal
+projection) and a lower bound below which some point has no partner.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import itemgetter
 
 from .cover import BicliqueCover, BoxTree, disk_cover
@@ -36,6 +44,7 @@ from .flow import (
     build_network,
     flow_to_matching,
     max_flow_dinitz,
+    project_flow,
     seed_flow,
 )
 from .geometry import Metric, Point
@@ -109,7 +118,9 @@ def sampled_search(mats: list, feasible, rng: random.Random | None = None, *, lo
     matrices ``mats``, with ``feasible(x)`` true, for a monotone
     ``feasible`` that fails at lo and holds at hi.  lo defaults to a
     sentinel below every entry and hi to the largest entry; a caller that
-    knows tighter bounds passes them, and hi is never decided.
+    knows tighter bounds passes them, and hi is never decided.  ``feasible``
+    returns a bool, or for a feasible x an entry in (lo, x] that it knows to
+    be feasible too, which then becomes hi.
 
     Keeps the open interval (lo, hi) between the largest value known to be
     infeasible and the smallest entry known to be feasible, decides at an
@@ -139,12 +150,15 @@ def sampled_search(mats: list, feasible, rng: random.Random | None = None, *, lo
                 break
             idx -= cnt
         x = m.open_at(lo, hi, idx)
-        if feasible(x):
-            hi = x
-            below_hi = [m.count_lt(hi) for m in mats]
-        else:
+        got = feasible(x)
+        if got is False:
             lo = x
             upto_lo = [m.count_lt(lo + 1) for m in mats]
+            continue
+        if got is not True and not lo < got <= x:
+            raise InternalError(f"feasible bound {got} outside ({lo}, {x}]")
+        hi = x if got is True else got
+        below_hi = [m.count_lt(hi) for m in mats]
 
 
 def _as_point(p) -> Point:
@@ -274,15 +288,19 @@ def bottleneck_search(
 ) -> BottleneckResult:
     """Minimum lam such that decide(..., lam) is feasible, with a witness
     matching.  L-infinity and L1 run the sampled search over the coordinate
-    differences; L2 bisects the ranks of the sorted squared pairwise
-    distances.  The search runs on the scaled ints of ``_int_coords``, so
-    the answer is exact on every input: an int for int coordinates and a
-    ``Fraction`` for any other.
+    differences; L2 grows one network along its sorted squared pairwise
+    distances (``_grown_search``), or past ``_L2_MATERIALIZE_LIMIT`` pairs
+    samples them without keeping them.  The search runs on the scaled ints
+    of ``_int_coords``, so the answer is exact on every input: an int for
+    int coordinates and a ``Fraction`` for any other.
 
-    Decisions are warm-started: the maximum matching of the last infeasible
-    decision uses only pairs within its bound, so it is a feasible flow at
-    every larger bound the search decides later and starts that decision's
-    max flow."""
+    Decisions move both ends of the search's interval.  A feasible one's
+    witness is feasible at its own bottleneck, so the upper end drops to
+    that value.  An infeasible one's maximum matching uses only pairs within
+    its bound, so it is a feasible flow at every larger bound the search
+    decides later and starts that decision's max flow; the grown L2 search
+    keeps it as its residual, and also lifts the lower end past every pair
+    its minimum cut leaves standing."""
     pp, qq, sd, scale, ints = _int_coords(Pset, Qset, metric, sd)
     if not pp or not qq:
         sq = 0 if metric is Metric.L2 else None
@@ -290,49 +308,56 @@ def bottleneck_search(
     if rng is None:
         rng = random.Random(0)
 
-    pairs = None
     if metric is Metric.L2 and len(pp) * len(qq) <= _L2_MATERIALIZE_LIMIT:
-        # sorted by distance alone: a stable sort keeps the (i, j) order of
-        # equal distances, so this is the order of the triples themselves
-        pairs = sorted(_squares(pp, qq), key=_distance)
-
-        def cover_at(lam_sq) -> BicliqueCover:
-            # the pairs within lam_sq are a prefix of them, one part each
-            k = bisect_right(pairs, lam_sq, key=_distance)
-            return BicliqueCover(len(pp), len(qq), [([i], [j]) for _d, i, j in islice(pairs, k)])
-
+        lam, witness = _grown_search(pp, qq, sd)
     else:
-        cover_at = _cover_at(pp, qq, metric, sd)
-
-    witness = seed = None
-
-    def feas(v) -> bool:
-        nonlocal witness, seed
-        if v < 0:
-            return False
-        feasible, matching = _solve(cover_at(v), sd, seed=seed)
-        if feasible:
-            # feasible decisions only lower the bound, so the last one is the
-            # witness at the value the search returns
-            witness = matching
-        else:
-            # every later decision is at a larger bound
-            seed = matching
-        return feasible
-
-    if metric is Metric.L2:
-        lam = _squared_search(pp, qq, pairs, feas, rng)
-    else:
-        lam = sampled_search(build_sorted_matrices(pp, qq), feas, rng)
-    # no decision was feasible: the search returned its largest candidate
-    # without deciding it
-    if witness is None and not feas(lam):
-        raise InternalError("search landed on an infeasible bound")
+        lam, witness = _cover_search(pp, qq, metric, sd, rng)
     if not ints:
         lam = Fraction(lam, scale * scale if metric is Metric.L2 else scale)
     if metric is Metric.L2:
         return BottleneckResult(float_sqrt(lam), metric, witness, lambda_star_sq=lam)
     return BottleneckResult(lam, metric, witness)
+
+
+def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
+    """(optimum, witness) by a search whose every decision solves a cover
+    from ``_cover_at``, warm-started by the last infeasible one."""
+    cover_at = _cover_at(pp, qq, metric, sd)
+    dist = _sq_dist if metric is Metric.L2 else _linf_dist
+    witness = seed = None
+
+    def feas(v):
+        # False, or the witness's bottleneck: a feasible bound at most v
+        nonlocal witness, seed
+        if v < 0:
+            return False
+        feasible, matching = _solve(cover_at(v), sd, seed=seed)
+        if not feasible:
+            # every later decision is at a larger bound
+            seed = matching
+            return False
+        # feasible decisions only lower the bound, so the last one is the
+        # witness at the value the search returns
+        witness = matching
+        return max(dist(pp[p], qq[r]) for p, r, _a in matching)
+
+    if metric is Metric.L2:
+        lam = _squared_search(pp, qq, feas, rng)
+    else:
+        lam = sampled_search(build_sorted_matrices(pp, qq), feas, rng)
+    # no decision was feasible: the search returned its largest candidate
+    # without deciding it
+    if witness is None and feas(lam) is False:
+        raise InternalError("search landed on an infeasible bound")
+    return lam, witness
+
+
+def _linf_dist(p, q) -> int:
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
+def _sq_dist(p, q) -> int:
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
 
 def _squares(pp, qq):
@@ -346,23 +371,85 @@ def _squares(pp, qq):
 _distance = itemgetter(0)
 
 
-def _squared_search(pp, qq, pairs, feasible, rng):
-    """Smallest squared distance between the int pairs of pp and qq at which
-    ``feasible`` holds.  Over ``pairs``, the sorted (squared distance, i, j)
-    triples, it bisects the ranks; without them, each pass over the pairs
-    draws a uniform pivot strictly inside the open interval by reservoir
-    sampling, in O(1) memory."""
-    if pairs is not None:
-        # rank hi is known feasible, rank lo (0: below every pair) is not
-        lo, hi = 0, len(pairs)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(pairs[mid - 1][0]):
-                hi = mid
-            else:
-                lo = mid
-        return pairs[hi - 1][0]
+def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
+    """(smallest feasible squared distance, witness) between the planar int
+    points pp and qq, over the sorted (squared distance, i, j) triples of
+    all pairs.  A rank k stands for the prefix ``pairs[:k]``; rank lo is
+    known infeasible and rank hi feasible.
 
+    One network holds the pairs, one direct edge each, and ``lo_res`` is
+    lo's maximum flow as a residual of lo's edges.  A decision at rank k
+    fits the network to the pairs of ranks up to k and continues lo's flow,
+    a copy of it with every pair past lo at its full capacity.  If it is
+    feasible, hi drops to the rank of the last pair its flow uses, and lo's
+    residual is still at hand for the next decision, which drops the pairs
+    past its own rank.  If not, its flow becomes lo's, and lo jumps to the
+    first pair from a point the flow's last BFS reached to a range it did
+    not: below it the same cut stands, at a capacity short of the target.
+    The flow is still maximum up there, so the network grows to lo with no
+    new phase.
+
+    Each decision ends a tie group, so it answers what a cold decision at
+    its distance would; the search stops once lo's next pair is as far as
+    hi's last one.  The witness is read once, from the last feasible
+    decision's residual."""
+    # sorted by distance alone: a stable sort keeps the (i, j) order of
+    # equal distances, so this is the order of the triples themselves
+    pairs = sorted(_squares(pp, qq), key=_distance)
+    dist = [d for d, _i, _j in pairs]
+    ps = [i for _d, i, _j in pairs]
+    rs = [j for _d, _i, j in pairs]
+    net = build_network(BicliqueCover(len(pp), len(qq), []), sd)
+    base = net.edge_count  # the feeders and drains; pair k is edge base + k
+
+    def fit(k) -> None:  # the network holds pairs[:k]
+        have = net.edge_count - base
+        if have > k:
+            net.truncate(base + k)
+        else:
+            net.add_direct(ps[have:k], rs[have:k])
+
+    lo_res = list(net.ecap)
+    lo, hi = 0, len(pairs)
+    witness = None
+    while dist[lo] < dist[hi - 1]:
+        x = dist[(lo + hi) // 2 - 1]
+        # the end of x's tie group, or of the one below hi's if that is x's
+        k = bisect_left(dist, x) if x == dist[hi - 1] else bisect_right(dist, x)
+        fit(k)
+        res = lo_res + net.ecap[len(lo_res) :]
+        flow = max_flow_dinitz(net, residual=res)
+        if flow.value == sd.target:
+            witness = res
+            hi = flow.last_loaded() - base + 1
+            if not lo < hi <= k:
+                raise InternalError(f"witness of rank {k} ends at rank {hi}")
+            continue
+        lo_res = res
+        S, T = map(set, flow.reached)
+        lo = k
+        while lo < hi and (ps[lo] not in S or rs[lo] in T):
+            lo += 1
+        if lo == hi:
+            raise InternalError(f"no pair below rank {hi} crosses an infeasible cut")
+        fit(lo)
+        lo_res += net.ecap[len(lo_res) :]
+    fit(hi)
+    if witness is None:
+        # hi is every pair, known feasible and never decided
+        witness = lo_res + net.ecap[len(lo_res) :]
+        if max_flow_dinitz(net, residual=witness).value != sd.target:
+            raise InternalError("search landed on an infeasible bound")
+    adds, _subs = project_flow(net, witness[1 : 2 * net.edge_count : 2])
+    return dist[hi - 1], sorted(adds)
+
+
+def _squared_search(pp, qq, feasible, rng):
+    """Smallest squared distance between the int pairs of pp and qq at which
+    ``feasible`` holds, where ``feasible`` returns False or a feasible
+    squared distance at most its argument.  Each pass over the pairs draws a
+    uniform pivot strictly inside the open interval by reservoir sampling,
+    in O(1) memory."""
     lo, hi = -1, max(map(_distance, _squares(pp, qq)))
     while True:
         seen = 0
@@ -374,10 +461,11 @@ def _squared_search(pp, qq, pairs, feasible, rng):
                     x = d
         if x is None:
             return hi
-        if feasible(x):
-            hi = x
-        else:
+        got = feasible(x)
+        if got is False:
             lo = x
+        else:
+            hi = got
 
 
 @dataclass(frozen=True)

@@ -328,11 +328,14 @@ def _common(sub) -> None:
         help="number format of the output; every result is computed exactly, "
         "and float prints it rounded to a float",
     )
-    sub.add_argument(
-        "--seed", type=int, default=0, help="seed of the searches' random pivots (L2 up "
-        "to 10^7 pairs bisects ranks instead); it changes no distance, only the witness"
-    )
     sub.add_argument("--jobs", type=int, default=1, help="parallel workers across instances")
+
+
+def _seeded(sub) -> None:
+    sub.add_argument(
+        "--seed", type=int, default=0, help="seed of the searches' random pivots (an L2 "
+        "search up to 10^7 pairs draws none); it changes no distance, only the witness"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,16 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--metric", choices=tuple(_METRICS), default="linf")
     b.add_argument("--lambda", dest="lam", help="decide feasibility at this bound")
     _common(b)
+    _seeded(b)
 
     p = subs.add_parser("pd", help="bottleneck distance between persistence diagrams")
     p.add_argument("files", nargs="+", help="alternating DIAGRAM DIAGRAM file pairs")
     _common(p)
+    _seeded(p)
 
     return ap
 
 
 def _tasks_from_args(args: argparse.Namespace) -> list:
-    base = {"numeric": args.numeric, "seed": args.seed}
+    base = {"numeric": args.numeric}
     if args.command == "cover":
         pairs = _pairs(args.files, ("points", "ranges"))
         if args.out and len(pairs) > 1:
@@ -404,10 +409,11 @@ def _tasks_from_args(args: argparse.Namespace) -> list:
     if args.command == "bottleneck":
         pairs = _pairs(args.files, ("red", "blue"))
         return [
-            dict(base, red=r, blue=b, metric=args.metric, lam=args.lam) for r, b in pairs
+            dict(base, red=r, blue=b, metric=args.metric, lam=args.lam, seed=args.seed)
+            for r, b in pairs
         ]
     pairs = _pairs(args.files, ("diagram", "diagram"))
-    return [dict(base, dgm1=a, dgm2=b) for a, b in pairs]
+    return [dict(base, dgm1=a, dgm2=b, seed=args.seed) for a, b in pairs]
 
 
 def main(argv=None) -> int:

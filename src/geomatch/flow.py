@@ -14,6 +14,12 @@ blocks: source 0, sink 1, the points, the ranges, then the middle vertices.
 ``layered_network`` builds the networks of both Dinitz drivers,
 ``_blocking_flow`` is their one DFS and ``project_flow`` their one reader
 of a flow.
+
+A network can also grow and shrink: ``FlowNetwork.extend`` appends edges
+after the others and ``truncate`` drops them again, and ``max_flow_dinitz``
+continues from the residual of an earlier flow and reports the points and
+ranges on the source side of its minimum cut.  The L2 bottleneck search
+grows one network along its sorted pairs this way.
 """
 
 from __future__ import annotations
@@ -71,34 +77,72 @@ class FlowNetwork:
         self.points = points
         self.ranges = ranges
         self.level = level
-        m = len(tails)
-        self.eto = [0] * (2 * m)
-        self.eto[0::2] = heads
-        self.eto[1::2] = tails
-        self.ecap = [0] * (2 * m)
-        self.ecap[0::2] = caps
-        tail_of = [0] * (2 * m)  # edge e leaves eto[e ^ 1]
-        tail_of[0::2] = tails
-        tail_of[1::2] = heads
+        self.eto, self.ecap = [], []
         self.head = [[] for _ in range(n)]
-        add = [h.append for h in self.head]
-        for e, u in enumerate(tail_of):
-            add[u](e)
+        self.extend(tails, heads, caps)
 
     @property
     def edge_count(self) -> int:
         return len(self.eto) // 2
 
+    def extend(self, tails, heads, caps) -> None:
+        """Append an edge from ``tails[k]`` to ``heads[k]`` with capacity
+        ``caps[k]`` for each k.  Their ids continue the list, so each is the
+        last of its ends' adjacencies until a later one comes, and
+        ``truncate`` undoes them."""
+        m, e0 = len(tails), len(self.eto)
+        eto = [0] * (2 * m)
+        eto[0::2] = heads
+        eto[1::2] = tails
+        self.eto += eto
+        ecap = [0] * (2 * m)
+        ecap[0::2] = caps
+        self.ecap += ecap
+        tail_of = [0] * (2 * m)  # edge e leaves eto[e ^ 1]
+        tail_of[0::2] = tails
+        tail_of[1::2] = heads
+        add = [h.append for h in self.head]
+        for e, u in enumerate(tail_of, e0):
+            add[u](e)
+
+    def add_direct(self, ps, rs) -> None:
+        """``extend`` by an uncapacitated direct edge from point ``ps[k]`` to
+        range ``rs[k]`` for each k, on a network whose point and range blocks
+        list the indices in order, as those of ``build_network`` do."""
+        rbase = 2 + len(self.points)
+        self.extend([2 + p for p in ps], [rbase + r for r in rs], [INF] * len(ps))
+
+    def truncate(self, m: int) -> None:
+        """Drop the original edges from index m on, the last ones appended."""
+        eto, head = self.eto, self.head
+        for e in range(len(eto) - 2, 2 * m - 1, -2):
+            head[eto[e + 1]].pop()
+            head[eto[e]].pop()
+        del eto[2 * m :], self.ecap[2 * m :]
+
 
 @dataclass
 class Flow:
-    """Per-edge flow aligned with a network's original (even) edge ids."""
+    """Per-edge flow aligned with a network's original (even) edge ids.
+    ``reached`` holds the indices of the points and of the ranges that the
+    last BFS of ``max_flow_dinitz`` reached: with the source they are the
+    source side of a minimum cut, whose capacity, the supplies of the other
+    points plus the demands of these ranges, is the flow's value."""
 
     values: list
     value: object
+    reached: tuple = ((), ())
 
     def on(self, edge_id: int):
         return self.values[edge_id // 2]
+
+    def last_loaded(self) -> int:
+        """Index of the last original edge that carries flow, -1 if none."""
+        values = self.values
+        k = len(values) - 1
+        while k >= 0 and not values[k] > 0:
+            k -= 1
+        return k
 
 
 def layered_network(pid, rid, mid0, feeders, drains, steps):
@@ -166,7 +210,9 @@ def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
     return FlowNetwork(n, tails, heads, caps, points=points, ranges=ranges)
 
 
-def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
+def max_flow_dinitz(
+    net: FlowNetwork, initial: dict | None = None, *, residual: list | None = None
+) -> Flow:
     """Dinitz max flow: BFS level graph, then a pointer-based DFS blocking
     flow per phase, on exact capacities; the input network is not mutated.
     Each BFS stops at the sink's level, past which no shortest path runs.
@@ -176,12 +222,22 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
     hop spans two levels whether or not its part has a middle vertex.
 
     ``initial`` maps original edge ids to the amounts of a feasible flow to
-    start from (see ``seed_flow``); the phases augment it to a maximum."""
-    res = list(net.ecap)
+    start from (see ``seed_flow``); the phases augment it to a maximum.
+    ``residual`` instead gives the residual capacity of every edge slot, the
+    state of an earlier flow on this network, say before ``extend`` appended
+    edges at their full capacities.  The phases continue from it and augment
+    the list in place."""
     s, t, n = net.source, net.sink, net.n
     head, eto = net.head, net.eto
-    mid0 = 2 + len(net.points) + len(net.ranges)
-    total = 0
+    rbase = 2 + len(net.points)
+    mid0 = rbase + len(net.ranges)
+    if residual is None:
+        res = list(net.ecap)
+        total = 0
+    else:
+        res = residual
+        # the source has original edges only; each one's flow sits on its twin
+        total = sum(res[e + 1] for e in head[s])
     if initial:
         for e, amt in initial.items():
             res[e] -= amt
@@ -233,8 +289,13 @@ def max_flow_dinitz(net: FlowNetwork, initial: dict | None = None) -> Flow:
 
     while bfs():
         total += _blocking_flow(head, eto, res, level, s, t)
+    points, ranges = net.points, net.ranges
+    reached = (
+        [points[v - 2] for v in range(2, rbase) if level[v] >= 0],
+        [ranges[v - rbase] for v in range(rbase, mid0) if level[v] >= 0],
+    )
     # Flow on an original edge equals the residual accumulated on its twin.
-    return Flow(res[1::2], total)
+    return Flow(res[1::2], total, reached)
 
 
 def _blocking_flow(head, eto, res, level, s, t):

@@ -19,7 +19,7 @@ from geomatch.flow import SupplyDemand, matching_value
 from geomatch.geometry import Metric, Point, rotate45
 from geomatch.numeric import InputError
 
-from brute import _DIST, bottleneck_brute, linf, pd_brute, range_tree_parts
+from brute import _DIST, bottleneck_brute, l2sq, linf, pd_brute, range_tree_parts
 from helpers import rand_fraction, rand_points, rand_sd
 from oracle import ExplicitBipartite, reference_max_flow
 
@@ -137,10 +137,12 @@ def _recount_both_search(mats, feasible, rng, *, lo=None, hi=None):
                 break
             idx -= cnt
         x = m.open_at(lo, hi, idx)
-        if feasible(x):
-            hi = x
-        else:
+        got = feasible(x)
+        if got is False:
             lo = x
+        else:
+            # a witness's own bottleneck, when the callback returns one
+            hi = x if got is True else got
 
 
 def test_search_recounting_one_bound_makes_the_same_decisions(monkeypatch):
@@ -450,6 +452,13 @@ def test_warm_search_matches_brute_force_many_to_many():
 
 @pytest.mark.parametrize("metric", list(Metric))
 def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
+    # A feasible decision's witness moves the search's upper end, and a warm
+    # and a cold max flow may hold different witnesses, so two whole searches
+    # may take different paths.  So every decision of either search is also
+    # made cold on its own network, and must reach the same value: a warm
+    # start changes no verdict.  The cold search starts every decision from
+    # the empty flow: no seed (L-infinity, L1) or a residual reset to the
+    # network's capacities (L2's grown network).
     dinitz = bottleneck_mod.max_flow_dinitz
     rng = random.Random(36)
     for _ in range(4):
@@ -458,16 +467,24 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
         for cold in (False, True):
             seeded = []
 
-            def counted(net, initial=None):
-                seeded.append(bool(initial))
-                return dinitz(net, None if cold else initial)
+            def counted(net, initial=None, *, residual=None):
+                if residual is None:
+                    seeded.append(bool(initial))
+                    initial = None if cold else initial
+                else:
+                    seeded.append(any(v > 0 for v in residual[1::2]))
+                    if cold:
+                        residual[:] = net.ecap
+                flow = dinitz(net, initial, residual=residual)
+                assert flow.value == dinitz(net).value
+                return flow
 
             monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", counted)
             r = bottleneck_search(P, Q, metric)
             runs.append((r.lambda_star_sq if metric is Metric.L2 else r.lambda_star, seeded))
         (warm_star, warm_seeded), (cold_star, cold_seeded) = runs
         assert warm_star == cold_star
-        assert len(warm_seeded) == len(cold_seeded)
+        assert warm_seeded and cold_seeded
         assert any(warm_seeded)
 
 
@@ -516,19 +533,130 @@ def _count_decisions(monkeypatch, search_name, feas_pos, cover_owner, cover_name
 
 @pytest.mark.parametrize("metric", list(Metric))
 def test_search_decides_only_when_asked(monkeypatch, metric):
-    if metric is Metric.L2:
-        # each decision's prefix of the sorted pairs is one BicliqueCover
-        counts = _count_decisions(
-            monkeypatch, "_squared_search", 3, bottleneck_mod, "BicliqueCover"
-        )
-    else:
-        counts = _count_decisions(monkeypatch, "sampled_search", 1, BoxTree, "parts")
     rng = random.Random(28)
     P, Q = rand_pts(rng, 8), rand_pts(rng, 8)
+    if metric is Metric.L2:
+        # the L2 search asks by growing its one network: every max flow is a
+        # decision at a prefix of the sorted pairs that no earlier verdict
+        # settles, and no cover or network is built per decision
+        log = _log_grown_search(monkeypatch)
+        r = bottleneck_search(P, Q, metric)
+        assert log["built"] == {"covers": 1, "networks": 1}
+        ranks = [k for k, _value, _reached in log["decisions"]]
+        assert ranks and len(set(ranks)) == len(ranks)
+        lo, hi = 0, 64
+        for k, value, _reached in log["decisions"]:
+            assert lo < k < hi or k == hi == 64
+            if value == 8:
+                hi = k
+            else:
+                lo = k
+        assert len(r.matching) == 8
+        return
+    counts = _count_decisions(monkeypatch, "sampled_search", 1, BoxTree, "parts")
     r = bottleneck_search(P, Q, metric)
     assert counts["asked"] > 0
     assert counts["made"] == counts["asked"]
     assert len(r.matching) == 8
+
+
+def _log_grown_search(monkeypatch) -> dict:
+    """Wrap the L2 search's max flow, its network builder and its cover
+    class.  ``decisions`` gets (rank, flow value, reached set) per max flow,
+    the rank being the number of pair edges past the feeders and drains;
+    ``built`` counts the covers and networks made."""
+    log = {"decisions": [], "built": {"covers": 0, "networks": 0}}
+    dinitz, build, cover = (
+        bottleneck_mod.max_flow_dinitz, bottleneck_mod.build_network, bottleneck_mod.BicliqueCover
+    )
+
+    def logged(net, initial=None, *, residual=None):
+        flow = dinitz(net, initial, residual=residual)
+        k = net.edge_count - len(net.points) - len(net.ranges)
+        log["decisions"].append((k, flow.value, flow.reached))
+        return flow
+
+    def built(kind, make):
+        def counted(*args, **kwargs):
+            log["built"][kind] += 1
+            return make(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", logged)
+    monkeypatch.setattr(bottleneck_mod, "build_network", built("networks", build))
+    monkeypatch.setattr(bottleneck_mod, "BicliqueCover", built("covers", cover))
+    return log
+
+
+def _int_grid_cases(rng, count):
+    """Tie-heavy planar instances: int points on small grids (and a few
+    sparser ones), with repeated points, and a many-to-many ``SupplyDemand`` with fractional amounts in
+    every other case."""
+    cases = []
+    for t in range(count):
+        n, m = rng.randrange(1, 10), rng.randrange(1, 10)
+        side = rng.choice((1, 2, 3, 12))
+        grid = lambda k: [Point((rng.randrange(side + 1), rng.randrange(side + 1))) for _ in range(k)]
+        P, Q = grid(n), grid(m)
+        P += rng.sample(P, rng.randrange(len(P)))  # duplicates
+        if t % 2:
+            sd = rand_sd(rng, len(P), len(Q), integral=False)
+        else:
+            Q = Q[: len(P)] + grid(len(P) - len(Q))
+            sd = None
+        cases.append((P, Q, sd))
+    return cases
+
+
+def test_grown_search_decisions_match_cold_decisions(monkeypatch):
+    log = _log_grown_search(monkeypatch)
+    rng = random.Random(44)
+    jumps = 0
+    for P, Q, sd in _int_grid_cases(rng, 60):
+        log["decisions"].clear()
+        r = bottleneck_search(P, Q, Metric.L2, sd=sd)
+        full = sd or SupplyDemand.unit(len(P), len(Q))
+        # int points need no scaling: the search's squares are the inputs'
+        dist = sorted(l2sq(p, q) for p in P for q in Q)
+        # the cold decisions below log their own max flows
+        for k, value, (S, T) in list(log["decisions"]):
+            # every decision ends a tie group, so a cold decision at its
+            # distance has the same incidences and must give the same verdict
+            assert k == len(dist) or dist[k] > dist[k - 1]
+            feasible = value == full.target
+            assert decide(P, Q, Metric.L2, dist[k - 1], sd=sd, squared=True).feasible == feasible
+            if feasible:
+                continue
+            # the reached set is a minimum cut ...
+            out_s = [i for i in range(len(P)) if i not in S]
+            assert value == sum(full.supplies[i] for i in out_s) + sum(full.demands[j] for j in T)
+            # ... that stands below the nearest pair crossing it, so the
+            # bound just below that pair's distance is infeasible cold
+            cross = min(l2sq(P[i], Q[j]) for i in S for j in range(len(Q)) if j not in T)
+            below = max(d for d in dist if d < cross)
+            assert below >= dist[k - 1]
+            assert not decide(P, Q, Metric.L2, below, sd=sd, squared=True).feasible
+            jumps += below > dist[k - 1]
+        assert r.lambda_star_sq == _brute_sd(P, Q, full, Metric.L2)
+    assert jumps > 5
+
+
+def test_grown_search_matches_brute_force_on_ties():
+    rng = random.Random(45)
+    for P, Q, sd in _int_grid_cases(rng, 80):
+        r = bottleneck_search(P, Q, Metric.L2, sd=sd)
+        full = sd or SupplyDemand.unit(len(P), len(Q))
+        assert r.lambda_star_sq == _brute_sd(P, Q, full, Metric.L2)
+        used, met = [0] * len(P), [0] * len(Q)
+        assert len({(p, q) for p, q, _a in r.matching}) == len(r.matching)
+        for p, q, a in r.matching:
+            assert a > 0 and l2sq(P[p], Q[q]) <= r.lambda_star_sq
+            used[p] += a
+            met[q] += a
+        assert all(u <= s for u, s in zip(used, full.supplies))
+        assert all(m <= d for m, d in zip(met, full.demands))
+        assert matching_value(r.matching) == full.target
 
 
 def test_pd_decides_only_when_asked(monkeypatch):

@@ -205,7 +205,7 @@ def test_bottleneck_metrics(tmp_path, capsys):
 
 
 def test_l2_bottleneck_output_ignores_the_seed(tmp_path, capsys):
-    # up to 10^7 pairs an L2 search bisects ranks and draws no pivot
+    # up to 10^7 pairs an L2 search grows one network and draws no pivot
     rng = random.Random(17)
     rows = lambda pts: "".join(",".join(map(str, p.coords)) + "\n" for p in pts)
     red = write(tmp_path, "red.csv", rows(rand_points(rng, 12)))
@@ -215,6 +215,15 @@ def test_l2_bottleneck_output_ignores_the_seed(tmp_path, capsys):
         for seed in ("0", "7")
     ]
     assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["match", "cover"])
+def test_seed_is_refused_where_nothing_reads_it(triangle, capsys, command):
+    # only the searches of `bottleneck` and `pd` draw random pivots
+    with pytest.raises(SystemExit) as exc:
+        main([command, *triangle, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_bottleneck_decision_flag(tmp_path, capsys):

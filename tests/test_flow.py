@@ -337,3 +337,61 @@ def test_initial_flow_over_capacity_raises():
     net = build_network(cover, SupplyDemand.unit(1, 1))
     with pytest.raises(InternalError):
         max_flow_dinitz(net, seed_flow(net, [(0, 0, 2)]))
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_reached_set_is_a_minimum_cut(unit):
+    rng = random.Random(51 if unit else 52)
+    short = 0  # flows below the target, whose cut is not the trivial one
+    for _ in range(80):
+        pts = rand_points(rng, rng.randrange(1, 16), lo=-15, hi=15)
+        boxes = rand_boxes(rng, rng.randrange(1, 16), lo=-40, hi=0, max_side=50)
+        g = brute_force_incidences(pts, boxes)
+        cover = _mixed_cover(rng, g)
+        if unit:
+            sd = SupplyDemand.unit(len(pts), len(boxes))
+        else:
+            sd = rand_sd(rng, len(pts), len(boxes), integral=False)
+        flow = max_flow_dinitz(build_network(cover, sd))
+        S, T = map(set, flow.reached)
+        assert S <= set(range(len(pts))) and T <= set(range(len(boxes)))
+        cut = sum(s for i, s in enumerate(sd.supplies) if i not in S)
+        assert cut + sum(sd.demands[j] for j in T) == flow.value
+        for ps, rs in cover.parts:
+            assert not (S & set(ps)) or set(rs) <= T
+        short += flow.value < sd.target
+    assert short > 20
+
+
+def test_grown_network_continues_to_a_maximum_flow():
+    rng = random.Random(53)
+    for _ in range(40):
+        n, m = rng.randrange(1, 9), rng.randrange(1, 9)
+        sd = rand_sd(rng, n, m, integral=rng.random() < 0.5)
+        pairs = [(i, j) for i in range(n) for j in range(m) if rng.random() < 0.4]
+        rng.shuffle(pairs)
+        net = build_network(BicliqueCover(n, m, []), sd)
+        base = net.edge_count
+        res = list(net.ecap)
+        k = 0
+        while k < len(pairs):
+            step = pairs[k : k + rng.randrange(1, 6)]
+            if rng.random() < 0.3:
+                # appended and dropped again, leaving the network as it was
+                before = (list(net.eto), list(net.ecap), [list(h) for h in net.head])
+                net.add_direct([p for p, _r in step], [r for _p, r in step])
+                net.truncate(base + k)
+                assert (net.eto, net.ecap, net.head) == before
+                continue
+            k += len(step)
+            net.add_direct([p for p, _r in step], [r for _p, r in step])
+            res += net.ecap[len(res) :]
+            flow = max_flow_dinitz(net, residual=res)
+            # the same layout as the network of one part per pair, built anew
+            cover = BicliqueCover(n, m, [([p], [r]) for p, r in pairs[:k]])
+            fresh = build_network(cover, sd)
+            assert (net.eto, net.ecap, net.head) == (fresh.eto, fresh.ecap, fresh.head)
+            assert flow.value == max_flow_dinitz(fresh).value
+            assert res[1::2] == flow.values
+            assert_blocking(net, flow)
+            assert matching_value(flow_to_matching(flow, net, cover)) == flow.value
