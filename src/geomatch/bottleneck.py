@@ -262,8 +262,7 @@ def _solve(cover, sd, want_matching=True, seed=None) -> tuple:
     """One decision over a cover: (feasible, maximum matching or None).
     ``seed``, a matching over pairs the cover holds, starts the flow."""
     net = build_network(cover, sd)
-    initial = seed_flow(net, seed) if seed else None
-    flow = max_flow_dinitz(net, initial)
+    flow = max_flow_dinitz(net, seed_flow(net, seed) if seed else None)
     feasible = sd.target == flow.value
     if not want_matching:
         return feasible, None
@@ -323,11 +322,11 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
     """(optimum, witness) by a search whose every decision solves a cover
     from ``_cover_at``, warm-started by the last infeasible one."""
     cover_at = _cover_at(pp, qq, metric, sd)
-    dist = _sq_dist if metric is Metric.L2 else _linf_dist
     witness = seed = None
 
     def feas(v):
-        # False, or the witness's bottleneck: a feasible bound at most v
+        # False, or for L-infinity and L1 the witness's bottleneck: a
+        # feasible bound at most v
         nonlocal witness, seed
         if v < 0:
             return False
@@ -339,7 +338,9 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
         # feasible decisions only lower the bound, so the last one is the
         # witness at the value the search returns
         witness = matching
-        return max(dist(pp[p], qq[r]) for p, r, _a in matching)
+        if metric is Metric.L2:
+            return True
+        return max(_linf_dist(pp[p], qq[r]) for p, r, _a in matching)
 
     if metric is Metric.L2:
         lam = _squared_search(pp, qq, feas, rng)
@@ -354,10 +355,6 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
 
 def _linf_dist(p, q) -> int:
     return max(abs(a - b) for a, b in zip(p, q))
-
-
-def _sq_dist(p, q) -> int:
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
 
 def _squares(pp, qq):
@@ -446,10 +443,9 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
 
 def _squared_search(pp, qq, feasible, rng):
     """Smallest squared distance between the int pairs of pp and qq at which
-    ``feasible`` holds, where ``feasible`` returns False or a feasible
-    squared distance at most its argument.  Each pass over the pairs draws a
-    uniform pivot strictly inside the open interval by reservoir sampling,
-    in O(1) memory."""
+    ``feasible`` holds.  Each pass over the pairs draws a uniform pivot
+    strictly inside the open interval by reservoir sampling, in O(1)
+    memory."""
     lo, hi = -1, max(map(_distance, _squares(pp, qq)))
     while True:
         seen = 0
@@ -461,11 +457,10 @@ def _squared_search(pp, qq, feasible, rng):
                     x = d
         if x is None:
             return hi
-        got = feasible(x)
-        if got is False:
-            lo = x
+        if feasible(x):
+            hi = x
         else:
-            hi = got
+            lo = x
 
 
 @dataclass(frozen=True)

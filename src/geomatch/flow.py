@@ -210,9 +210,7 @@ def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
     return FlowNetwork(n, tails, heads, caps, points=points, ranges=ranges)
 
 
-def max_flow_dinitz(
-    net: FlowNetwork, initial: dict | None = None, *, residual: list | None = None
-) -> Flow:
+def max_flow_dinitz(net: FlowNetwork, residual: list | None = None) -> Flow:
     """Dinitz max flow: BFS level graph, then a pointer-based DFS blocking
     flow per phase, on exact capacities; the input network is not mutated.
     Each BFS stops at the sink's level, past which no shortest path runs.
@@ -221,31 +219,18 @@ def max_flow_dinitz(
     direct edge or its reverse slot, spans two levels, so a point-to-range
     hop spans two levels whether or not its part has a middle vertex.
 
-    ``initial`` maps original edge ids to the amounts of a feasible flow to
-    start from (see ``seed_flow``); the phases augment it to a maximum.
-    ``residual`` instead gives the residual capacity of every edge slot, the
-    state of an earlier flow on this network, say before ``extend`` appended
-    edges at their full capacities.  The phases continue from it and augment
-    the list in place."""
+    ``residual`` gives the residual capacity of every edge slot, the state
+    of a feasible flow on this network to start from: a matching routed by
+    ``seed_flow``, or an earlier flow continued after ``extend`` appended
+    edges at their full capacities.  The phases augment it to a maximum in
+    place; without it they start from the empty flow."""
     s, t, n = net.source, net.sink, net.n
     head, eto = net.head, net.eto
     rbase = 2 + len(net.points)
     mid0 = rbase + len(net.ranges)
-    if residual is None:
-        res = list(net.ecap)
-        total = 0
-    else:
-        res = residual
-        # the source has original edges only; each one's flow sits on its twin
-        total = sum(res[e + 1] for e in head[s])
-    if initial:
-        for e, amt in initial.items():
-            res[e] -= amt
-            res[e ^ 1] += amt
-            if res[e] < 0:
-                raise InternalError("initial flow exceeds an edge capacity")
-            if eto[e ^ 1] == s:
-                total += amt
+    res = list(net.ecap) if residual is None else residual
+    # the source has original edges only; each one's flow sits on its twin
+    total = sum(res[e + 1] for e in head[s])
     unreached = [-1] * n
     level = list(unreached)
 
@@ -346,16 +331,16 @@ def _blocking_flow(head, eto, res, level, s, t):
 Matching = list
 
 
-def seed_flow(net: FlowNetwork, matching: Matching) -> dict:
-    """Route a matching through a network from ``build_network``, as an
-    initial flow for ``max_flow_dinitz``: each triple (p, r, a) sends a along
-    the feeder of p (id 2p in the layout), a direct edge from p to r or else
-    the pin and pout of a part holding both, and the drain of r (id
-    2(|P| + r)).  The matching must respect the supplies and demands; a pair
-    that no part holds raises InternalError."""
+def seed_flow(net: FlowNetwork, matching: Matching) -> list:
+    """Route a matching through a network from ``build_network``, as the
+    residual a ``max_flow_dinitz`` starts from: each triple (p, r, a) sends
+    a along the feeder of p (id 2p in the layout), a direct edge from p to r
+    or else the pin and pout of a part holding both, and the drain of r (id
+    2(|P| + r)).  A pair that no part holds, or a matching past a supply or
+    a demand, raises InternalError."""
     np_ = len(net.points)
     head, eto = net.head, net.eto
-    flow = defaultdict(int)
+    res = list(net.ecap)
     for p, r, amt in matching:
         r_node = 2 + np_ + r
         # p's even edges are its direct edges and its pins
@@ -369,8 +354,11 @@ def seed_flow(net: FlowNetwork, matching: Matching) -> dict:
                 raise InternalError(f"seed pair ({p}, {r}) is in no part of the cover")
             route = (pin, pout[eto[pin]])
         for e in (2 * p, *route, 2 * (np_ + r)):
-            flow[e] += amt
-    return flow
+            res[e] -= amt
+            res[e + 1] += amt
+            if res[e] < 0:
+                raise InternalError("seed flow exceeds an edge capacity")
+    return res
 
 
 def project_flow(net: FlowNetwork, values):

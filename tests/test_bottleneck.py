@@ -452,40 +452,66 @@ def test_warm_search_matches_brute_force_many_to_many():
 
 @pytest.mark.parametrize("metric", list(Metric))
 def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
-    # A feasible decision's witness moves the search's upper end, and a warm
-    # and a cold max flow may hold different witnesses, so two whole searches
-    # may take different paths.  So every decision of either search is also
-    # made cold on its own network, and must reach the same value: a warm
-    # start changes no verdict.  The cold search starts every decision from
-    # the empty flow: no seed (L-infinity, L1) or a residual reset to the
-    # network's capacities (L2's grown network).
-    dinitz = bottleneck_mod.max_flow_dinitz
+    # A warm start changes no verdict and no minimum cut: the points and
+    # ranges an infeasible decision's last BFS reaches are the same for every
+    # maximum flow.  But a warm and a cold maximum flow may hold different
+    # witnesses, and a feasible decision's witness moves the search's upper
+    # end.  So the two searches decide the same bounds with the same
+    # verdicts and cuts up to the first feasible decision whose witness ends
+    # elsewhere, and make equally many decisions when none does.  The cold
+    # search starts every max flow from the empty flow: no seed (L-infinity,
+    # L1) or a residual reset to the network's capacities (L2's grown
+    # network).
+    dinitz, search = bottleneck_mod.max_flow_dinitz, bottleneck_mod.sampled_search
     rng = random.Random(36)
     for _ in range(4):
         P, Q = rand_pts(rng, 12), rand_pts(rng, 12)
         runs = []
         for cold in (False, True):
-            seeded = []
+            seeded, steps, last = [], [], []
 
-            def counted(net, initial=None, *, residual=None):
-                if residual is None:
-                    seeded.append(bool(initial))
-                    initial = None if cold else initial
+            def counted(net, residual=None):
+                seeded.append(residual is not None and any(v > 0 for v in residual[1::2]))
+                if cold and residual is not None:
+                    residual[:] = net.ecap
+                flow = dinitz(net, residual)
+                if not cold:
+                    assert flow.value == dinitz(net).value
+                if flow.value == 12:
+                    last[:] = [True, flow.last_loaded()]
                 else:
-                    seeded.append(any(v > 0 for v in residual[1::2]))
-                    if cold:
-                        residual[:] = net.ecap
-                flow = dinitz(net, initial, residual=residual)
-                assert flow.value == dinitz(net).value
+                    last[:] = [False, (flow.value, flow.reached)]
+                if metric is Metric.L2:
+                    # the rank: the pair edges past the feeders and drains
+                    steps.append((net.edge_count - 24, *last))
                 return flow
 
+            def logged_search(mats, feasible, rng=None, **bounds):
+                def logged(x):
+                    last.clear()
+                    got = feasible(x)
+                    # a negative bound is infeasible without a max flow
+                    steps.append((x, got is not False, got if last[:1] == [True] else last[1:]))
+                    return got
+
+                return search(mats, logged, rng, **bounds)
+
             monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", counted)
+            monkeypatch.setattr(bottleneck_mod, "sampled_search", logged_search)
             r = bottleneck_search(P, Q, metric)
-            runs.append((r.lambda_star_sq if metric is Metric.L2 else r.lambda_star, seeded))
-        (warm_star, warm_seeded), (cold_star, cold_seeded) = runs
+            runs.append((r.lambda_star_sq if metric is Metric.L2 else r.lambda_star, seeded, steps))
+        (warm_star, warm_seeded, warm_steps), (cold_star, _cold_seeded, cold_steps) = runs
         assert warm_star == cold_star
-        assert warm_seeded and cold_seeded
         assert any(warm_seeded)
+        assert warm_steps
+        for (x, verdict, detail), (y, cold_verdict, cold_detail) in zip(warm_steps, cold_steps):
+            assert (x, verdict) == (y, cold_verdict)
+            if detail != cold_detail:
+                # only a feasible decision's witness may end elsewhere
+                assert verdict
+                break
+        else:
+            assert len(warm_steps) == len(cold_steps)
 
 
 def test_l2_reservoir_search_matches_materialized(monkeypatch):
@@ -570,8 +596,8 @@ def _log_grown_search(monkeypatch) -> dict:
         bottleneck_mod.max_flow_dinitz, bottleneck_mod.build_network, bottleneck_mod.BicliqueCover
     )
 
-    def logged(net, initial=None, *, residual=None):
-        flow = dinitz(net, initial, residual=residual)
+    def logged(net, residual=None):
+        flow = dinitz(net, residual)
         k = net.edge_count - len(net.points) - len(net.ranges)
         log["decisions"].append((k, flow.value, flow.reached))
         return flow
