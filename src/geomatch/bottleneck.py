@@ -225,7 +225,6 @@ def decide(
     *,
     sd: SupplyDemand | None = None,
     squared: bool = False,
-    want_matching: bool = True,
 ) -> DecideResult:
     """Is there a matching of full target value using only pairs within
     distance lam?  Perfect matching by default; pass supplies/demands for the
@@ -243,7 +242,7 @@ def decide(
         lam = (lam if squared else lam * lam) * scale * scale
     else:
         lam *= scale
-    feasible, matching = _solve(_cover_at(pp, qq, metric, sd)(lam), sd, want_matching)
+    feasible, matching = _solve(_cover_at(pp, qq, metric, sd)(lam), sd)
     return DecideResult(feasible, matching if feasible else None)
 
 

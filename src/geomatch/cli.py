@@ -333,8 +333,9 @@ def _common(sub) -> None:
 
 def _seeded(sub) -> None:
     sub.add_argument(
-        "--seed", type=int, default=0, help="seed of the searches' random pivots (an L2 "
-        "search up to 10^7 pairs draws none); it changes no distance, only the witness"
+        "--seed", type=int, help="seed of the searches' random pivots, 0 if not given (an "
+        "L2 search up to 10^7 pairs draws none, and a --lambda decision takes no seed); "
+        "it changes no distance, only the witness"
     )
 
 
@@ -406,14 +407,17 @@ def _tasks_from_args(args: argparse.Namespace) -> list:
             )
             for pts, rng in pairs
         ]
+    seed = 0 if args.seed is None else args.seed
     if args.command == "bottleneck":
+        if args.lam is not None and args.seed is not None:
+            raise InputError("--seed has no effect with --lambda: a decision draws no pivot")
         pairs = _pairs(args.files, ("red", "blue"))
         return [
-            dict(base, red=r, blue=b, metric=args.metric, lam=args.lam, seed=args.seed)
+            dict(base, red=r, blue=b, metric=args.metric, lam=args.lam, seed=seed)
             for r, b in pairs
         ]
     pairs = _pairs(args.files, ("diagram", "diagram"))
-    return [dict(base, dgm1=a, dgm2=b, seed=args.seed) for a, b in pairs]
+    return [dict(base, dgm1=a, dgm2=b, seed=seed) for a, b in pairs]
 
 
 def main(argv=None) -> int:

@@ -11,15 +11,16 @@ cover's order.
 The kernel is shared with the implicit engine (``implicit_dinitz``), and
 only this module knows the layout.  A network describes itself by vertex
 blocks: source 0, sink 1, the points, the ranges, then the middle vertices.
-``layered_network`` builds the networks of both Dinitz drivers,
-``_blocking_flow`` is their one DFS and ``project_flow`` their one reader
-of a flow.
+``build_network`` builds the one network of both Dinitz drivers,
+``level_graph`` is their one BFS, ``_blocking_flow`` their one DFS and
+``project_flow`` their one reader of a flow.
 
 A network can also grow and shrink: ``FlowNetwork.extend`` appends edges
-after the others and ``truncate`` drops them again, and ``max_flow_dinitz``
+after the others and ``truncate`` drops them again.  ``max_flow_dinitz``
 continues from the residual of an earlier flow and reports the points and
 ranges on the source side of its minimum cut.  The L2 bottleneck search
-grows one network along its sorted pairs this way.
+grows one network along its sorted pairs this way, and the implicit engine
+appends each phase's backward edges to its cover's network.
 """
 
 from __future__ import annotations
@@ -62,21 +63,17 @@ class FlowNetwork:
     """Directed network from source 0 to sink 1 as a paired edge list: edge
     ``e ^ 1`` is the reverse of edge ``e``; original edge k has id 2k, runs
     from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``, and a
-    vertex's adjacency lists its edges by ascending id.  The point and the
-    range block follow the sink; ``points`` and ``ranges`` hold the index of
-    each of their vertices, and the middle vertices close the list.  The
-    feeders and drains lead the edge list.  ``level`` is set on the phase
-    networks of the implicit engine: one level per vertex, rising strictly
-    along every original edge."""
+    vertex's adjacency lists its edges by ascending id.  Point p is vertex
+    2 + p and range r is vertex 2 + ``n_points`` + r; the middle vertices
+    close the list.  The feeders and drains lead the edge list."""
 
     source = 0
     sink = 1
 
-    def __init__(self, n, tails, heads, caps, *, points, ranges, level=None):
+    def __init__(self, n, tails, heads, caps, *, n_points, n_ranges):
         self.n = n
-        self.points = points
-        self.ranges = ranges
-        self.level = level
+        self.n_points = n_points
+        self.n_ranges = n_ranges
         self.eto, self.ecap = [], []
         self.head = [[] for _ in range(n)]
         self.extend(tails, heads, caps)
@@ -107,10 +104,24 @@ class FlowNetwork:
 
     def add_direct(self, ps, rs) -> None:
         """``extend`` by an uncapacitated direct edge from point ``ps[k]`` to
-        range ``rs[k]`` for each k, on a network whose point and range blocks
-        list the indices in order, as those of ``build_network`` do."""
-        rbase = 2 + len(self.points)
+        range ``rs[k]`` for each k."""
+        rbase = 2 + self.n_points
         self.extend([2 + p for p in ps], [rbase + r for r in rs], [INF] * len(ps))
+
+    def add_backward(self, pairs: dict) -> None:
+        """``extend`` by an edge from range r back to point p with capacity
+        a for each (p, r): a of ``pairs``, in its order."""
+        rbase = 2 + self.n_points
+        rs = [rbase + r for _p, r in pairs]
+        self.extend(rs, [2 + p for p, _r in pairs], list(pairs.values()))
+
+    def set_supply_demand(self, supplies, demands) -> None:
+        """Set the capacities of the feeders to ``supplies`` and of the
+        drains to ``demands``; they lead the layout, point p's feeder is
+        edge 2p and range r's drain 2(|P| + r)."""
+        np_, ecap = self.n_points, self.ecap
+        ecap[0 : 2 * np_ : 2] = supplies
+        ecap[2 * np_ : 2 * (np_ + self.n_ranges) : 2] = demands
 
     def truncate(self, m: int) -> None:
         """Drop the original edges from index m on, the last ones appended."""
@@ -145,55 +156,13 @@ class Flow:
         return k
 
 
-def layered_network(pid, rid, mid0, feeders, drains, steps):
-    """Tails, heads and capacities, in id order, of the edges of a network in
-    the one layout of both Dinitz drivers, and the step of each middle vertex.
-
-    ``pid`` and ``rid`` map point and range indices to vertices; middle
-    vertices count from ``mid0``.  Edge ids run: the (indices, capacities)
-    feeders and drains, then per (parts, backward) step its (points, ranges)
-    parts in order and its (range, point, cap) backward edges.  A part with
-    two or more points and two or more ranges gets a middle vertex, its pins
-    then its pouts; any other part becomes direct edges, point by point."""
-    (fp, fcaps), (dr, dcaps) = feeders, drains
-    tails = [0] * len(fp) + [rid[r] for r in dr]
-    heads = [pid[p] for p in fp] + [1] * len(dr)
-    caps = [*fcaps, *dcaps]
-    mid_step = []
-    # one append per edge and no call per part: most parts hold one edge
-    tail, head = tails.append, heads.append
-    for j, (parts, backward) in enumerate(steps):
-        for ps, rs in parts:
-            if len(rs) == 1:  # direct edges into one range
-                v = rid[rs[0]]
-                for p in ps:
-                    tail(pid[p])
-                    head(v)
-            elif len(ps) > 1 and len(rs) > 1:
-                mid = mid0 + len(mid_step)
-                mid_step.append(j)
-                for p in ps:
-                    tail(pid[p])
-                    head(mid)
-                for r in rs:
-                    tail(mid)
-                    head(rid[r])
-            else:  # direct edges out of one point
-                for p in ps:
-                    for r in rs:
-                        tail(pid[p])
-                        head(rid[r])
-        caps += [INF] * (len(tails) - len(caps))
-        for r, p, cap in backward:
-            tail(rid[r])
-            head(pid[p])
-            caps.append(cap)
-    return tails, heads, caps, mid_step
-
-
 def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
-    """Flow network for a cover: ``layered_network`` with one step, the parts
-    in cover order.  2 + |P| + |R| + (parts with a middle vertex) vertices and
+    """Flow network for a cover, in the one layout of both Dinitz drivers.
+    Edge ids run: the feeders (point p's is 2p), the drains (range r's is
+    2(|P| + r)), then the parts in cover order.  A part with two or more
+    points and two or more ranges gets a middle vertex, its pins then its
+    pouts; any other part becomes direct edges, point by point.  So the
+    network has 2 + |P| + |R| + (parts with a middle vertex) vertices and
     |P| + |R| + sum of |A|*|B| (singleton side) or |A| + |B| (other) edges."""
     np_, nr = cover.left_count, cover.right_count
     if len(sd.supplies) != np_ or len(sd.demands) != nr:
@@ -201,83 +170,108 @@ def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
     mid0 = 2 + np_ + nr
     # lists, not ranges: indexed once per edge, and a list index is cheaper
     pid, rid = list(range(2, 2 + np_)), list(range(2 + np_, mid0))
-    feeders, drains = (range(np_), sd.supplies), (range(nr), sd.demands)
-    tails, heads, caps, mid_step = layered_network(
-        pid, rid, mid0, feeders, drains, [(cover.parts, ())]
-    )
-    n = mid0 + len(mid_step)
-    points, ranges = list(range(np_)), list(range(nr))
-    return FlowNetwork(n, tails, heads, caps, points=points, ranges=ranges)
+    tails = [0] * np_ + rid
+    heads = pid + [1] * nr
+    n = mid0
+    # one append per edge and no call per part: most parts hold one edge
+    tail, head = tails.append, heads.append
+    for ps, rs in cover.parts:
+        if len(rs) == 1:  # direct edges into one range
+            v = rid[rs[0]]
+            for p in ps:
+                tail(pid[p])
+                head(v)
+        elif len(ps) > 1 and len(rs) > 1:
+            for p in ps:
+                tail(pid[p])
+                head(n)
+            for r in rs:
+                tail(n)
+                head(rid[r])
+            n += 1
+        else:  # direct edges out of one point
+            for p in ps:
+                for r in rs:
+                    tail(pid[p])
+                    head(rid[r])
+    caps = [*sd.supplies, *sd.demands]
+    caps += [INF] * (len(tails) - len(caps))
+    return FlowNetwork(n, tails, heads, caps, n_points=np_, n_ranges=nr)
+
+
+def level_graph(net: FlowNetwork, res: list) -> list:
+    """Dinitz's BFS on ``net`` with residual capacities ``res``, for both
+    Dinitz drivers: the level of every vertex, -1 where it found none.  It
+    stops at the sink's level, past which no shortest path runs, and resets
+    the vertices at or past it but the sink; the sink keeps -1 when no
+    residual path reaches it.
+
+    A residual edge between two vertices of the point and range blocks, a
+    direct edge, its reverse slot or a backward edge of the implicit engine,
+    spans two levels, so a point-to-range hop spans two levels whether or
+    not its part has a middle vertex.  Every other edge joins those blocks
+    to the source, the sink or a middle vertex and spans one level.  So
+    every vertex has a fixed level parity, points and ranges odd and the
+    rest even, and a vertex's first level is already its least one.  With
+    these levels a residual edge never climbs more levels than it spans,
+    and parity rules out one level on a two-level edge, so the blocking
+    flow's test, a higher level at the head, admits exactly the next level
+    along each edge."""
+    s, t = net.source, net.sink
+    head, eto = net.head, net.eto
+    mid0 = 2 + net.n_points + net.n_ranges
+    level = [-1] * net.n
+    level[s] = 0
+    # two buckets, the vertices one and two levels past the ones expanded
+    frontier, near, far = [s], [], []
+    d = 0
+    while frontier or near:
+        d += 1
+        for u in frontier:
+            inner = 1 < u < mid0  # a point or a range
+            for e in head[u]:
+                v = eto[e]
+                if level[v] < 0 and res[e] > 0:
+                    if inner and 1 < v < mid0:
+                        level[v] = d + 1
+                        far.append(v)
+                    else:
+                        level[v] = d
+                        near.append(v)
+        if level[t] >= 0:
+            # the sink is entered by drains, one level each, so it sits
+            # at level d; no other vertex at d or past it reaches it
+            for v in near + far:
+                level[v] = -1
+            level[t] = d
+            break
+        frontier, near, far = near, far, []
+    return level
 
 
 def max_flow_dinitz(net: FlowNetwork, residual: list | None = None) -> Flow:
-    """Dinitz max flow: BFS level graph, then a pointer-based DFS blocking
-    flow per phase, on exact capacities; the input network is not mutated.
-    Each BFS stops at the sink's level, past which no shortest path runs.
-
-    A residual edge between two vertices of the point and range blocks, a
-    direct edge or its reverse slot, spans two levels, so a point-to-range
-    hop spans two levels whether or not its part has a middle vertex.
+    """Dinitz max flow: ``level_graph`` levels, then a pointer-based DFS
+    blocking flow per phase, on exact capacities; the input network is not
+    mutated.
 
     ``residual`` gives the residual capacity of every edge slot, the state
     of a feasible flow on this network to start from: a matching routed by
     ``seed_flow``, or an earlier flow continued after ``extend`` appended
     edges at their full capacities.  The phases augment it to a maximum in
     place; without it they start from the empty flow."""
-    s, t, n = net.source, net.sink, net.n
+    s, t = net.source, net.sink
     head, eto = net.head, net.eto
-    rbase = 2 + len(net.points)
-    mid0 = rbase + len(net.ranges)
     res = list(net.ecap) if residual is None else residual
     # the source has original edges only; each one's flow sits on its twin
     total = sum(res[e + 1] for e in head[s])
-    unreached = [-1] * n
-    level = list(unreached)
-
-    def bfs() -> bool:
-        # Two buckets, the vertices one and two levels past the ones being
-        # expanded.  In a network from build_network every edge joins the
-        # point and range blocks to the source, the sink or a middle vertex
-        # (one level, changing parity) or stays within those two blocks (two
-        # levels, keeping it).  So every vertex has a fixed level parity,
-        # points and ranges odd and the rest even, and a vertex's first level
-        # is already its least one.  With those levels a residual edge never
-        # climbs more levels than it spans, and parity rules out one level on
-        # a two-level edge, so the blocking flow's test, a higher level at
-        # the head, admits exactly the next level along each edge.
-        level[:] = unreached
-        level[s] = 0
-        frontier, near, far = [s], [], []
-        d = 0
-        while frontier or near:
-            d += 1
-            for u in frontier:
-                inner = 1 < u < mid0  # a point or a range
-                for e in head[u]:
-                    v = eto[e]
-                    if level[v] < 0 and res[e] > 0:
-                        if inner and 1 < v < mid0:
-                            level[v] = d + 1
-                            far.append(v)
-                        else:
-                            level[v] = d
-                            near.append(v)
-            if level[t] >= 0:
-                # the sink is entered by drains, one level each, so it sits
-                # at level d; no other vertex at d or past it reaches it
-                for v in near + far:
-                    level[v] = -1
-                level[t] = d
-                return True
-            frontier, near, far = near, far, []
-        return False
-
-    while bfs():
+    level = level_graph(net, res)
+    while level[t] >= 0:
         total += _blocking_flow(head, eto, res, level, s, t)
-    points, ranges = net.points, net.ranges
+        level = level_graph(net, res)
+    rbase = 2 + net.n_points
     reached = (
-        [points[v - 2] for v in range(2, rbase) if level[v] >= 0],
-        [ranges[v - rbase] for v in range(rbase, mid0) if level[v] >= 0],
+        [v - 2 for v in range(2, rbase) if level[v] >= 0],
+        [v - rbase for v in range(rbase, rbase + net.n_ranges) if level[v] >= 0],
     )
     # Flow on an original edge equals the residual accumulated on its twin.
     return Flow(res[1::2], total, reached)
@@ -285,11 +279,11 @@ def max_flow_dinitz(net: FlowNetwork, residual: list | None = None) -> Flow:
 
 def _blocking_flow(head, eto, res, level, s, t):
     """Blocking flow by depth-first search with one edge pointer per vertex,
-    for both Dinitz implementations.  An edge e out of u is admitted when
-    ``res[e] > 0`` and its head has a higher level than u; the callers' levels
-    make that exactly the edges of their level graph.  A dead end is retired
-    by setting its level to -1.  Augments ``res`` in place and returns the
-    amount pushed."""
+    for both Dinitz drivers.  An edge e out of u is admitted when
+    ``res[e] > 0`` and its head has a higher level than u; the levels of
+    ``level_graph`` make that exactly the edges of its level graph.  A dead
+    end is retired by setting its level to -1.  Augments ``res`` in place
+    and returns the amount pushed."""
     it = [0] * len(head)
     stack = []  # edge ids of the current DFS path
     total = 0
@@ -338,7 +332,7 @@ def seed_flow(net: FlowNetwork, matching: Matching) -> list:
     or else the pin and pout of a part holding both, and the drain of r (id
     2(|P| + r)).  A pair that no part holds, or a matching past a supply or
     a demand, raises InternalError."""
-    np_ = len(net.points)
+    np_ = net.n_points
     head, eto = net.head, net.eto
     res = list(net.ecap)
     for p, r, amt in matching:
@@ -365,28 +359,29 @@ def project_flow(net: FlowNetwork, values):
     """(adds, subs): the (point, range, amount) triples of the flow ``values``
     on the edges of ``net`` past its feeders and drains, which lead the
     layout.  ``adds`` holds the direct edges' flows in id order, then each
-    middle vertex's paired flows; ``subs`` the backward edges'.  An edge's
+    middle vertex's paired flows; ``subs`` the flows of the edges from a
+    range back to a point, the implicit engine's backward edges.  An edge's
     role follows from its ends' blocks."""
-    points, ranges, eto = net.points, net.ranges, net.eto
-    first = len(net.head[net.source]) + len(net.head[net.sink])
-    rbase = 2 + len(points)
-    mid0 = rbase + len(ranges)
+    eto = net.eto
+    rbase = 2 + net.n_points
+    mid0 = rbase + net.n_ranges
     mids = [([], []) for _ in range(mid0, net.n)]  # per middle vertex: inflows, outflows
     adds, subs = [], []
-    for k in range(first, len(values)):
+    # the |P| feeders and |R| drains lead
+    for k in range(mid0 - 2, len(values)):
         amt = values[k]
         if not amt > 0:
             continue
         u, v = eto[2 * k + 1], eto[2 * k]
         if u < rbase:  # out of a point: a pin or a direct edge
             if v >= mid0:
-                mids[v - mid0][0].append([points[u - 2], amt])
+                mids[v - mid0][0].append([u - 2, amt])
             else:
-                adds.append((points[u - 2], ranges[v - rbase], amt))
+                adds.append((u - 2, v - rbase, amt))
         elif u < mid0:  # out of a range: a backward edge
-            subs.append((points[v - 2], ranges[u - rbase], amt))
+            subs.append((v - 2, u - rbase, amt))
         else:  # a pout
-            mids[u - mid0][1].append([ranges[v - rbase], amt])
+            mids[u - mid0][1].append([v - rbase, amt])
     for lp, lr in mids:
         if lp or lr:
             adds += _pair_part(lp, lr)
@@ -400,7 +395,7 @@ def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
     another shape raises InternalError."""
     if len(flow.values) != net.edge_count:
         raise InternalError("flow does not fit the network")
-    if len(net.points) != cover.left_count or len(net.ranges) != cover.right_count:
+    if net.n_points != cover.left_count or net.n_ranges != cover.right_count:
         raise InternalError("network does not fit the cover")
     merged = defaultdict(int)
     for p, r, amt in project_flow(net, flow.values)[0]:

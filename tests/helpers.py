@@ -104,9 +104,11 @@ def node_totals(flow: dict) -> tuple:
     return pt, rt
 
 
-def assert_blocking(net, flow) -> None:
+def assert_blocking(net, flow, level=None) -> None:
     """The flow must obey capacities, conserve at inner vertices, and leave no
-    residual forward path from source to sink."""
+    residual forward path from source to sink: in the whole network, or,
+    given the BFS ``level``s of a phase that started from the empty flow,
+    in that phase's level graph, along edges that climb to a higher level."""
     res = []
     for e in range(0, net.edge_count * 2, 2):
         v = flow.on(e)
@@ -134,6 +136,8 @@ def assert_blocking(net, flow) -> None:
             if not res[e // 2] > 0:
                 continue
             w = net.eto[e]
+            if level is not None and not level[w] > level[u]:
+                continue
             if not seen[w]:
                 seen[w] = True
                 stack.append(w)

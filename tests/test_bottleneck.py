@@ -215,7 +215,7 @@ def test_decide_monotone_in_lambda():
         n = rng.randrange(1, 7)
         P, Q = rand_pts(rng, n), rand_pts(rng, n)
         feas = [
-            decide(P, Q, Metric.LINF, lam, want_matching=False).feasible
+            decide(P, Q, Metric.LINF, lam).feasible
             for lam in range(0, 80, 8)
         ]
         assert feas == sorted(feas), "feasibility must be monotone"
@@ -316,7 +316,7 @@ def test_linf_search_matches_brute_force_in_any_dimension(d):
         assert decide(P, Q, Metric.LINF, r.lambda_star).feasible
         below = [v for v in {dist(p, q) for p in P for q in Q} if v < r.lambda_star]
         if below:
-            assert not decide(P, Q, Metric.LINF, max(below), want_matching=False).feasible
+            assert not decide(P, Q, Metric.LINF, max(below)).feasible
 
 
 def test_supply_demand_lengths_must_match_the_points():
@@ -366,7 +366,7 @@ def test_predecessor_candidate_infeasible():
     star = bottleneck_search(P, Q, Metric.LINF).lambda_star
     if star > 0:
         eps = Fraction(1, 10**9)
-        assert not decide(P, Q, Metric.LINF, star - eps, want_matching=False).feasible
+        assert not decide(P, Q, Metric.LINF, star - eps).feasible
 
 
 def test_many_to_many_variant():
@@ -598,7 +598,7 @@ def _log_grown_search(monkeypatch) -> dict:
 
     def logged(net, residual=None):
         flow = dinitz(net, residual)
-        k = net.edge_count - len(net.points) - len(net.ranges)
+        k = net.edge_count - net.n_points - net.n_ranges
         log["decisions"].append((k, flow.value, flow.reached))
         return flow
 

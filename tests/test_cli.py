@@ -226,6 +226,15 @@ def test_seed_is_refused_where_nothing_reads_it(triangle, capsys, command):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_seed_is_refused_with_a_decision(tmp_path, capsys):
+    # `--lambda` runs one decision, which draws no pivot
+    red = write(tmp_path, "red.csv", "0,0\n")
+    blue = write(tmp_path, "blue.csv", "1,2\n")
+    code, stdout, stderr = run_cli(capsys, "bottleneck", red, blue, "--lambda", "2", "--seed", "5")
+    assert code == 2 and stdout == ""
+    assert "--seed" in stderr
+
+
 def test_bottleneck_decision_flag(tmp_path, capsys):
     red = write(tmp_path, "red.csv", "0,0\n")
     blue = write(tmp_path, "blue.csv", "1,2\n")

@@ -251,7 +251,7 @@ def test_first_phase_levels_follow_the_vertex_blocks(monkeypatch):
     # at zero flow the first BFS levels points 1, middle vertices 2, reached
     # ranges 3 and the sink 4, wherever a part sits in the cover: a
     # point-to-range edge spans two levels by its ends' blocks, not its id;
-    # the engine's first phase network fixes the same levels
+    # the engine's first phase runs the same BFS on the same network
     firsts = []
 
     def first_levels(head, eto, res, level, s, t):
@@ -275,11 +275,11 @@ def test_first_phase_levels_follow_the_vertex_blocks(monkeypatch):
         ranges = [3 if r in reached else -1 for r in range(m)]
         want = [0, 4] + [1] * n + ranges + [2] * mids
         del firsts[:]
-        max_flow_dinitz(build_network(cover, sd))
+        net = build_network(cover, sd)
+        max_flow_dinitz(net)
         assert firsts[0] == want
-        engine = expand_level_graph(build_level_graph(new_phase_state(n, m), cover, sd))
-        assert sorted(engine.ranges) == sorted(reached)
-        assert engine.level == [0, 4] + [1] * n + [3] * len(reached) + [2] * mids
+        engine = expand_level_graph(new_phase_state(n, m), net, sd, net.edge_count)
+        assert build_level_graph(engine, list(engine.ecap)) == want
 
 
 def _centred_boxes(centres, half):

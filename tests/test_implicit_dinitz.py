@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from geomatch.cover import BicliqueCover, box_cover
-from geomatch.flow import SupplyDemand, matching_value
+from geomatch.flow import FlowNetwork, SupplyDemand, build_network, matching_value
 from geomatch.implicit_dinitz import (
     Done,
     augment_and_project,
     blocking_flow,
     build_level_graph,
-    build_point_index,
     expand_level_graph,
     max_matching_implicit,
     new_phase_state,
@@ -32,6 +31,30 @@ from oracle import ExplicitBipartite, brute_force_incidences, reference_max_flow
 
 TRIANGLE = BicliqueCover(2, 2, [([0], [0]), ([0, 1], [1])])
 TRIANGLE_SD = SupplyDemand((2, 3), (1, 4))
+# p0 sits in both ranges, p1 only in r1; part order steers the first
+# blocking flow into p0->r1, which the second phase must undo
+REROUTE = BicliqueCover(2, 2, [([0], [1]), ([0], [0]), ([1], [1])])
+
+
+def first_phase(cover, sd):
+    """(empty phase state, the cover's network set up for the first phase,
+    the cover's edge count)."""
+    net = build_network(cover, sd)
+    m = net.edge_count
+    st = new_phase_state(cover.left_count, cover.right_count)
+    return st, expand_level_graph(st, net, sd, m), m
+
+
+def run_phase(st, net, sd, m):
+    """Expand, level and block one phase; (levels as the BFS left them,
+    blocking flow), or Done."""
+    expand_level_graph(st, net, sd, m)
+    res = list(net.ecap)
+    level = build_level_graph(net, res)
+    if level is Done:
+        return Done
+    levels = list(level)
+    return levels, blocking_flow(net, res, level)
 
 
 def test_phase_state_shape():
@@ -43,57 +66,56 @@ def test_phase_state_shape():
 
 
 def test_first_level_graph_shape():
-    st = new_phase_state(2, 2)
-    L = build_level_graph(st, TRIANGLE, TRIANGLE_SD)
-    assert L is not Done
-    assert L.t_level == 3
-    assert L.backward == []
-    assert list(L.point_layers[0]) == [0, 1]
-    assert list(L.range_layers[0]) == [0, 1]
+    st, net, m = first_phase(TRIANGLE, TRIANGLE_SD)
+    level = build_level_graph(net, list(net.ecap))
+    assert level is not Done
+    # source, sink (t-level 4 // 2 + 1 = 3), points 0-1, ranges 0-1
+    assert level == [0, 4, 1, 1, 3, 3]
+    assert net.edge_count == m  # no support, so no backward edge
 
 
 def test_expanded_network_vertex_count():
     # TRIANGLE has singleton-sided parts only; the second cover adds a part
-    # with two points and two ranges
+    # with two points and two ranges.  A phase network holds the whole
+    # cover, and each phase appends one backward edge per support pair
+    # after its edges, in place of the last phase's
     full = BicliqueCover(3, 3, [([0, 1], [0, 1]), ([2], [1, 2]), ([1, 2], [2])])
     for cover, sd in ((TRIANGLE, TRIANGLE_SD), (full, SupplyDemand.unit(3, 3))):
-        L = build_level_graph(new_phase_state(cover.left_count, cover.right_count), cover, sd)
-        net = expand_level_graph(L)
-        pts = sum(len(layer) for layer in L.point_layers)
-        rngs = sum(len(layer) for layer in L.range_layers)
-        mids = sum(len(a) > 1 and len(b) > 1 for step in L.forward for a, b in step)
-        assert net.n == 2 + pts + rngs + mids
+        st, net, m = first_phase(cover, sd)
+        mids = sum(len(a) > 1 and len(b) > 1 for a, b in cover.parts)
+        assert net.n == 2 + cover.left_count + cover.right_count + mids
         assert mids == (cover is full)
+        while (phase := run_phase(st, net, sd, m)) is not Done:
+            st = prune_to_forest(augment_and_project(st, phase[1], net))
+            expand_level_graph(st, net, sd, m)
+            assert net.n == 2 + cover.left_count + cover.right_count + mids
+            assert net.edge_count == m + len(st.flow)
 
 
 def test_blocking_flow_single_path():
     # s -> p -> part -> r -> t with caps 2 on supply, 3 on demand
     cover = BicliqueCover(1, 1, [([0], [0])])
     sd = SupplyDemand((2,), (3,))
-    st = new_phase_state(1, 1)
-    L = build_level_graph(st, cover, sd)
-    net = expand_level_graph(L)
-    g = blocking_flow(net)
+    st, net, m = first_phase(cover, sd)
+    level, g = run_phase(st, net, sd, m)
     assert g.value == 2
-    assert_blocking(net, g)
+    assert_blocking(net, g, level)
 
 
 def test_blocking_flow_two_disjoint_paths():
     cover = BicliqueCover(2, 2, [([0], [0]), ([1], [1])])
     sd = SupplyDemand((1, 5), (4, 2))
-    st = new_phase_state(2, 2)
-    L = build_level_graph(st, cover, sd)
-    net = expand_level_graph(L)
-    g = blocking_flow(net)
+    st, net, m = first_phase(cover, sd)
+    level, g = run_phase(st, net, sd, m)
     assert g.value == 1 + 2
-    assert_blocking(net, g)
+    assert_blocking(net, g, level)
 
 
 def test_blocking_flow_is_blocking_on_random_level_graphs():
     # parts of any shape, then parts of two or more points and two or more
-    # ranges (a middle vertex each while the restriction keeps them that
-    # big), then covers that mix the two; every phase of the matching is
-    # checked, so the later ones run with backward edges
+    # ranges (a middle vertex each), then covers that mix the two; every
+    # phase of the matching is checked, so the later ones run with backward
+    # edges
     rng = random.Random(31)
     mids = backward = 0
     for trial in range(180):
@@ -108,19 +130,22 @@ def test_blocking_flow_is_blocking_on_random_level_graphs():
             parts.append((pts, rngs))
         cover = BicliqueCover(n_p, n_r, parts)
         sd = rand_sd(rng, n_p, n_r, integral=rng.random() < 0.5)
-        st = new_phase_state(n_p, n_r)
-        while (L := build_level_graph(st, cover, sd)) is not Done:
-            net = expand_level_graph(L)
-            # feeders first, then drains, then the steps' parts and backward edges
-            ends = zip(net.eto[1::2], net.eto[0::2])
-            roles = ["feeder" if u == 0 else "drain" if v == 1 else "step" for u, v in ends]
-            nf, nd = len(L.feeders[0]), len(L.drains[0])
-            assert roles == ["feeder"] * nf + ["drain"] * nd + ["step"] * (len(roles) - nf - nd)
-            mids += net.n - 2 - sum(map(len, L.point_layers)) - sum(map(len, L.range_layers))
-            backward += sum(map(len, L.backward))
-            g = blocking_flow(net)
-            assert_blocking(net, g)
-            st = prune_to_forest(augment_and_project(st, g, L, net))
+        st, net, m = first_phase(cover, sd)
+        mid0 = 2 + n_p + n_r
+        while (phase := run_phase(st, net, sd, m)) is not Done:
+            level, g = phase
+            # feeders first, then drains, then the cover's edges, then one
+            # backward edge from a range to a point per support pair
+            ends = list(zip(net.eto[1::2], net.eto[0::2]))
+            roles = ["feeder" if u == 0 else "drain" if v == 1 else "cover" for u, v in ends[:m]]
+            assert roles == ["feeder"] * n_p + ["drain"] * n_r + ["cover"] * (m - n_p - n_r)
+            back = ends[m:]
+            assert [(r, p) for (p, r) in st.flow] == [(u - 2 - n_p, v - 2) for u, v in back]
+            # the middle vertices and backward edges on this phase's level graph
+            mids += sum(lv >= 0 for lv in level[mid0:])
+            backward += sum(level[v] == level[u] + 2 for u, v in back if level[u] >= 0)
+            assert_blocking(net, g, level)
+            st = prune_to_forest(augment_and_project(st, g, net))
             # the supply/demand bookkeeping is the flow's per-node totals
             used, met = [0] * n_p, [0] * n_r
             for (p, r), amt in st.flow.items():
@@ -133,13 +158,11 @@ def test_blocking_flow_is_blocking_on_random_level_graphs():
 
 
 def test_projection_short_of_the_blocking_flow_raises():
-    st = new_phase_state(2, 2)
-    L = build_level_graph(st, TRIANGLE, TRIANGLE_SD)
-    net = expand_level_graph(L)
-    g = blocking_flow(net)
+    st, net, m = first_phase(TRIANGLE, TRIANGLE_SD)
+    _level, g = run_phase(st, net, TRIANGLE_SD, m)
     g.value += 1  # one unit more than the pairs carry
     with pytest.raises(InternalError):
-        augment_and_project(st, g, L, net)
+        augment_and_project(st, g, net)
 
 
 def test_triangle_instance_value():
@@ -149,40 +172,53 @@ def test_triangle_instance_value():
 
 
 def test_forced_rerouting_uses_a_second_phase():
-    # p0 sits in both ranges, p1 only in r1; part order steers the first
-    # blocking flow into p0->r1, which the second phase must undo
-    cover = BicliqueCover(2, 2, [([0], [1]), ([0], [0]), ([1], [1])])
     sd = SupplyDemand.unit(2, 2)
     trace = []
-    matching = max_matching_implicit(2, 2, sd, cover, trace=trace)
+    matching = max_matching_implicit(2, 2, sd, REROUTE, trace=trace)
     assert matching_value(matching) == 2
     assert [t for t, _, _ in trace] == [3, 5]
 
 
+def test_one_network_per_matching(monkeypatch):
+    # every phase runs on the cover's network, built once per call
+    built = []
+    init = FlowNetwork.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "__init__", counted)
+    trace = []
+    max_matching_implicit(2, 2, SupplyDemand.unit(2, 2), REROUTE, trace=trace)
+    assert len(trace) == 2
+    assert len(built) == 1
+
+
 def test_backward_edges_stay_inside_levels():
-    cover = BicliqueCover(2, 2, [([0], [1]), ([0], [0]), ([1], [1])])
     sd = SupplyDemand.unit(2, 2)
-    st = new_phase_state(2, 2)
-    L1 = build_level_graph(st, cover, sd)
-    net = expand_level_graph(L1)
-    g = blocking_flow(net)
-    st = augment_and_project(st, g, L1, net)
-    L2 = build_level_graph(st, cover, sd)
-    assert L2 is not Done
-    assert L2.t_level == 5
-    flat = [e for step in L2.backward for e in step]
-    assert flat, "rerouting phase must expose flow-reversal edges"
-    for r, p, cap in flat:
-        assert st.flow.get((p, r)) == cap
+    st, net, m = first_phase(REROUTE, sd)
+    _level, g = run_phase(st, net, sd, m)
+    st = augment_and_project(st, g, net)
+    level, _g = run_phase(st, net, sd, m)
+    assert level[net.sink] // 2 + 1 == 5
+    back = range(2 * m, 2 * net.edge_count, 2)
+    assert back, "rerouting phase must expose flow-reversal edges"
+    for e, ((p, r), amt) in zip(back, st.flow.items()):
+        u, v = net.eto[e + 1], net.eto[e]
+        assert (u, v, net.ecap[e]) == (4 + r, 2 + p, amt)
+    # the reversal runs from range layer 0 (level 3) to point layer 1 (level 5)
+    assert any(level[net.eto[e]] == level[net.eto[e + 1]] + 2 == 5 for e in back)
 
 
 def test_done_when_supplies_exhausted():
-    st = new_phase_state(1, 1)
+    cover = BicliqueCover(1, 1, [([0], [0])])
+    sd = SupplyDemand.unit(1, 1)
+    st, net, m = first_phase(cover, sd)
     st.flow[(0, 0)] = 1
     st.used[0] = 1
     st.met[0] = 1
-    cover = BicliqueCover(1, 1, [([0], [0])])
-    assert build_level_graph(st, cover, SupplyDemand.unit(1, 1)) is Done
+    assert run_phase(st, net, sd, m) is Done
 
 
 def test_done_when_no_ranges():
@@ -245,12 +281,6 @@ def test_phase_support_stays_forest():
         sd = rand_sd(rng, n, n, integral=False)
         matching = max_matching_implicit(n, n, sd, cover)
         assert uf_is_forest([(("p", p), ("r", r)) for p, r, _ in matching])
-
-
-def test_point_index_maps_points_to_parts():
-    idx = build_point_index(TRIANGLE)
-    assert list(idx[0]) == [0, 1]
-    assert list(idx[1]) == [1]
 
 
 def test_input_validation():
