@@ -19,8 +19,9 @@ A network can also grow and shrink: ``FlowNetwork.extend`` appends edges
 after the others and ``truncate`` drops them again.  ``max_flow_dinitz``
 continues from the residual of an earlier flow and reports the points and
 ranges on the source side of its minimum cut.  The L2 bottleneck search
-grows one network along its sorted pairs this way, and the implicit engine
-appends each phase's backward edges to its cover's network.
+grows one network along its sorted pairs this way, and ``truncate``s it
+back to a shorter prefix; the implicit engine appends a backward
+edge to its cover's network for each pair new to its flow's support.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ the incidences are.  The running flow lives in its support, a dict of
 (point, range) pairs, and not on the network.  Each phase:
 
 - sets the feeders to the unused supplies and the drains to the unmet
-  demands, and appends one backward edge r -> p per support pair, its
-  flow as capacity (``expand_level_graph``);
+  demands, and gives each support pair's backward edge r -> p its flow as
+  capacity and every other backward edge 0 (``expand_level_graph``); a
+  pair gets its edge appended the first time it enters the support and
+  keeps it for the rest of the call;
 - runs ``flow``'s BFS on that network from the empty flow
   (``build_level_graph``) and ``flow``'s DFS for a blocking flow
   (``blocking_flow``);
@@ -17,9 +19,10 @@ the incidences are.  The running flow lives in its support, a dict of
   ``flow.project_flow`` and folds them into the support
   (``augment_and_project``).
 
-So a phase costs O(n + sigma).  Between phases the flow support is pruned
-to a forest (rblct module), which keeps the backward edge count linear in
-the node count.
+So a phase costs O(n + sigma) plus one edge per pair that was ever in the
+support.  Between phases the flow support is pruned to a forest (rblct
+module), in place and only in the components where the phase closed a
+cycle, which keeps the support linear in the node count.
 """
 
 from __future__ import annotations
@@ -40,12 +43,16 @@ Done = None
 
 @dataclass
 class PhaseState:
-    """Flow accumulated so far plus the per-phase bookkeeping."""
+    """Flow accumulated so far plus the per-phase bookkeeping.  ``backward``
+    maps every pair that has been in the support during the call to the id
+    of its backward edge on the phase network; a pair that left the support
+    keeps its edge, at capacity 0, and gets it back if it returns."""
 
     flow: dict  # (point, range) -> positive amount
     used: list  # shipped supply per point
     met: list  # received demand per range
     t_levels: list = field(default_factory=list)  # one per phase
+    backward: dict = field(default_factory=dict)  # (point, range) -> edge id
 
 
 def new_phase_state(n_points: int, n_ranges: int) -> PhaseState:
@@ -54,18 +61,31 @@ def new_phase_state(n_points: int, n_ranges: int) -> PhaseState:
 
 def expand_level_graph(f: PhaseState, net: FlowNetwork, sd: SupplyDemand, m: int) -> FlowNetwork:
     """One phase's network: ``net``, the network of the cover from
-    ``flow.build_network``, cut back to its first ``m`` edges, the cover's.
-    The feeders get the unused supplies and the drains the unmet demands,
-    and one backward edge from r to p with capacity f(p, r) is appended
-    per support pair, in the support's order.  The cover's edges carry no
-    flow, so a phase starts from the empty flow on this network.  Returns
-    ``net``."""
+    ``flow.build_network``, whose edges past its first ``m``, the cover's,
+    are backward edges from a range r to a point p, one per pair in
+    ``f.backward``.  The feeders get the unused supplies and the drains the
+    unmet demands; every backward edge is zeroed, a pair new to the support
+    gets its edge appended (``add_backward``), and each support pair's edge
+    gets its flow f(p, r) as capacity.  So a pair that left the support
+    keeps an edge that can carry nothing, and the edges follow the order in
+    which the pairs were first seen.  The cover's edges carry no flow, so a
+    phase starts from the empty flow on this network.  Returns ``net``."""
     net.set_supply_demand(
         [s - u for s, u in zip(sd.supplies, f.used)],
         [d - got for d, got in zip(sd.demands, f.met)],
     )
-    net.truncate(m)
-    net.add_backward(f.flow)
+    ecap, back = net.ecap, f.backward
+    ecap[2 * m :] = [0] * (len(ecap) - 2 * m)
+    new = {}
+    for key, amt in f.flow.items():
+        e = back.get(key)
+        if e is None:
+            new[key] = amt
+        else:
+            ecap[e] = amt
+    if new:
+        back.update(zip(new, range(len(ecap), len(ecap) + 2 * len(new), 2)))
+        net.add_backward(new)
     return net
 
 

@@ -426,12 +426,15 @@ def prune_to_forest(f):
     """Cancel all cycles in the bipartite flow-support graph.
 
     ``f`` maps (point index, range index) to a positive amount; a phase-state
-    object carrying such a mapping as ``f.flow`` is rewritten in place and
-    returned.  The result's support is a forest over the same nodes, with
-    every per-node total preserved: an edge that would close a cycle is
-    instead pushed along the existing tree path (red edges up, blue edges
-    down), and blue edges driven to zero are cut.  Only the edges that lie
-    on some cycle (found by a bridge pass) enter the link-cut forest.
+    object carrying such a mapping as ``f.flow`` is pruned in place and
+    returned, and a bare mapping is copied first and the copy returned.  The
+    result's support is a forest over the same nodes, with every per-node
+    total preserved: an edge that would close a cycle is instead pushed
+    along the existing tree path (red edges up, blue edges down), and blue
+    edges driven to zero are cut.  Only the components that hold a cycle
+    (found by a union-find pass) are searched for bridges, and only their
+    edges that lie on some cycle enter the link-cut forest.  A support that
+    is already a forest comes back as it went in.
 
     The forest never sees a ``Fraction``: every value is multiplied once by
     the LCM of the denominators, the prune runs on the resulting ints (it
@@ -440,14 +443,54 @@ def prune_to_forest(f):
     flow comes back as ints.
     """
     if hasattr(f, "flow"):
-        f.flow = prune_to_forest(f.flow)
+        f.flow = _prune_exact(f.flow)
         return f
-    values = f.values()
+    return _prune_exact({k: v for k, v in f.items() if v > 0})
+
+
+def _prune_exact(flow: dict) -> dict:
+    """``flow`` pruned: in place when every value is an int, else a new
+    dict of ``Fraction`` values from one scaled int copy."""
+    values = flow.values()
     if all(isinstance(v, int) for v in values):
-        return _prune(f)
+        _prune(flow)
+        return flow
     scale = integer_scale(values)
-    scaled = dict(zip(f, scaled_ints(values, scale)))
-    return {k: Fraction(v, scale) for k, v in _prune(scaled).items()}
+    scaled = dict(zip(flow, scaled_ints(values, scale)))
+    _prune(scaled)
+    return {k: Fraction(v, scale) for k, v in scaled.items()}
+
+
+def _cyclic_components(pairs) -> list:
+    """The (point, range) pairs, in their order, of the connected components
+    of the bipartite graph they form that hold a cycle.  One union-find pass
+    (path halving) marks the pairs whose ends are already joined; only when
+    it marks one does a second pass keep the pairs whose root is a marked
+    pair's.  Points are keyed p and ranges -1 - r."""
+    parent = {}  # a root maps to itself or is absent
+
+    def find(a):
+        while a != (up := parent.get(a, a)):
+            parent[a] = a = parent.get(up, up)
+        return a
+
+    closing = []
+    for p, r in pairs:
+        # find(p) and find(-1 - r), inlined: this loop runs every phase
+        a = p
+        while a != (up := parent.get(a, a)):
+            parent[a] = a = parent.get(up, up)
+        b = -1 - r
+        while b != (up := parent.get(b, b)):
+            parent[b] = b = parent.get(up, up)
+        if a == b:
+            closing.append(p)
+        else:
+            parent[a] = b
+    if not closing:
+        return []
+    cyclic = {find(p) for p in closing}
+    return [pr for pr in pairs if find(pr[0]) in cyclic]
 
 
 def _bridges(pairs: list) -> list:
@@ -497,21 +540,26 @@ def _bridges(pairs: list) -> list:
     return bridge
 
 
-def _prune(flow_edges: dict) -> dict:
-    # A bridge lies on no cycle, and every tree path the forest pushes along
-    # is a simple path of the support, which never crosses a bridge; so the
-    # bridges pass through unchanged and only the cyclic core enters the
-    # link-cut forest.
-    pairs = sorted(k for k, v in flow_edges.items() if v > 0)
-    out = {}
+def _prune(flow: dict) -> None:
+    """Prune ``flow``, positive ints by pair, to a forest in place.  The
+    pairs of the components without a cycle stay as they are.  In the
+    others, a bridge lies on no cycle, and every tree path the forest pushes
+    along is a simple path of the support, which never crosses a bridge; so
+    the bridges stay too, and only the cyclic core leaves the dict for the
+    link-cut forest, whose surviving edges are inserted back at its end.
+    The core enters the forest in sorted order, so a support's forest does
+    not depend on the order of its dict."""
+    pairs = _cyclic_components(flow)
+    if not pairs:
+        return
+    pairs.sort()
     forest = RbForest()
     pnodes = {}
     rnodes = {}
     for (p, r), is_bridge in zip(pairs, _bridges(pairs)):
-        value = flow_edges[(p, r)]
         if is_bridge:
-            out[(p, r)] = value
             continue
+        value = flow.pop((p, r))
         if p not in pnodes:
             pnodes[p] = forest.maketree(RED, ("p", p))
         if r not in rnodes:
@@ -541,5 +589,4 @@ def _prune(flow_edges: dict) -> dict:
         p_tag = u.tag if u.tag[0] == "p" else w.tag
         r_tag = w.tag if w.tag[0] == "r" else u.tag
         if value > 0:
-            out[(p_tag[1], r_tag[1])] = value
-    return out
+            flow[(p_tag[1], r_tag[1])] = value

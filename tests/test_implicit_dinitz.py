@@ -34,6 +34,8 @@ TRIANGLE_SD = SupplyDemand((2, 3), (1, 4))
 # p0 sits in both ranges, p1 only in r1; part order steers the first
 # blocking flow into p0->r1, which the second phase must undo
 REROUTE = BicliqueCover(2, 2, [([0], [1]), ([0], [0]), ([1], [1])])
+# a perfect matching of four unit points that takes three phases
+CHAIN_PAIRS = [(0, 1), (1, 0), (0, 2), (0, 3), (2, 1), (3, 0), (1, 2)]
 
 
 def first_phase(cover, sd):
@@ -74,11 +76,23 @@ def test_first_level_graph_shape():
     assert net.edge_count == m  # no support, so no backward edge
 
 
+def assert_backward_edges(st, net, m):
+    """The edges past the cover's first ``m`` are one backward edge r -> p
+    per pair ever in the support, in the order first seen, each with its
+    pair's current flow as capacity and 0 for a pair that left."""
+    assert net.edge_count == m + len(st.backward)
+    assert list(st.backward.values()) == list(range(2 * m, 2 * net.edge_count, 2))
+    rbase = 2 + net.n_points
+    for (p, r), e in st.backward.items():
+        assert (net.eto[e + 1], net.eto[e]) == (rbase + r, 2 + p)
+        assert net.ecap[e] == st.flow.get((p, r), 0)
+    assert set(st.flow) <= set(st.backward)
+
+
 def test_expanded_network_vertex_count():
     # TRIANGLE has singleton-sided parts only; the second cover adds a part
     # with two points and two ranges.  A phase network holds the whole
-    # cover, and each phase appends one backward edge per support pair
-    # after its edges, in place of the last phase's
+    # cover, then one backward edge per pair that was ever in the support
     full = BicliqueCover(3, 3, [([0, 1], [0, 1]), ([2], [1, 2]), ([1, 2], [2])])
     for cover, sd in ((TRIANGLE, TRIANGLE_SD), (full, SupplyDemand.unit(3, 3))):
         st, net, m = first_phase(cover, sd)
@@ -89,7 +103,7 @@ def test_expanded_network_vertex_count():
             st = prune_to_forest(augment_and_project(st, phase[1], net))
             expand_level_graph(st, net, sd, m)
             assert net.n == 2 + cover.left_count + cover.right_count + mids
-            assert net.edge_count == m + len(st.flow)
+            assert_backward_edges(st, net, m)
 
 
 def test_blocking_flow_single_path():
@@ -135,12 +149,14 @@ def test_blocking_flow_is_blocking_on_random_level_graphs():
         while (phase := run_phase(st, net, sd, m)) is not Done:
             level, g = phase
             # feeders first, then drains, then the cover's edges, then one
-            # backward edge from a range to a point per support pair
+            # backward edge from a range to a point per pair ever in the
+            # support, its capacity the pair's flow or 0
             ends = list(zip(net.eto[1::2], net.eto[0::2]))
             roles = ["feeder" if u == 0 else "drain" if v == 1 else "cover" for u, v in ends[:m]]
             assert roles == ["feeder"] * n_p + ["drain"] * n_r + ["cover"] * (m - n_p - n_r)
-            back = ends[m:]
-            assert [(r, p) for (p, r) in st.flow] == [(u - 2 - n_p, v - 2) for u, v in back]
+            assert_backward_edges(st, net, m)
+            assert all(g.on(e) == 0 for k, e in st.backward.items() if k not in st.flow)
+            back = [(u, v) for (u, v), cap in zip(ends[m:], net.ecap[2 * m :: 2]) if cap > 0]
             # the middle vertices and backward edges on this phase's level graph
             mids += sum(lv >= 0 for lv in level[mid0:])
             backward += sum(level[v] == level[u] + 2 for u, v in back if level[u] >= 0)
@@ -193,6 +209,53 @@ def test_one_network_per_matching(monkeypatch):
     max_matching_implicit(2, 2, SupplyDemand.unit(2, 2), REROUTE, trace=trace)
     assert len(trace) == 2
     assert len(built) == 1
+
+
+def test_backward_edges_persist_across_phases(monkeypatch):
+    # REROUTE with an isolated pair (2, 2) that the first phase matches and
+    # every later phase keeps; the second phase retires (0, 1)
+    cover = BicliqueCover(3, 3, REROUTE.parts + [([2], [2])])
+    appended, nets = [], []
+    add_backward = FlowNetwork.add_backward
+
+    def counted(self, pairs):
+        appended.extend(pairs)
+        nets.append(self)
+        add_backward(self, pairs)
+
+    monkeypatch.setattr(FlowNetwork, "add_backward", counted)
+    trace = []
+    matching = max_matching_implicit(3, 3, SupplyDemand.unit(3, 3), cover, trace=trace)
+    assert [t for t, _, _ in trace] == [3, 5]
+    assert sorted(matching) == [(0, 0, 1), (1, 1, 1), (2, 2, 1)]
+    # each distinct pair's edge is appended once over the call
+    assert sorted(appended) == [(0, 0), (0, 1), (1, 1), (2, 2)]
+    # the last network keeps the retired pair's edge, at capacity 0
+    net = nets[-1]
+    m = net.edge_count - len(appended)
+    e = 2 * (m + appended.index((0, 1)))
+    assert (net.eto[e + 1], net.eto[e]) == (2 + 3 + 1, 2 + 0)
+    assert net.ecap[e] == 0
+
+
+def test_retired_backward_edge_carries_no_flow():
+    # one-pair parts in this order: the first phase matches p0-r1 and p1-r0,
+    # the second reroutes p0 to r2 and retires (0, 1), and the third runs
+    # with that pair's edge still in the network
+    cover = BicliqueCover(4, 4, [([p], [r]) for p, r in CHAIN_PAIRS])
+    sd = SupplyDemand.unit(4, 4)
+    st, net, m = first_phase(cover, sd)
+    levels = []
+    while (phase := run_phase(st, net, sd, m)) is not Done:
+        level, g = phase
+        levels.append(level[net.sink] // 2 + 1)
+        assert_backward_edges(st, net, m)
+        if len(levels) == 3:
+            assert (0, 1) not in st.flow
+            assert g.on(st.backward[(0, 1)]) == 0
+        st = prune_to_forest(augment_and_project(st, g, net))
+    assert levels == [3, 5, 7]
+    assert sum(st.used) == 4
 
 
 def test_backward_edges_stay_inside_levels():

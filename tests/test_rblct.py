@@ -5,7 +5,8 @@ import pytest
 
 from geomatch.numeric import InputError
 import geomatch.rblct as rblct_mod
-from geomatch.rblct import RbForest, _bridges, prune_to_forest
+from geomatch.implicit_dinitz import new_phase_state
+from geomatch.rblct import RbForest, _bridges, _cyclic_components, prune_to_forest
 
 from helpers import MirroredForests, node_totals, rand_support_flow, uf_is_forest
 
@@ -201,6 +202,97 @@ def test_bridges_match_brute_force():
                             reached.add(v)
                             todo.append(v)
             assert flags[k] == (("r", r) not in reached)
+
+
+def rand_forest_flow(rng, n_points, n_ranges, extra):
+    """Positive int flow on a random forest over the given nodes, plus up to
+    ``extra`` random pairs that may close cycles."""
+    flow, joined = {}, {}
+
+    def find(x):
+        while joined.setdefault(x, x) != x:
+            x = joined[x]
+        return x
+
+    for _ in range(rng.randrange(n_points + n_ranges)):
+        p, r = rng.randrange(n_points), rng.randrange(n_ranges)
+        a, b = find(("p", p)), find(("r", r))
+        if a != b:
+            joined[a] = b
+            flow[(p, r)] = rng.randrange(1, 20)
+    for _ in range(extra):
+        flow[(rng.randrange(n_points), rng.randrange(n_ranges))] = rng.randrange(1, 20)
+    return flow
+
+
+def test_cyclic_components_match_brute_force():
+    rng = random.Random(23)
+    cyclic_seen = acyclic_seen = 0
+    for trial in range(300):
+        n_p, n_r = rng.randrange(1, 12), rng.randrange(1, 12)
+        if trial % 2:
+            flow = rand_support_flow(rng, n_p, n_r, 25)
+        else:
+            flow = rand_forest_flow(rng, n_p, n_r, rng.randrange(4))
+        # components by flooding; one holds a cycle iff edges >= nodes
+        comp = {}
+        for start in [("p", p) for p, _ in flow] + [("r", r) for _, r in flow]:
+            if start in comp:
+                continue
+            comp[start], todo = start, [start]
+            while todo:
+                side, x = todo.pop()
+                for p, r in flow:
+                    if (side, x) in (("p", p), ("r", r)):
+                        for v in (("p", p), ("r", r)):
+                            if v not in comp:
+                                comp[v] = start
+                                todo.append(v)
+        nodes, edges = {}, {}
+        for v, c in comp.items():
+            nodes[c] = nodes.get(c, 0) + 1
+        for p, _r in flow:
+            c = comp[("p", p)]
+            edges[c] = edges.get(c, 0) + 1
+        want = [(p, r) for p, r in flow if edges[comp[("p", p)]] >= nodes[comp[("p", p)]]]
+        assert _cyclic_components(flow) == want
+        cyclic_seen += bool(want)
+        acyclic_seen += any(edges[c] < nodes[c] for c in edges)
+    assert cyclic_seen > 50 and acyclic_seen > 50
+
+
+def test_prune_of_a_forest_state_changes_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(RbForest, "link", lambda *a: calls.append("link"))
+    monkeypatch.setattr(rblct_mod, "_bridges", lambda pairs: calls.append("bridges"))
+    rng = random.Random(29)
+    for _ in range(50):
+        st = new_phase_state(10, 10)
+        st.flow.update(rand_forest_flow(rng, 10, 10, 0))
+        flow, items = st.flow, list(st.flow.items())
+        assert prune_to_forest(st) is st
+        assert st.flow is flow
+        assert list(st.flow.items()) == items
+    assert calls == []
+
+
+def test_bridges_run_on_the_cyclic_components_only(monkeypatch):
+    seen = []
+    bridges = rblct_mod._bridges
+    monkeypatch.setattr(rblct_mod, "_bridges", lambda pairs: seen.append(pairs) or bridges(pairs))
+    # a 4-cycle on points 0-1 and ranges 0-1 with a pendant bridge (2, 1),
+    # and a separate tree on points 3-4 and ranges 2-3
+    cycle = {(0, 0): 2, (0, 1): 5, (1, 0): 3, (1, 1): 4, (2, 1): 6}
+    tree = {(3, 2): 1, (4, 2): 7, (4, 3): 2}
+    st = new_phase_state(5, 4)
+    st.flow.update({**tree, **cycle})
+    flow = st.flow
+    prune_to_forest(st)
+    assert seen == [sorted(cycle)]
+    assert st.flow is flow
+    # the tree and the bridge keep their place; the core moves to the end
+    assert list(st.flow.items())[:4] == [*tree.items(), ((2, 1), 6)]
+    assert node_totals(st.flow) == node_totals({**tree, **cycle})
 
 
 def test_prune_links_only_the_cyclic_core(monkeypatch):
