@@ -34,7 +34,8 @@ TRIANGLE_SD = SupplyDemand((2, 3), (1, 4))
 # p0 sits in both ranges, p1 only in r1; part order steers the first
 # blocking flow into p0->r1, which the second phase must undo
 REROUTE = BicliqueCover(2, 2, [([0], [1]), ([0], [0]), ([1], [1])])
-# a perfect matching of four unit points that takes three phases
+# incidences of four unit points and four unit ranges, as one-pair parts in
+# this order: the perfect matching takes three phases
 CHAIN_PAIRS = [(0, 1), (1, 0), (0, 2), (0, 3), (2, 1), (3, 0), (1, 2)]
 
 
