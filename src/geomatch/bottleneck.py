@@ -370,7 +370,7 @@ _distance = itemgetter(0)
 def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     """(smallest feasible squared distance, witness) between the planar int
     points pp and qq, over the sorted (squared distance, i, j) triples of
-    all pairs.  A rank k stands for the prefix ``pairs[:k]``; rank lo is
+    all pairs.  A rank k stands for the k nearest of them; rank lo is
     known infeasible and rank hi feasible.
 
     One network holds the pairs, one direct edge each, and ``lo_res`` is
@@ -395,10 +395,11 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     dist = [d for d, _i, _j in pairs]
     ps = [i for _d, i, _j in pairs]
     rs = [j for _d, _i, j in pairs]
+    del pairs  # the three lists hold the same pairs in less memory
     net = build_network(BicliqueCover(len(pp), len(qq), []), sd)
     base = net.edge_count  # the feeders and drains; pair k is edge base + k
 
-    def fit(k) -> None:  # the network holds pairs[:k]
+    def fit(k) -> None:  # the network holds the pairs of ranks below k
         have = net.edge_count - base
         if have > k:
             net.truncate(base + k)
@@ -406,7 +407,7 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
             net.add_direct(ps[have:k], rs[have:k])
 
     lo_res = list(net.ecap)
-    lo, hi = 0, len(pairs)
+    lo, hi = 0, len(dist)
     witness = None
     while dist[lo] < dist[hi - 1]:
         x = dist[(lo + hi) // 2 - 1]

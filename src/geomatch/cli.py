@@ -19,13 +19,7 @@ from fractions import Fraction
 
 from .bottleneck import bottleneck_search, decide, pd_bottleneck
 from .cover import box_cover, cover_from_text, cover_size, cover_to_text, trivial_cover
-from .flow import (
-    SupplyDemand,
-    build_network,
-    flow_to_matching,
-    matching_value,
-    max_flow_dinitz,
-)
+from .flow import SupplyDemand, matching_value
 from .geometry import Box, Disk, Metric, Point
 from .implicit_dinitz import max_matching_implicit
 from .numeric import InputError, InternalError, parse_scalar, scalar_to_json, to_float
@@ -219,20 +213,14 @@ def _run_match(task: dict) -> dict:
         except InputError as exc:
             raise InputError(f"{task['cover']}: {exc}") from exc
 
-    sd = SupplyDemand(tuple(supplies), tuple(demands))
     if task["mode"] == "integral":
         bad = [x for x in supplies + demands if x.denominator != 1]
         if bad:
             raise InputError(f"integral mode got non-integral weight {bad[0]}")
-        net = build_network(cover, sd)
-        flow = max_flow_dinitz(net)
-        matching = flow_to_matching(flow, net, cover)
-        value = flow.value
-        trace = []
-    else:
-        trace = []
-        matching = max_matching_implicit(len(points), len(ranges), sd, cover, trace=trace)
-        value = matching_value(matching)
+    sd = SupplyDemand(tuple(supplies), tuple(demands))
+    trace = []
+    matching = max_matching_implicit(len(points), len(ranges), sd, cover, trace=trace)
+    value = matching_value(matching)
 
     out = {
         "mode": task["mode"],
@@ -355,7 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = subs.add_parser("match", help="maximum matching between points and ranges")
     m.add_argument("files", nargs="+", help="alternating POINTS RANGES file pairs")
-    m.add_argument("--mode", choices=("integral", "real"), default="integral")
+    m.add_argument(
+        "--mode",
+        choices=("integral", "real"),
+        default="integral",
+        help="integral refuses non-integral supplies and demands, real takes any "
+        "positive ones; both modes run the implicit engine",
+    )
     m.add_argument(
         "--cover",
         default="auto",

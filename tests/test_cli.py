@@ -11,7 +11,7 @@ from geomatch.geometry import Metric
 from geomatch.numeric import InputError
 
 from brute import bottleneck_brute
-from helpers import first_primes, rand_points
+from helpers import first_primes, rand_boxes, rand_congruent_disks, rand_points
 
 
 def run_cli(capsys, *argv):
@@ -112,14 +112,57 @@ def test_cover_shape_mismatch_is_input_error(tmp_path, capsys):
     assert "box" in stderr
 
 
+def _csv(row) -> str:
+    return ",".join(str(x) for x in row) + "\n"
+
+
+def _integral_instances(tmp_path, rng, count):
+    """(points, ranges) files of seeded random instances with weights 1-5,
+    boxes and congruent disks in turn."""
+    out = []
+    for i in range(count):
+        n, m = rng.randrange(4, 13), rng.randrange(3, 10)
+        points = rand_points(rng, n)
+        if i % 2:
+            ranges = [
+                _csv(("box",) + b.lo.coords + b.hi.coords + (rng.randrange(1, 6),))
+                for b in rand_boxes(rng, m)
+            ]
+        else:
+            ranges = [
+                _csv(("disk",) + d.center.coords + (d.radius, rng.randrange(1, 6)))
+                for d in rand_congruent_disks(rng, m)
+            ]
+        pts = "".join(_csv(p.coords + (rng.randrange(1, 6),)) for p in points)
+        out.append((
+            write(tmp_path, f"p{i}.csv", pts),
+            write(tmp_path, f"r{i}.csv", "".join(ranges)),
+        ))
+    return out
+
+
 def test_match_modes_agree(tmp_path, capsys, triangle):
-    pts, rng = triangle
-    values = {}
-    for mode in ("integral", "real"):
-        code, stdout, _ = run_cli(capsys, "match", pts, rng, "--mode", mode)
-        assert code == 0
-        values[mode] = json.loads(stdout)["value"]
-    assert values["integral"] == values["real"] == "4"
+    """On integral weights both modes run the implicit engine, so they print
+    the same JSON, matching and phase trace included, apart from ``mode``."""
+    instances = [triangle] + _integral_instances(tmp_path, random.Random(2020), 40)
+    for i, (pts, rng) in enumerate(instances):
+        bodies = {}
+        for mode in ("integral", "real"):
+            code, stdout, _ = run_cli(capsys, "match", pts, rng, "--mode", mode, "--trace")
+            assert code == 0
+            bodies[mode] = json.loads(stdout)
+            assert bodies[mode].pop("mode") == mode
+        assert bodies["integral"] == bodies["real"], i
+        if i == 0:
+            assert bodies["integral"]["value"] == "4"
+
+    pts = write(tmp_path, "p.csv", "2,0\n0,0\n")
+    rng = write(tmp_path, "r.csv", "box,-1,-1,3,1\nbox,1,-1,3,1\n")
+    code, stdout, _ = run_cli(capsys, "match", pts, rng, "--mode", "integral", "--trace")
+    assert code == 0
+    body = json.loads(stdout)
+    assert body["value"] == "2"
+    assert [step["t_level"] for step in body["trace"]] == [3, 5]
 
 
 def test_match_triangle_value_five(tmp_path, capsys):
