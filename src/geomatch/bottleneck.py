@@ -15,6 +15,16 @@ metric balls around the other (a box tree for L-infinity and L1), and asks
 the flow module whether the target value is reached; a feasible test's
 witness moves the interval's upper end down to its own bottleneck.
 
+An L-infinity or L1 search stops testing once a feasible test has set the
+upper end hi and the last infeasible test's maximum matching lacks at most
+``_FINISH_DEFICIT`` units of the target.  It lists the pairs within hi from
+the last feasible test's cover and augments that matching to the target
+along minimax augmenting paths, each one the path whose longest new pair is
+shortest (the augmenting-path method for bottleneck assignment,
+Derigs-Zimmermann 1978; Gabow-Tarjan 1988).  The optimum is the longest of
+those pairs and of the matching's own, and the augmented flow is its
+witness.
+
 L2 works on squared distances so the decisions stay exact.  It sorts its
 (squared distance, i, j) pairs once and grows one flow network along them,
 one direct edge per pair: a decision appends the pairs past the largest
@@ -31,18 +41,22 @@ projection) and a lower bound below which some point has no partner.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from heapq import heappop, heappush
+from operator import itemgetter, sub
 
 from .cover import BicliqueCover, BoxTree, disk_cover
 from .flow import (
+    INF,
     Matching,
     SupplyDemand,
     build_network,
     flow_to_matching,
+    matching_value,
     max_flow_dinitz,
     project_flow,
     seed_flow,
@@ -51,6 +65,10 @@ from .geometry import Metric, Point
 from .numeric import InputError, InternalError, exact, float_sqrt, integer_scale, scaled_ints
 
 _L2_MATERIALIZE_LIMIT = 10**7
+# An L-infinity or L1 search stops deciding once the last infeasible
+# decision's matching lacks at most this many units of its target, and
+# finishes by minimax augmenting paths (``_cover_search``); 0 never finishes.
+_FINISH_DEFICIT = 32
 
 
 class SortedMatrix:
@@ -120,7 +138,9 @@ def sampled_search(mats: list, feasible, rng: random.Random | None = None, *, lo
     sentinel below every entry and hi to the largest entry; a caller that
     knows tighter bounds passes them, and hi is never decided.  ``feasible``
     returns a bool, or for a feasible x an entry in (lo, x] that it knows to
-    be feasible too, which then becomes hi.
+    be feasible too, which then becomes hi.  It may also end the search
+    early by raising, for a caller that finishes it another way
+    (``_cover_search`` raises ``_Settled``).
 
     Keeps the open interval (lo, hi) between the largest value known to be
     infeasible and the smallest entry known to be feasible, decides at an
@@ -286,9 +306,10 @@ def bottleneck_search(
 ) -> BottleneckResult:
     """Minimum lam such that decide(..., lam) is feasible, with a witness
     matching.  L-infinity and L1 run the sampled search over the coordinate
-    differences; L2 grows one network along its sorted squared pairwise
-    distances (``_grown_search``), or past ``_L2_MATERIALIZE_LIMIT`` pairs
-    samples them without keeping them.  The search runs on the scaled ints
+    differences and end it by minimax augmenting paths (``_cover_search``);
+    L2 grows one network along its sorted squared pairwise distances
+    (``_grown_search``), or past ``_L2_MATERIALIZE_LIMIT`` pairs samples
+    them without keeping them.  The search runs on the scaled ints
     of ``_int_coords``, so the answer is exact on every input: an int for
     int coordinates and a ``Fraction`` for any other.
 
@@ -319,17 +340,30 @@ def bottleneck_search(
 
 def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
     """(optimum, witness) by a search whose every decision solves a cover
-    from ``_cover_at``, warm-started by the last infeasible one."""
+    from ``_cover_at``, warm-started by the last infeasible one.
+
+    L-infinity and L1 stop deciding once two things hold: a feasible
+    decision has set the upper end hi, and the last infeasible decision's
+    maximum matching M lacks at most ``_FINISH_DEFICIT`` units of the
+    target, the supplies and demands counted as ints after scaling by the
+    LCM of their denominators.  ``_minimax_finish`` then augments M to the
+    target along minimax augmenting paths over the pairs within hi, which
+    it reads off the last feasible decision's cover, built at a bound of at
+    least hi; no further cover is queried.  L2, and the tail where no
+    decision was feasible, decide to the end."""
     cover_at = _cover_at(pp, qq, metric, sd)
     witness = seed = None
+    # the last feasible decision's cover and its witness's bottleneck, hi
+    hi_cover = hi = None
 
     def feas(v):
         # False, or for L-infinity and L1 the witness's bottleneck: a
         # feasible bound at most v
-        nonlocal witness, seed
+        nonlocal witness, seed, hi_cover, hi
         if v < 0:
             return False
-        feasible, matching = _solve(cover_at(v), sd, seed=seed)
+        cover = cover_at(v)
+        feasible, matching = _solve(cover, sd, seed=seed)
         if not feasible:
             # every later decision is at a larger bound
             seed = matching
@@ -339,12 +373,27 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
         witness = matching
         if metric is Metric.L2:
             return True
-        return max(_linf_dist(pp[p], qq[r]) for p, r, _a in matching)
+        hi_cover, hi = cover, max(_linf_dist(pp[p], qq[r]) for p, r, _a in matching)
+        return hi
 
     if metric is Metric.L2:
         lam = _squared_search(pp, qq, feas, rng)
     else:
-        lam = sampled_search(build_sorted_matrices(pp, qq), feas, rng)
+        unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
+
+        def feas_or_finish(v):
+            got = feas(v)
+            if hi is not None and seed is not None:
+                if (sd.target - matching_value(seed)) * unit <= _FINISH_DEFICIT:
+                    raise _Settled
+            return got
+
+        try:
+            lam = sampled_search(build_sorted_matrices(pp, qq), feas_or_finish, rng)
+        except _Settled:
+            # M's pairs lie within its bound, below hi, so the cover holds them
+            bottom = max((_linf_dist(pp[p], qq[r]) for p, r, _a in seed), default=-1)
+            return _minimax_finish(_pairs_within(hi_cover, pp, qq, hi), sd, seed, bottom)
     # no decision was feasible: the search returned its largest candidate
     # without deciding it
     if witness is None and feas(lam) is False:
@@ -352,8 +401,133 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
     return lam, witness
 
 
+class _Settled(Exception):
+    """Raised by a search's feasibility callback to end the search: its
+    caller finishes it some other way."""
+
+
+def _pairs_within(cover, pp, qq, hi) -> list:
+    """The pairs that ``cover``, a cover over the int tuples pp and qq,
+    holds within L-infinity distance hi, as ``_minimax_finish`` reads them:
+    per point p, a (distance, |P| + r) tuple for each such range r."""
+    np_ = len(pp)
+    near = [[] for _ in range(np_)]
+    for ps, rs in cover.parts:
+        for r in rs:
+            q, v = qq[r], np_ + r
+            for p in ps:
+                d = max(map(abs, map(sub, pp[p], q)))  # _linf_dist, inlined
+                if d <= hi:
+                    near[p].append((d, v))
+    return near
+
+
+def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom) -> tuple:
+    """(optimum, witness): the maximum flow ``matching`` M at some bound,
+    whose pairs all lie within ``bottom``, augmented to the target of ``sd``
+    over the pairs ``near``, which must hold every pair within the optimum:
+    per point p, a (distance, |P| + r) tuple for each range r it may use.
+
+    Each augmenting path is one whose largest forward pair is smallest: a
+    Dijkstra over the residual graph, keyed by that largest pair, from every
+    point with supply to spare to the first range with demand to meet.  A
+    point steps to a range along any listed pair, a range back to a point
+    along a pair that carries flow, at no cost.  The path pushes the
+    smallest spare supply, unmet demand or backward amount on it.  Let M* be
+    an optimal flow: M* - M splits into augmenting paths whose pairs all lie
+    within the optimum, so no key passes it; and the result carries the full
+    target, so its largest pair is at least the optimum.  So the optimum is
+    the largest of ``bottom`` and every path's key, and the result is its
+    witness.  Pairs that cannot reach the target raise InternalError."""
+    np_ = len(sd.supplies)
+    spare = list(sd.supplies)
+    unmet = list(sd.demands)
+    into = [{} for _ in range(len(sd.demands))]  # into[r]: point -> flow on (p, r)
+    for p, r, a in matching:
+        spare[p] -= a
+        unmet[r] -= a
+        into[r][p] = a
+    value, lam = matching_value(matching), bottom
+    while value < sd.target:
+        lam, u, came = _minimax_path(near, into, spare, unmet, lam)
+        # walk the path back: range u from point came[u], and that point
+        # back from range came[p] along a pair that carries flow
+        steps = []  # (point, range, +1 forward or -1 backward)
+        amt = unmet[u - np_]
+        r = u
+        while True:
+            p = came[r]
+            steps.append((p, r - np_, 1))
+            back = came[p]
+            if back < 0:
+                break
+            amt = min(amt, into[back - np_][p])
+            steps.append((p, back - np_, -1))
+            r = back
+        amt = min(amt, spare[p])
+        for q, s, sign in steps:
+            left = into[s].get(q, 0) + sign * amt
+            if left > 0:
+                into[s][q] = left
+            else:
+                del into[s][q]
+        spare[p] -= amt
+        unmet[u - np_] -= amt
+        value += amt
+    witness = sorted((p, r, a) for r, flows in enumerate(into) for p, a in flows.items())
+    return lam, witness
+
+
+def _minimax_path(near, into, spare, unmet, lam) -> tuple:
+    """(key, range vertex, predecessors) of one augmenting path of
+    ``_minimax_finish``'s flow whose largest forward pair is smallest, its
+    key raised to lam.  Point p is vertex p and range r vertex |P| + r.
+
+    A Dijkstra by levels: keys at most lam all count as lam, and a vertex
+    whose key equals the current level's, the pair being no longer, joins
+    that level's list rather than the heap.  So the search runs as a
+    breadth-first search while the pairs stay within the level, and the
+    first range found at the lowest level with demand to meet ends it."""
+    np_ = len(near)
+    key = [INF] * (np_ + len(into))
+    came = [-1] * len(key)
+    level = [p for p in range(np_) if spare[p] > 0]
+    for p in level:
+        key[p] = lam
+    heap = []
+    while True:
+        while not level:
+            if not heap:
+                raise InternalError("the listed pairs do not reach the target")
+            lam, u = heappop(heap)
+            if lam == key[u]:  # else stale: u has a smaller key
+                if u >= np_ and unmet[u - np_] > 0:
+                    return lam, u, came
+                level.append(u)
+        u = level.pop()
+        if u < np_:
+            for d, v in near[u]:
+                if d <= lam:
+                    if lam < key[v]:
+                        key[v] = lam
+                        came[v] = u
+                        if unmet[v - np_] > 0:
+                            return lam, v, came
+                        level.append(v)
+                elif d < key[v]:
+                    key[v] = d
+                    came[v] = u
+                    heappush(heap, (d, v))
+        else:
+            for v in into[u - np_]:
+                if lam < key[v]:
+                    key[v] = lam
+                    came[v] = u
+                    level.append(v)
+
+
 def _linf_dist(p, q) -> int:
-    return max(abs(a - b) for a, b in zip(p, q))
+    return max(map(abs, map(sub, p, q)))
 
 
 def _squares(pp, qq):

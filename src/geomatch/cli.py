@@ -311,10 +311,10 @@ def _pairs(files: list, what: tuple) -> list:
 def _common(sub) -> None:
     sub.add_argument(
         "--numeric",
-        choices=("auto", "rational", "float"),
-        default="auto",
+        choices=("rational", "float"),
+        default="rational",
         help="number format of the output; every result is computed exactly, "
-        "and float prints it rounded to a float",
+        "rational prints it as an exact fraction string and float rounded to a float",
     )
     sub.add_argument("--jobs", type=int, default=1, help="parallel workers across instances")
 
@@ -323,7 +323,8 @@ def _seeded(sub) -> None:
     sub.add_argument(
         "--seed", type=int, help="seed of the searches' random pivots, 0 if not given (an "
         "L2 search up to 10^7 pairs draws none, and a --lambda decision takes no seed); "
-        "it changes no distance, only the witness"
+        "it changes no distance, only the witness, through the few decisions an L-infinity "
+        "or L1 search samples before its augmenting-path finish"
     )
 
 

@@ -99,9 +99,9 @@ class FlowNetwork:
         tail_of = [0] * (2 * m)  # edge e leaves eto[e ^ 1]
         tail_of[0::2] = tails
         tail_of[1::2] = heads
-        add = [h.append for h in self.head]
+        head = self.head
         for e, u in enumerate(tail_of, e0):
-            add[u](e)
+            head[u].append(e)
 
     def add_direct(self, ps, rs) -> None:
         """``extend`` by an uncapacitated direct edge from point ``ps[k]`` to
@@ -303,7 +303,8 @@ def _blocking_flow(head, eto, res, level, s, t):
         advanced = False
         out = head[u]
         lu = level[u]
-        while it[u] < len(out):
+        end = len(out)
+        while it[u] < end:
             e = out[it[u]]
             v = eto[e]
             if res[e] > 0 and level[v] > lu:
@@ -366,7 +367,9 @@ def project_flow(net: FlowNetwork, values):
     eto = net.eto
     rbase = 2 + net.n_points
     mid0 = rbase + net.n_ranges
-    mids = [([], []) for _ in range(mid0, net.n)]  # per middle vertex: inflows, outflows
+    # inflows and outflows of each middle vertex that carries flow; the few
+    # such vertices of a phase, not every middle vertex of the network
+    mids = {}
     adds, subs = [], []
     # the |P| feeders and |R| drains lead
     for k in range(mid0 - 2, len(values)):
@@ -376,16 +379,15 @@ def project_flow(net: FlowNetwork, values):
         u, v = eto[2 * k + 1], eto[2 * k]
         if u < rbase:  # out of a point: a pin or a direct edge
             if v >= mid0:
-                mids[v - mid0][0].append([u - 2, amt])
+                mids.setdefault(v, ([], []))[0].append([u - 2, amt])
             else:
                 adds.append((u - 2, v - rbase, amt))
         elif u < mid0:  # out of a range: a backward edge
             subs.append((v - 2, u - rbase, amt))
         else:  # a pout
-            mids[u - mid0][1].append([v - rbase, amt])
-    for lp, lr in mids:
-        if lp or lr:
-            adds += _pair_part(lp, lr)
+            mids.setdefault(u, ([], []))[1].append([v - rbase, amt])
+    for v in sorted(mids):  # in vertex order
+        adds += _pair_part(*mids[v])
     return adds, subs
 
 

@@ -17,7 +17,7 @@ from geomatch.bottleneck import (
 from geomatch.cover import BicliqueCover, BoxTree
 from geomatch.flow import SupplyDemand, matching_value
 from geomatch.geometry import Metric, Point, rotate45
-from geomatch.numeric import InputError
+from geomatch.numeric import InputError, InternalError
 
 from brute import _DIST, bottleneck_brute, l2sq, linf, pd_brute, range_tree_parts
 from helpers import rand_fraction, rand_points, rand_sd
@@ -461,7 +461,9 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
     # elsewhere, and make equally many decisions when none does.  The cold
     # search starts every max flow from the empty flow: no seed (L-infinity,
     # L1) or a residual reset to the network's capacities (L2's grown
-    # network).
+    # network).  The L-infinity and L1 searches decide to the end: their
+    # minimax finish would end them before any warm-started decision.
+    monkeypatch.setattr(bottleneck_mod, "_FINISH_DEFICIT", 0)
     dinitz, search = bottleneck_mod.max_flow_dinitz, bottleneck_mod.sampled_search
     rng = random.Random(36)
     for _ in range(4):
@@ -512,6 +514,60 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
                 break
         else:
             assert len(warm_steps) == len(cold_steps)
+
+
+def _count_finishes(monkeypatch) -> list:
+    """Wrap the minimax finish; the list gets one entry per call."""
+    finish, calls = bottleneck_mod._minimax_finish, []
+
+    def counted(*args):
+        calls.append(1)
+        return finish(*args)
+
+    monkeypatch.setattr(bottleneck_mod, "_minimax_finish", counted)
+    return calls
+
+
+@pytest.mark.parametrize("metric", [Metric.LINF, Metric.L1])
+def test_finished_search_matches_brute_force_many_to_many(monkeypatch, metric):
+    finishes = _count_finishes(monkeypatch)
+    rng = random.Random(47)
+    for t in range(40):
+        P, Q = rand_pts(rng, rng.randrange(1, 13)), rand_pts(rng, rng.randrange(1, 13))
+        sd = rand_sd(rng, len(P), len(Q), integral=t % 2 == 0, max_w=3)
+        r = bottleneck_search(P, Q, metric, sd=sd)
+        assert r.lambda_star == _brute_sd(P, Q, sd, metric)
+        assert matching_value(r.matching) == sd.target
+        used, met = [0] * len(P), [0] * len(Q)
+        assert len({(p, q) for p, q, _a in r.matching}) == len(r.matching)
+        for p, q, a in r.matching:
+            assert a > 0 and _DIST[metric](P[p], Q[q]) <= r.lambda_star
+            used[p] += a
+            met[q] += a
+        assert all(u <= s for u, s in zip(used, sd.supplies))
+        assert all(m <= d for m, d in zip(met, sd.demands))
+    assert len(finishes) > 20
+
+
+def test_minimax_finish_reroutes_through_a_backward_edge():
+    # M holds (0, 0).  Point 1 reaches range 1 directly only at 10; at 3 it
+    # takes range 0 and sends point 0 on to range 1 along its backward edge.
+    # Ranges 0 and 1 are vertices 2 and 3.
+    near = [[(1, 2), (2, 3)], [(3, 2), (10, 3)]]
+    finish = bottleneck_mod._minimax_finish
+    assert finish(near, SupplyDemand.unit(2, 2), [(0, 0, 1)], 1) == (3, [(0, 1, 1), (1, 0, 1)])
+    # halves: the first path ends at range 0's unmet half, the second pushes
+    # only the half that point 0 sends back from range 0
+    M = [(0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2))]
+    assert finish(near, SupplyDemand.unit(2, 2), M, 1) == (3, [(0, 1, 1), (1, 0, 1)])
+
+
+def test_minimax_finish_refuses_a_short_pair_list():
+    finish = bottleneck_mod._minimax_finish
+    with pytest.raises(InternalError, match="do not reach the target"):
+        finish([[(1, 2), (2, 3)], []], SupplyDemand.unit(2, 2), [(0, 0, 1)], 1)
+    with pytest.raises(InternalError):
+        finish([[]], SupplyDemand.unit(1, 1), [], -1)
 
 
 def test_l2_reservoir_search_matches_materialized(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import geomatch.bottleneck as bottleneck_mod
 from geomatch.cli import main, parse_diagram, parse_points, parse_ranges
 from geomatch.geometry import Metric
 from geomatch.numeric import InputError
@@ -486,6 +487,33 @@ def test_default_numeric_is_exact_above_1000_elements(tmp_path, capsys):
     assert code == 0
     body = json.loads(stdout)
     assert body["value"] == float(Fraction(n, 10**11)) and body["matching_size"] == n
+
+
+@pytest.mark.parametrize("command", ["cover", "match", "bottleneck", "pd"])
+def test_numeric_auto_is_refused(triangle, capsys, command):
+    # every result is exact: rational, the default, and float are the formats
+    with pytest.raises(SystemExit) as exc:
+        main([command, *triangle, "--numeric", "auto"])
+    assert exc.value.code == 2
+    assert "--numeric" in capsys.readouterr().err
+
+
+def test_bottleneck_finish_short_of_pairs_exits_3(tmp_path, capsys, monkeypatch):
+    # the minimax finish of an L-infinity search given no pairs cannot reach
+    # the target: an internal error, not a wrong distance
+    rng = random.Random(19)
+    rows = lambda pts: "".join(",".join(map(str, p.coords)) + "\n" for p in pts)
+    red = write(tmp_path, "red.csv", rows(rand_points(rng, 12)))
+    blue = write(tmp_path, "blue.csv", rows(rand_points(rng, 12)))
+    code, stdout, _ = run_cli(capsys, "bottleneck", red, blue)
+    assert code == 0 and len(json.loads(stdout)["matching"]) == 12
+    listed = []
+    monkeypatch.setattr(
+        bottleneck_mod, "_pairs_within", lambda cover, pp, *_: listed.append(1) or [[] for _ in pp]
+    )
+    code, stdout, stderr = run_cli(capsys, "bottleneck", red, blue)
+    assert listed and code == 3 and stdout == ""
+    assert "do not reach the target" in stderr
 
 
 def test_output_deterministic(tmp_path, capsys, triangle):

@@ -38,7 +38,7 @@ def test_benchmark_run_is_correct(workload):
 
 def test_match_real_run_is_correct():
     # a round is four matchings and one `geomatch match --mode real` on 1200
-    # elements with weights near 1e-11, which `--numeric auto` runs exactly
+    # elements with weights near 1e-11, which it matches and prints exactly
     assert run_benchmark("match-real")["failed"] == 0
 
 
