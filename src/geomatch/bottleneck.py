@@ -31,8 +31,7 @@ one direct edge per pair: a decision appends the pairs past the largest
 infeasible prefix and continues that prefix's maximum flow.  A feasible
 decision moves the upper end to the last pair its flow uses; an infeasible
 one moves the lower end past every pair that its minimum cut does not
-cross.  Past 10^7 pairs the sorted list is not kept, and the search draws
-its pivots by reservoir sampling and decides each on ``cover.disk_cover``.
+cross.  The search keeps the list at every size, so it holds all n^2 pairs.
 
 The diagram search starts inside a bracket of two bounds that need no
 decision: a feasible upper bound (every point to its own diagonal
@@ -64,7 +63,6 @@ from .flow import (
 from .geometry import Metric, Point
 from .numeric import InputError, InternalError, exact, float_sqrt, integer_scale, scaled_ints
 
-_L2_MATERIALIZE_LIMIT = 10**7
 # An L-infinity or L1 search stops deciding once the last infeasible
 # decision's matching lacks at most this many units of its target, and
 # finishes by minimax augmenting paths (``_cover_search``); 0 never finishes.
@@ -307,11 +305,10 @@ def bottleneck_search(
     """Minimum lam such that decide(..., lam) is feasible, with a witness
     matching.  L-infinity and L1 run the sampled search over the coordinate
     differences and end it by minimax augmenting paths (``_cover_search``);
-    L2 grows one network along its sorted squared pairwise distances
-    (``_grown_search``), or past ``_L2_MATERIALIZE_LIMIT`` pairs samples
-    them without keeping them.  The search runs on the scaled ints
-    of ``_int_coords``, so the answer is exact on every input: an int for
-    int coordinates and a ``Fraction`` for any other.
+    L2, at every size, grows one network along its sorted squared pairwise
+    distances (``_grown_search``) and draws no pivot.  The search runs on
+    the scaled ints of ``_int_coords``, so the answer is exact on every
+    input: an int for int coordinates and a ``Fraction`` for any other.
 
     Decisions move both ends of the search's interval.  A feasible one's
     witness is feasible at its own bottleneck, so the upper end drops to
@@ -327,7 +324,7 @@ def bottleneck_search(
     if rng is None:
         rng = random.Random(0)
 
-    if metric is Metric.L2 and len(pp) * len(qq) <= _L2_MATERIALIZE_LIMIT:
+    if metric is Metric.L2:
         lam, witness = _grown_search(pp, qq, sd)
     else:
         lam, witness = _cover_search(pp, qq, metric, sd, rng)
@@ -339,26 +336,27 @@ def bottleneck_search(
 
 
 def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
-    """(optimum, witness) by a search whose every decision solves a cover
-    from ``_cover_at``, warm-started by the last infeasible one.
+    """(optimum, witness) of an L-infinity or L1 search whose every decision
+    solves a cover from ``_cover_at``, warm-started by the last infeasible
+    one.
 
-    L-infinity and L1 stop deciding once two things hold: a feasible
-    decision has set the upper end hi, and the last infeasible decision's
-    maximum matching M lacks at most ``_FINISH_DEFICIT`` units of the
-    target, the supplies and demands counted as ints after scaling by the
-    LCM of their denominators.  ``_minimax_finish`` then augments M to the
-    target along minimax augmenting paths over the pairs within hi, which
-    it reads off the last feasible decision's cover, built at a bound of at
-    least hi; no further cover is queried.  L2, and the tail where no
-    decision was feasible, decide to the end."""
+    It stops deciding once two things hold: a feasible decision has set the
+    upper end hi, and the last infeasible decision's maximum matching M
+    lacks at most ``_FINISH_DEFICIT`` units of the target, the supplies and
+    demands counted as ints after scaling by the LCM of their denominators.
+    ``_minimax_finish`` then augments M to the target along minimax
+    augmenting paths over the pairs within hi, which it reads off the last
+    feasible decision's cover, built at a bound of at least hi; no further
+    cover is queried.  Where no decision was feasible, it decides to the
+    end."""
     cover_at = _cover_at(pp, qq, metric, sd)
+    unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
     witness = seed = None
     # the last feasible decision's cover and its witness's bottleneck, hi
     hi_cover = hi = None
 
     def feas(v):
-        # False, or for L-infinity and L1 the witness's bottleneck: a
-        # feasible bound at most v
+        # False, or the witness's bottleneck: a feasible bound at most v
         nonlocal witness, seed, hi_cover, hi
         if v < 0:
             return False
@@ -371,29 +369,22 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
         # feasible decisions only lower the bound, so the last one is the
         # witness at the value the search returns
         witness = matching
-        if metric is Metric.L2:
-            return True
         hi_cover, hi = cover, max(_linf_dist(pp[p], qq[r]) for p, r, _a in matching)
         return hi
 
-    if metric is Metric.L2:
-        lam = _squared_search(pp, qq, feas, rng)
-    else:
-        unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
+    def feas_or_finish(v):
+        got = feas(v)
+        if hi is not None and seed is not None:
+            if (sd.target - matching_value(seed)) * unit <= _FINISH_DEFICIT:
+                raise _Settled
+        return got
 
-        def feas_or_finish(v):
-            got = feas(v)
-            if hi is not None and seed is not None:
-                if (sd.target - matching_value(seed)) * unit <= _FINISH_DEFICIT:
-                    raise _Settled
-            return got
-
-        try:
-            lam = sampled_search(build_sorted_matrices(pp, qq), feas_or_finish, rng)
-        except _Settled:
-            # M's pairs lie within its bound, below hi, so the cover holds them
-            bottom = max((_linf_dist(pp[p], qq[r]) for p, r, _a in seed), default=-1)
-            return _minimax_finish(_pairs_within(hi_cover, pp, qq, hi), sd, seed, bottom)
+    try:
+        lam = sampled_search(build_sorted_matrices(pp, qq), feas_or_finish, rng)
+    except _Settled:
+        # M's pairs lie within its bound, below hi, so the cover holds them
+        bottom = max((_linf_dist(pp[p], qq[r]) for p, r, _a in seed), default=-1)
+        return _minimax_finish(_pairs_within(hi_cover, pp, qq, hi), sd, seed, bottom)
     # no decision was feasible: the search returned its largest candidate
     # without deciding it
     if witness is None and feas(lam) is False:
@@ -538,9 +529,6 @@ def _squares(pp, qq):
             yield (px - qx) * (px - qx) + (py - qy) * (py - qy), i, j
 
 
-_distance = itemgetter(0)
-
-
 def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     """(smallest feasible squared distance, witness) between the planar int
     points pp and qq, over the sorted (squared distance, i, j) triples of
@@ -565,7 +553,7 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     decision's residual."""
     # sorted by distance alone: a stable sort keeps the (i, j) order of
     # equal distances, so this is the order of the triples themselves
-    pairs = sorted(_squares(pp, qq), key=_distance)
+    pairs = sorted(_squares(pp, qq), key=itemgetter(0))
     dist = [d for d, _i, _j in pairs]
     ps = [i for _d, i, _j in pairs]
     rs = [j for _d, _i, j in pairs]
@@ -613,28 +601,6 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
             raise InternalError("search landed on an infeasible bound")
     adds, _subs = project_flow(net, witness[1 : 2 * net.edge_count : 2])
     return dist[hi - 1], sorted(adds)
-
-
-def _squared_search(pp, qq, feasible, rng):
-    """Smallest squared distance between the int pairs of pp and qq at which
-    ``feasible`` holds.  Each pass over the pairs draws a uniform pivot
-    strictly inside the open interval by reservoir sampling, in O(1)
-    memory."""
-    lo, hi = -1, max(map(_distance, _squares(pp, qq)))
-    while True:
-        seen = 0
-        x = None
-        for d, _i, _j in _squares(pp, qq):
-            if lo < d < hi:
-                seen += 1
-                if rng.randrange(seen) == 0:
-                    x = d
-        if x is None:
-            return hi
-        if feasible(x):
-            hi = x
-        else:
-            lo = x
 
 
 @dataclass(frozen=True)

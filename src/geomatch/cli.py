@@ -182,11 +182,6 @@ def _run_cover(task: dict) -> dict:
     norm = sigma / (n * math.log2(n) ** 2) if n >= 2 else None
     if task.get("out"):
         _file(task["out"], cover_to_text(cover))
-    print(
-        f"cover: n={n} m={len(ranges)} parts={len(cover.parts)} sigma={sigma}"
-        + (f" sigma/(n log^2 n)={norm:.4f}" if norm is not None else ""),
-        file=sys.stderr,
-    )
     return {
         "n_points": n,
         "n_ranges": len(ranges),
@@ -322,7 +317,7 @@ def _common(sub) -> None:
 def _seeded(sub) -> None:
     sub.add_argument(
         "--seed", type=int, help="seed of the searches' random pivots, 0 if not given (an "
-        "L2 search up to 10^7 pairs draws none, and a --lambda decision takes no seed); "
+        "L2 search draws none, and a --lambda decision takes no seed); "
         "it changes no distance, only the witness, through the few decisions an L-infinity "
         "or L1 search samples before its augmenting-path finish"
     )
@@ -338,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = subs.add_parser("cover", help="build and serialize a biclique cover")
     c.add_argument("files", nargs="+", help="alternating POINTS RANGES file pairs")
     c.add_argument("--shape", choices=("box", "disk", "trivial"), default="trivial")
-    c.add_argument("--out", help="cover output file (single instance only)")
-    c.add_argument("--out-dir", help="directory for cover files, one per instance")
+    out = c.add_mutually_exclusive_group()
+    out.add_argument("--out", help="cover output file (single instance only)")
+    out.add_argument("--out-dir", help="directory for cover files, one per instance")
     _common(c)
 
     m = subs.add_parser("match", help="maximum matching between points and ranges")

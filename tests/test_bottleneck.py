@@ -570,21 +570,6 @@ def test_minimax_finish_refuses_a_short_pair_list():
         finish([[]], SupplyDemand.unit(1, 1), [], -1)
 
 
-def test_l2_reservoir_search_matches_materialized(monkeypatch):
-    rng = random.Random(37)
-    cases = []
-    for _ in range(10):
-        n = rng.randrange(1, 9)
-        sd = rand_sd(rng, n, n, integral=False) if rng.random() < 0.3 else None
-        cases.append((rand_pts(rng, n), rand_pts(rng, n), sd))
-    materialized = [bottleneck_search(P, Q, Metric.L2, sd=sd) for P, Q, sd in cases]
-    monkeypatch.setattr(bottleneck_mod, "_L2_MATERIALIZE_LIMIT", 0)
-    for (P, Q, sd), want in zip(cases, materialized):
-        r = bottleneck_search(P, Q, Metric.L2, sd=sd)
-        assert r.lambda_star_sq == want.lambda_star_sq
-        assert all(_DIST[Metric.L2](P[p], Q[q]) <= r.lambda_star_sq for p, q, _a in r.matching)
-
-
 def _count_decisions(monkeypatch, search_name, feas_pos, cover_owner, cover_name):
     """Wrap the search loop so every call of its feasibility callback at a
     non-negative bound counts as asked, and the per-decision cover query

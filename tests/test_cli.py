@@ -90,11 +90,20 @@ def test_cover_box_stats_and_file(tmp_path, capsys, triangle):
     code, stdout, stderr = run_cli(
         capsys, "cover", pts, rng, "--shape", "box", "--out", out
     )
-    assert code == 0
+    assert code == 0 and stderr == ""
     stats = json.loads(stdout)
     assert stats["sigma"] == 4 and stats["parts"] == 2
-    assert "sigma" in stderr
+    assert stats["n_points"] == 2 and stats["sigma_normalized"] == 2.0
     assert (tmp_path / "cover.txt").read_text().startswith("sigma=4")
+
+
+def test_cover_out_and_out_dir_are_exclusive(tmp_path, capsys, triangle):
+    # argparse refuses the pair before any cover file is written
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", *triangle, "--out", str(tmp_path / "c.txt"), "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not list(tmp_path.glob("c*.txt"))
 
 
 def test_cover_empty_input(tmp_path, capsys):
@@ -249,7 +258,7 @@ def test_bottleneck_metrics(tmp_path, capsys):
 
 
 def test_l2_bottleneck_output_ignores_the_seed(tmp_path, capsys):
-    # up to 10^7 pairs an L2 search grows one network and draws no pivot
+    # an L2 search grows one network and draws no pivot
     rng = random.Random(17)
     rows = lambda pts: "".join(",".join(map(str, p.coords)) + "\n" for p in pts)
     red = write(tmp_path, "red.csv", rows(rand_points(rng, 12)))
