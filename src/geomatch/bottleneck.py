@@ -25,13 +25,17 @@ Derigs-Zimmermann 1978; Gabow-Tarjan 1988).  The optimum is the longest of
 those pairs and of the matching's own, and the augmented flow is its
 witness.
 
-L2 works on squared distances so the decisions stay exact.  It sorts its
-(squared distance, i, j) pairs once and grows one flow network along them,
+L2 works on squared distances so the decisions stay exact.  It sorts all
+n^2 pairs once by squared distance and grows one flow network along them,
 one direct edge per pair: a decision appends the pairs past the largest
 infeasible prefix and continues that prefix's maximum flow.  A feasible
 decision moves the upper end to the last pair its flow uses; an infeasible
 one moves the lower end past every pair that its minimum cut does not
-cross.  The search keeps the list at every size, so it holds all n^2 pairs.
+cross.  The first decision is made at the Hall start, the first pair by
+which every point and range that must carry flow has a pair; the search
+doubles its lower end until a decision is feasible and then bisects.  It
+ends by minimax augmenting paths under the same condition as L-infinity,
+over the pairs below its upper end.
 
 The diagram search starts inside a bracket of two bounds that need no
 decision: a feasible upper bound (every point to its own diagonal
@@ -46,7 +50,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import itemgetter, sub
+from operator import sub
 
 from .cover import BicliqueCover, BoxTree, disk_cover
 from .flow import (
@@ -63,9 +67,10 @@ from .flow import (
 from .geometry import Metric, Point
 from .numeric import InputError, InternalError, exact, float_sqrt, integer_scale, scaled_ints
 
-# An L-infinity or L1 search stops deciding once the last infeasible
-# decision's matching lacks at most this many units of its target, and
-# finishes by minimax augmenting paths (``_cover_search``); 0 never finishes.
+# A bottleneck search stops deciding once a decision has been feasible and
+# the last infeasible decision's flow lacks at most this many units of its
+# target, and finishes by minimax augmenting paths (``_cover_search``,
+# ``_grown_search``); 0 never finishes.
 _FINISH_DEFICIT = 32
 
 
@@ -304,9 +309,10 @@ def bottleneck_search(
 ) -> BottleneckResult:
     """Minimum lam such that decide(..., lam) is feasible, with a witness
     matching.  L-infinity and L1 run the sampled search over the coordinate
-    differences and end it by minimax augmenting paths (``_cover_search``);
-    L2, at every size, grows one network along its sorted squared pairwise
-    distances (``_grown_search``) and draws no pivot.  The search runs on
+    differences (``_cover_search``); L2, at every size, grows one network
+    along its sorted squared pairwise distances from its Hall start
+    (``_grown_search``) and draws no pivot.  Both end by minimax augmenting
+    paths once the target is nearly reached.  The search runs on
     the scaled ints of ``_int_coords``, so the answer is exact on every
     input: an int for int coordinates and a ``Fraction`` for any other.
 
@@ -521,19 +527,11 @@ def _linf_dist(p, q) -> int:
     return max(map(abs, map(sub, p, q)))
 
 
-def _squares(pp, qq):
-    """The (squared distance, i, j) triple of every pair of planar int
-    points, in (i, j) order."""
-    for i, (px, py) in enumerate(pp):
-        for j, (qx, qy) in enumerate(qq):
-            yield (px - qx) * (px - qx) + (py - qy) * (py - qy), i, j
-
-
 def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     """(smallest feasible squared distance, witness) between the planar int
-    points pp and qq, over the sorted (squared distance, i, j) triples of
-    all pairs.  A rank k stands for the k nearest of them; rank lo is
-    known infeasible and rank hi feasible.
+    points pp and qq, over all pairs sorted by squared distance, ties in
+    (i, j) order.  A rank k stands for the k nearest pairs; rank lo is known
+    infeasible and rank hi feasible.
 
     One network holds the pairs, one direct edge each, and ``lo_res`` is
     lo's maximum flow as a residual of lo's edges.  A decision at rank k
@@ -547,18 +545,48 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     The flow is still maximum up there, so the network grows to lo with no
     new phase.
 
-    Each decision ends a tie group, so it answers what a cold decision at
-    its distance would; the search stops once lo's next pair is as far as
-    hi's last one.  The witness is read once, from the last feasible
-    decision's residual."""
-    # sorted by distance alone: a stable sort keeps the (i, j) order of
-    # equal distances, so this is the order of the triples themselves
-    pairs = sorted(_squares(pp, qq), key=itemgetter(0))
-    dist = [d for d, _i, _j in pairs]
-    ps = [i for _d, i, _j in pairs]
-    rs = [j for _d, _i, j in pairs]
-    del pairs  # the three lists hold the same pairs in less memory
-    net = build_network(BicliqueCover(len(pp), len(qq), []), sd)
+    The Hall start is the rank of the first pair by which every point and
+    every range that must carry flow has a pair: a point must when the other
+    points' supplies fall short of the target, a range when the other
+    ranges' demands do.  No prefix without that pair is feasible
+    (``_diagram_lower_bound`` bounds diagrams the same way), so no decision
+    is made below it.  The first one is made at it and gives lo its flow
+    and cut; until a decision has been feasible each next one is made at
+    twice lo, at most hi, and after that the search bisects.  Each decision
+    ends a tie group, so it answers what a cold decision at its distance
+    would; the search stops once lo's next pair, or the Hall start's, is as
+    far as hi's last one.
+
+    It stops deciding sooner once a decision has been feasible and lo's flow
+    lacks at most ``_FINISH_DEFICIT`` units of the target, counted as in
+    ``_cover_search``: ``_minimax_finish`` augments that flow to the target
+    over the pairs below hi, and its result is the search's.  Otherwise the
+    witness is read once, from the last feasible decision's residual."""
+    np_ = len(pp)
+    # one flat list, pair (i, j) at i * |Q| + j; the stable sort keeps the
+    # (i, j) order of equal distances
+    d = [(px - qx) * (px - qx) + (py - qy) * (py - qy) for px, py in pp for qx, qy in qq]
+    order = sorted(range(len(d)), key=d.__getitem__)
+    dist = list(map(d.__getitem__, order))
+    # through lookup lists, so each point and range is one shared int
+    rows = [i for i in range(np_) for _q in qq]
+    ps = list(map(rows.__getitem__, order))
+    rs = list(map((list(range(len(qq))) * np_).__getitem__, order))
+    del d, order, rows
+
+    # the Hall start: the rank of the pair that gives the last point or
+    # range that must carry flow its first pair
+    target, supply, demand = sd.target, sum(sd.supplies), sum(sd.demands)
+    needs = [s > supply - target for s in sd.supplies] + [x > demand - target for x in sd.demands]
+    left, start = sum(needs), -1
+    while left:
+        start += 1
+        for v in (ps[start], np_ + rs[start]):
+            if needs[v]:
+                needs[v] = False
+                left -= 1
+
+    net = build_network(BicliqueCover(np_, len(qq), []), sd)
     base = net.edge_count  # the feeders and drains; pair k is edge base + k
 
     def fit(k) -> None:  # the network holds the pairs of ranks below k
@@ -568,23 +596,36 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
         else:
             net.add_direct(ps[have:k], rs[have:k])
 
-    lo_res = list(net.ecap)
+    unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
+    lo_res, lo_value = list(net.ecap), 0
     lo, hi = 0, len(dist)
     witness = None
-    while dist[lo] < dist[hi - 1]:
-        x = dist[(lo + hi) // 2 - 1]
+    while dist[max(lo, start)] < dist[hi - 1]:
+        if witness is None:
+            rank = min(max(1, start, 2 * lo), hi)
+        elif (target - lo_value) * unit <= _FINISH_DEFICIT:
+            near = [[] for _ in pp]
+            for k in range(hi):
+                near[ps[k]].append((dist[k], np_ + rs[k]))
+            matching = project_flow(net, lo_res[1::2])[0]
+            # lo's pairs lie within dist[lo - 1], which an infeasible lo
+            # puts at or below the optimum, and so does the Hall start
+            return _minimax_finish(near, sd, matching, dist[max(lo - 1, start)])
+        else:
+            rank = (lo + hi) // 2
+        x = dist[rank - 1]
         # the end of x's tie group, or of the one below hi's if that is x's
         k = bisect_left(dist, x) if x == dist[hi - 1] else bisect_right(dist, x)
         fit(k)
         res = lo_res + net.ecap[len(lo_res) :]
         flow = max_flow_dinitz(net, residual=res)
-        if flow.value == sd.target:
+        if flow.value == target:
             witness = res
             hi = flow.last_loaded() - base + 1
             if not lo < hi <= k:
                 raise InternalError(f"witness of rank {k} ends at rank {hi}")
             continue
-        lo_res = res
+        lo_res, lo_value = res, flow.value
         S, T = map(set, flow.reached)
         lo = k
         while lo < hi and (ps[lo] not in S or rs[lo] in T):
@@ -597,7 +638,7 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     if witness is None:
         # hi is every pair, known feasible and never decided
         witness = lo_res + net.ecap[len(lo_res) :]
-        if max_flow_dinitz(net, residual=witness).value != sd.target:
+        if max_flow_dinitz(net, residual=witness).value != target:
             raise InternalError("search landed on an infeasible bound")
     adds, _subs = project_flow(net, witness[1 : 2 * net.edge_count : 2])
     return dist[hi - 1], sorted(adds)

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -528,20 +529,21 @@ def _count_finishes(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("metric", [Metric.LINF, Metric.L1])
+@pytest.mark.parametrize("metric", list(Metric))
 def test_finished_search_matches_brute_force_many_to_many(monkeypatch, metric):
     finishes = _count_finishes(monkeypatch)
     rng = random.Random(47)
-    for t in range(40):
+    for t in range(80):
         P, Q = rand_pts(rng, rng.randrange(1, 13)), rand_pts(rng, rng.randrange(1, 13))
         sd = rand_sd(rng, len(P), len(Q), integral=t % 2 == 0, max_w=3)
         r = bottleneck_search(P, Q, metric, sd=sd)
-        assert r.lambda_star == _brute_sd(P, Q, sd, metric)
+        star = r.lambda_star_sq if metric is Metric.L2 else r.lambda_star
+        assert star == _brute_sd(P, Q, sd, metric)
         assert matching_value(r.matching) == sd.target
         used, met = [0] * len(P), [0] * len(Q)
         assert len({(p, q) for p, q, _a in r.matching}) == len(r.matching)
         for p, q, a in r.matching:
-            assert a > 0 and _DIST[metric](P[p], Q[q]) <= r.lambda_star
+            assert a > 0 and _DIST[metric](P[p], Q[q]) <= star
             used[p] += a
             met[q] += a
         assert all(u <= s for u, s in zip(used, sd.supplies))
@@ -724,6 +726,85 @@ def test_grown_search_matches_brute_force_on_ties():
         assert all(u <= s for u, s in zip(used, full.supplies))
         assert all(m <= d for m, d in zip(met, full.demands))
         assert matching_value(r.matching) == full.target
+
+
+def _hall_start(P, Q, sd) -> int:
+    """The rank of the first pair, in (squared distance, i, j) order, by
+    which every point whose supply the other points cannot make up for has
+    a pair, and so has every range whose demand the other ranges cannot."""
+    pairs = sorted((l2sq(p, q), i, j) for i, p in enumerate(P) for j, q in enumerate(Q))
+    slack_s, slack_d = sum(sd.supplies) - sd.target, sum(sd.demands) - sd.target
+    need = {("p", i) for i, s in enumerate(sd.supplies) if s > slack_s}
+    need |= {("r", j) for j, d in enumerate(sd.demands) if d > slack_d}
+    for k, (_d, i, j) in enumerate(pairs):
+        need -= {("p", i), ("r", j)}
+        if not need:
+            return k
+    raise AssertionError("every pair gives every point and range a pair")
+
+
+def test_grown_search_decides_nothing_below_its_hall_start(monkeypatch):
+    log = _log_grown_search(monkeypatch)
+    rng = random.Random(48)
+    for P, Q, sd in _int_grid_cases(rng, 60):
+        log["decisions"].clear()
+        full = sd or SupplyDemand.unit(len(P), len(Q))
+        start = _hall_start(P, Q, full)
+        dist = sorted(l2sq(p, q) for p in P for q in Q)
+        r = bottleneck_search(P, Q, Metric.L2, sd=sd)
+        # no prefix without the pair at the Hall start is feasible
+        assert r.lambda_star_sq >= dist[start]
+        ranks = [k for k, _value, _reached in log["decisions"]]
+        assert all(k >= start for k in ranks)
+        if dist[start] == dist[-1]:
+            # the search is over before it decides: every pair is feasible
+            assert ranks == [len(dist)]
+        else:
+            # the first decision ends the tie group before the Hall start
+            assert ranks[0] == bisect_right(dist, dist[max(start, 1) - 1])
+
+
+def _unbalanced_cases(rng, count):
+    """Planar int instances whose totals differ, each with one point or
+    range far from the rest that the smaller side does not need."""
+    cases = []
+    for t in range(count):
+        n, m = rng.randrange(1, 7), rng.randrange(1, 7)
+        P = [Point((rng.randrange(13), rng.randrange(13))) for _ in range(n)]
+        Q = [Point((rng.randrange(13), rng.randrange(13))) for _ in range(m)]
+        sup = [rng.randrange(1, 4) for _ in P]
+        dem = [rng.randrange(1, 4) for _ in Q]
+        far = Point((1000 + rng.randrange(13), 1000))
+        if t % 2:  # supply falls short: a far range with demand to spare
+            Q.append(far)
+            dem.append(1)
+            dem[0] += sum(sup)
+        else:  # demand falls short: a far point with supply to spare
+            P.append(far)
+            sup.append(1)
+            sup[0] += sum(dem)
+        cases.append((P, Q, SupplyDemand(tuple(sup), tuple(dem))))
+    return cases
+
+
+def test_grown_search_matches_brute_force_on_unbalanced_totals():
+    # the unneeded far point or range has no near pair, so a search that
+    # waited for it would start, and end, at its distance
+    rng = random.Random(49)
+    for P, Q, sd in _unbalanced_cases(rng, 40):
+        assert sum(sd.supplies) != sum(sd.demands)
+        r = bottleneck_search(P, Q, Metric.L2, sd=sd)
+        star = _brute_sd(P, Q, sd, Metric.L2)
+        assert r.lambda_star_sq == star < 1000**2
+        assert matching_value(r.matching) == sd.target
+        assert all(a > 0 and l2sq(P[p], Q[q]) <= star for p, q, a in r.matching)
+    # a point needs a pair when the others cannot make up its supply: of
+    # a demand of 2, point 1 ships at most 1 and far point 0 the rest
+    P, Q = [Point((0, 0)), Point((4, 0))], [Point((5, 0))]
+    r = bottleneck_search(P, Q, Metric.L2, sd=SupplyDemand((3, 1), (2,)))
+    assert r.lambda_star_sq == 25 and matching_value(r.matching) == 2
+    r = bottleneck_search(P, Q, Metric.L2, sd=SupplyDemand((3, 1), (1,)))
+    assert r.lambda_star_sq == 1 and r.matching == [(1, 0, 1)]
 
 
 def test_pd_decides_only_when_asked(monkeypatch):
