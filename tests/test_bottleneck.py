@@ -760,7 +760,7 @@ def test_grown_search_decides_nothing_below_its_hall_start(monkeypatch):
             # the search is over before it decides: every pair is feasible
             assert ranks == [len(dist)]
         else:
-            # the first decision ends the tie group before the Hall start
+            # the first decision ends the tie group of the pair before it
             assert ranks[0] == bisect_right(dist, dist[max(start, 1) - 1])
 
 
