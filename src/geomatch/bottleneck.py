@@ -74,6 +74,14 @@ from .numeric import InputError, InternalError, exact, float_sqrt, integer_scale
 _FINISH_DEFICIT = 32
 
 
+def _near_target(sd: SupplyDemand):
+    """The finish test of both searches: whether a flow of a given value
+    lacks at most ``_FINISH_DEFICIT`` units of the target, the supplies and
+    demands counted as ints after scaling by the LCM of their denominators."""
+    unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
+    return lambda value: (sd.target - value) * unit <= _FINISH_DEFICIT
+
+
 class SortedMatrix:
     """Implicit int matrix of the differences rows[i] - cols[j].  It keeps
     the rows ascending in ``_a`` and the negated columns ascending in ``_b``,
@@ -348,15 +356,14 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
 
     It stops deciding once two things hold: a feasible decision has set the
     upper end hi, and the last infeasible decision's maximum matching M
-    lacks at most ``_FINISH_DEFICIT`` units of the target, the supplies and
-    demands counted as ints after scaling by the LCM of their denominators.
+    lacks at most ``_FINISH_DEFICIT`` units of the target (``_near_target``).
     ``_minimax_finish`` then augments M to the target along minimax
     augmenting paths over the pairs within hi, which it reads off the last
     feasible decision's cover, built at a bound of at least hi; no further
     cover is queried.  Where no decision was feasible, it decides to the
     end."""
     cover_at = _cover_at(pp, qq, metric, sd)
-    unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
+    near_target = _near_target(sd)
     witness = seed = None
     # the last feasible decision's cover and its witness's bottleneck, hi
     hi_cover = hi = None
@@ -381,7 +388,7 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
     def feas_or_finish(v):
         got = feas(v)
         if hi is not None and seed is not None:
-            if (sd.target - matching_value(seed)) * unit <= _FINISH_DEFICIT:
+            if near_target(matching_value(seed)):
                 raise _Settled
         return got
 
@@ -559,7 +566,7 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
 
     It stops deciding sooner once a decision has been feasible and lo's flow
     lacks at most ``_FINISH_DEFICIT`` units of the target, counted as in
-    ``_cover_search``: ``_minimax_finish`` augments that flow to the target
+    ``_near_target``: ``_minimax_finish`` augments that flow to the target
     over the pairs below hi, and its result is the search's.  Otherwise the
     witness is read once, from the last feasible decision's residual."""
     np_ = len(pp)
@@ -596,14 +603,14 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
         else:
             net.add_direct(ps[have:k], rs[have:k])
 
-    unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
+    near_target = _near_target(sd)
     lo_res, lo_value = list(net.ecap), 0
     lo, hi = 0, len(dist)
     witness = None
     while dist[max(lo, start)] < dist[hi - 1]:
         if witness is None:
             rank = min(max(1, start, 2 * lo), hi)
-        elif (target - lo_value) * unit <= _FINISH_DEFICIT:
+        elif near_target(lo_value):
             near = [[] for _ in pp]
             for k in range(hi):
                 near[ps[k]].append((dist[k], np_ + rs[k]))

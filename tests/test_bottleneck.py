@@ -533,7 +533,10 @@ def _count_finishes(monkeypatch) -> list:
 def test_finished_search_matches_brute_force_many_to_many(monkeypatch, metric):
     finishes = _count_finishes(monkeypatch)
     rng = random.Random(47)
+    early = None
     for t in range(80):
+        if t == 40:
+            early = len(finishes)
         P, Q = rand_pts(rng, rng.randrange(1, 13)), rand_pts(rng, rng.randrange(1, 13))
         sd = rand_sd(rng, len(P), len(Q), integral=t % 2 == 0, max_w=3)
         r = bottleneck_search(P, Q, metric, sd=sd)
@@ -548,7 +551,9 @@ def test_finished_search_matches_brute_force_many_to_many(monkeypatch, metric):
             met[q] += a
         assert all(u <= s for u, s in zip(used, sd.supplies))
         assert all(m <= d for m, d in zip(met, sd.demands))
-    assert len(finishes) > 20
+    # the first 40 instances hold the L-infinity and L1 floor; L2 finishes
+    # less often and is held over all 80
+    assert (len(finishes) if metric is Metric.L2 else early) > 20
 
 
 def test_minimax_finish_reroutes_through_a_backward_edge():
