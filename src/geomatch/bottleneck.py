@@ -27,15 +27,13 @@ witness.
 
 L2 works on squared distances so the decisions stay exact.  It sorts all
 n^2 pairs once by squared distance and grows one flow network along them,
-one direct edge per pair: a decision appends the pairs past the largest
-infeasible prefix and continues that prefix's maximum flow.  A feasible
-decision moves the upper end to the last pair its flow uses; an infeasible
-one moves the lower end past every pair that its minimum cut does not
-cross.  The first decision is made at the Hall start, the first pair by
-which every point and range that must carry flow has a pair; the search
-doubles its lower end until a decision is feasible and then bisects.  It
-ends by minimax augmenting paths under the same condition as L-infinity,
-over the pairs below its upper end.
+one direct edge per pair: each decision appends the pairs up to its rank and
+continues the last one's maximum flow.  The first decision is made at the
+Hall start, the first pair by which every point and range that must carry
+flow has a pair, and each next one at twice the last one's rank until one
+is feasible.  The search then ends by minimax augmenting paths, as
+L-infinity does, from the last infeasible decision's flow over the pairs
+the feasible one's flow reaches.
 
 The diagram search starts inside a bracket of two bounds that need no
 decision: a feasible upper bound (every point to its own diagonal
@@ -67,15 +65,15 @@ from .flow import (
 from .geometry import Metric, Point
 from .numeric import InputError, InternalError, exact, float_sqrt, integer_scale, scaled_ints
 
-# A bottleneck search stops deciding once a decision has been feasible and
-# the last infeasible decision's flow lacks at most this many units of its
-# target, and finishes by minimax augmenting paths (``_cover_search``,
-# ``_grown_search``); 0 never finishes.
+# The L-infinity and L1 search stops deciding once a decision has been
+# feasible and the last infeasible decision's flow lacks at most this many
+# units of its target, and finishes by minimax augmenting paths
+# (``_cover_search``); 0 never finishes.
 _FINISH_DEFICIT = 32
 
 
 def _near_target(sd: SupplyDemand):
-    """The finish test of both searches: whether a flow of a given value
+    """The finish test of ``_cover_search``: whether a flow of a given value
     lacks at most ``_FINISH_DEFICIT`` units of the target, the supplies and
     demands counted as ints after scaling by the LCM of their denominators."""
     unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
@@ -223,8 +221,10 @@ def _int_coords(Pset, Qset, metric: Metric, sd: SupplyDemand | None) -> tuple:
         )
     coords = [c for p in P + Q for c in p]
     scale = integer_scale(coords)
-    pp = [scaled_ints(p, scale) for p in P]
-    qq = [scaled_ints(q, scale) for q in Q]
+    # one scaled tuple, regrouped point by point
+    flat = iter(scaled_ints(coords, scale))
+    pts = list(zip(*[flat] * dims.pop())) if dims else []
+    pp, qq = pts[: len(P)], pts[len(P) :]
     if metric is Metric.L1:
         pp = [(x + y, x - y) for x, y in pp]
         qq = [(x + y, x - y) for x, y in qq]
@@ -320,7 +320,8 @@ def bottleneck_search(
     differences (``_cover_search``); L2, at every size, grows one network
     along its sorted squared pairwise distances from its Hall start
     (``_grown_search``) and draws no pivot.  Both end by minimax augmenting
-    paths once the target is nearly reached.  The search runs on
+    paths: L2 once a decision is feasible, L-infinity and L1 once the
+    target is also nearly reached.  The search runs on
     the scaled ints of ``_int_coords``, so the answer is exact on every
     input: an int for int coordinates and a ``Fraction`` for any other.
 
@@ -329,8 +330,7 @@ def bottleneck_search(
     that value.  An infeasible one's maximum matching uses only pairs within
     its bound, so it is a feasible flow at every larger bound the search
     decides later and starts that decision's max flow; the grown L2 search
-    keeps it as its residual, and also lifts the lower end past every pair
-    its minimum cut leaves standing."""
+    keeps it as its residual."""
     pp, qq, sd, scale, ints = _int_coords(Pset, Qset, metric, sd)
     if not pp or not qq:
         sq = 0 if metric is Metric.L2 else None
@@ -451,9 +451,14 @@ def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom) -> tuple
         spare[p] -= a
         unmet[r] -= a
         into[r][p] = a
-    value, lam = matching_value(matching), bottom
-    while value < sd.target:
-        lam, u, came = _minimax_path(near, into, spare, unmet, lam)
+    # the points with supply to spare and whether each range has demand to
+    # meet, kept apart from the amounts so a path search compares no amount
+    sources = [p for p in range(np_) if spare[p] > 0]
+    short = [x > 0 for x in unmet]
+    # sd.target sums every supply and demand, so it is read once
+    value, lam, target = matching_value(matching), bottom, sd.target
+    while value < target:
+        lam, u, came = _minimax_path(near, into, sources, short, lam)
         # walk the path back: range u from point came[u], and that point
         # back from range came[p] along a pair that carries flow
         steps = []  # (point, range, +1 forward or -1 backward)
@@ -476,16 +481,20 @@ def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom) -> tuple
             else:
                 del into[s][q]
         spare[p] -= amt
+        if not spare[p] > 0:
+            sources.remove(p)
         unmet[u - np_] -= amt
+        short[u - np_] = unmet[u - np_] > 0
         value += amt
     witness = sorted((p, r, a) for r, flows in enumerate(into) for p, a in flows.items())
     return lam, witness
 
 
-def _minimax_path(near, into, spare, unmet, lam) -> tuple:
+def _minimax_path(near, into, sources, short, lam) -> tuple:
     """(key, range vertex, predecessors) of one augmenting path of
     ``_minimax_finish``'s flow whose largest forward pair is smallest, its
-    key raised to lam.  Point p is vertex p and range r vertex |P| + r.
+    key raised to lam, from a point of ``sources`` to a range r with
+    ``short[r]``.  Point p is vertex p and range r vertex |P| + r.
 
     A Dijkstra by levels: keys at most lam all count as lam, and a vertex
     whose key equals the current level's, the pair being no longer, joins
@@ -495,7 +504,7 @@ def _minimax_path(near, into, spare, unmet, lam) -> tuple:
     np_ = len(near)
     key = [INF] * (np_ + len(into))
     came = [-1] * len(key)
-    level = [p for p in range(np_) if spare[p] > 0]
+    level = list(sources)
     for p in level:
         key[p] = lam
     heap = []
@@ -505,7 +514,7 @@ def _minimax_path(near, into, spare, unmet, lam) -> tuple:
                 raise InternalError("the listed pairs do not reach the target")
             lam, u = heappop(heap)
             if lam == key[u]:  # else stale: u has a smaller key
-                if u >= np_ and unmet[u - np_] > 0:
+                if u >= np_ and short[u - np_]:
                     return lam, u, came
                 level.append(u)
         u = level.pop()
@@ -515,7 +524,7 @@ def _minimax_path(near, into, spare, unmet, lam) -> tuple:
                     if lam < key[v]:
                         key[v] = lam
                         came[v] = u
-                        if unmet[v - np_] > 0:
+                        if short[v - np_]:
                             return lam, v, came
                         level.append(v)
                 elif d < key[v]:
@@ -537,38 +546,26 @@ def _linf_dist(p, q) -> int:
 def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     """(smallest feasible squared distance, witness) between the planar int
     points pp and qq, over all pairs sorted by squared distance, ties in
-    (i, j) order.  A rank k stands for the k nearest pairs; rank lo is known
-    infeasible and rank hi feasible.
+    (i, j) order.  A rank k stands for the k nearest pairs.
 
-    One network holds the pairs, one direct edge each, and ``lo_res`` is
-    lo's maximum flow as a residual of lo's edges.  A decision at rank k
-    fits the network to the pairs of ranks up to k and continues lo's flow,
-    a copy of it with every pair past lo at its full capacity.  If it is
-    feasible, hi drops to the rank of the last pair its flow uses, and lo's
-    residual is still at hand for the next decision, which drops the pairs
-    past its own rank.  If not, its flow becomes lo's, and lo jumps to the
-    first pair from a point the flow's last BFS reached to a range it did
-    not: below it the same cut stands, at a capacity short of the target.
-    The flow is still maximum up there, so the network grows to lo with no
-    new phase.
-
+    One network holds the pairs, one direct edge each, and grows along
+    them; each decision appends the pairs up to its rank and continues the
+    last decision's maximum flow, with every new pair at its full capacity.
     The Hall start is the rank of the first pair by which every point and
     every range that must carry flow has a pair: a point must when the other
     points' supplies fall short of the target, a range when the other
     ranges' demands do.  No prefix without that pair is feasible
-    (``_diagram_lower_bound`` bounds diagrams the same way), so no decision
-    is made below it.  The first one is made at it and gives lo its flow
-    and cut; until a decision has been feasible each next one is made at
-    twice lo, at most hi, and after that the search bisects.  Each decision
-    ends a tie group, so it answers what a cold decision at its distance
-    would; the search stops once lo's next pair, or the Hall start's, is as
-    far as hi's last one.
+    (``_diagram_lower_bound`` bounds diagrams the same way).  The first
+    decision ends the tie group of the pair before it, and until a decision
+    is feasible each next one ends the tie group at twice the last one's
+    rank, lo.  So every decision answers what a cold decision at its
+    distance would.
 
-    It stops deciding sooner once a decision has been feasible and lo's flow
-    lacks at most ``_FINISH_DEFICIT`` units of the target, counted as in
-    ``_near_target``: ``_minimax_finish`` augments that flow to the target
-    over the pairs below hi, and its result is the search's.  Otherwise the
-    witness is read once, from the last feasible decision's residual."""
+    If the first decision is feasible, its flow is the witness, at the
+    distance of the Hall start's tie group.  Otherwise ``_minimax_finish``
+    augments lo's flow to the target over the pairs of ranks below hi, the
+    rank after the last pair the feasible decision's flow uses, and its
+    result is the search's."""
     np_ = len(pp)
     # one flat list, pair (i, j) at i * |Q| + j; the stable sort keeps the
     # (i, j) order of equal distances
@@ -595,60 +592,30 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
 
     net = build_network(BicliqueCover(np_, len(qq), []), sd)
     base = net.edge_count  # the feeders and drains; pair k is edge base + k
-
-    def fit(k) -> None:  # the network holds the pairs of ranks below k
+    res = list(net.ecap)
+    lo = lo_flow = None
+    # every pair if they all tie the Hall start's
+    k = len(dist) if dist[start] == dist[-1] else bisect_right(dist, dist[max(start, 1) - 1])
+    while True:
         have = net.edge_count - base
-        if have > k:
-            net.truncate(base + k)
-        else:
-            net.add_direct(ps[have:k], rs[have:k])
-
-    near_target = _near_target(sd)
-    lo_res, lo_value = list(net.ecap), 0
-    lo, hi = 0, len(dist)
-    witness = None
-    while dist[max(lo, start)] < dist[hi - 1]:
-        if witness is None:
-            rank = min(max(1, start, 2 * lo), hi)
-        elif near_target(lo_value):
-            near = [[] for _ in pp]
-            for k in range(hi):
-                near[ps[k]].append((dist[k], np_ + rs[k]))
-            matching = project_flow(net, lo_res[1::2])[0]
-            # lo's pairs lie within dist[lo - 1], which an infeasible lo
-            # puts at or below the optimum, and so does the Hall start
-            return _minimax_finish(near, sd, matching, dist[max(lo - 1, start)])
-        else:
-            rank = (lo + hi) // 2
-        x = dist[rank - 1]
-        # the end of x's tie group, or of the one below hi's if that is x's
-        k = bisect_left(dist, x) if x == dist[hi - 1] else bisect_right(dist, x)
-        fit(k)
-        res = lo_res + net.ecap[len(lo_res) :]
+        net.add_direct(ps[have:k], rs[have:k])
+        res += net.ecap[len(res) :]
         flow = max_flow_dinitz(net, residual=res)
         if flow.value == target:
-            witness = res
-            hi = flow.last_loaded() - base + 1
-            if not lo < hi <= k:
-                raise InternalError(f"witness of rank {k} ends at rank {hi}")
-            continue
-        lo_res, lo_value = res, flow.value
-        S, T = map(set, flow.reached)
-        lo = k
-        while lo < hi and (ps[lo] not in S or rs[lo] in T):
-            lo += 1
-        if lo == hi:
-            raise InternalError(f"no pair below rank {hi} crosses an infeasible cut")
-        fit(lo)
-        lo_res += net.ecap[len(lo_res) :]
-    fit(hi)
-    if witness is None:
-        # hi is every pair, known feasible and never decided
-        witness = lo_res + net.ecap[len(lo_res) :]
-        if max_flow_dinitz(net, residual=witness).value != target:
-            raise InternalError("search landed on an infeasible bound")
-    adds, _subs = project_flow(net, witness[1 : 2 * net.edge_count : 2])
-    return dist[hi - 1], sorted(adds)
+            break
+        if k == len(dist):
+            raise InternalError("every pair together falls short of the target")
+        lo, lo_flow = k, flow
+        k = bisect_right(dist, dist[min(2 * k, len(dist)) - 1])
+    hi = flow.last_loaded() - base + 1
+    if lo is None:
+        return dist[hi - 1], sorted(project_flow(net, flow.values)[0])
+    near = [[] for _ in pp]
+    for j in range(hi):
+        near[ps[j]].append((dist[j], np_ + rs[j]))
+    # lo's pairs lie within dist[lo - 1], which an infeasible lo puts at or
+    # below the optimum, and so does the Hall start
+    return _minimax_finish(near, sd, project_flow(net, lo_flow.values)[0], dist[max(lo - 1, start)])
 
 
 @dataclass(frozen=True)
@@ -690,9 +657,10 @@ def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
         return 0
     if rng is None:
         rng = random.Random(0)
-    bd = dgm_x.points + dgm_y.points
-    scale = integer_scale(c for pair in bd for c in pair)
-    bd = [scaled_ints(pair, scale) for pair in bd]
+    coords = [c for pair in dgm_x.points + dgm_y.points for c in pair]
+    scale = integer_scale(coords)
+    flat = scaled_ints(coords, scale)
+    bd = list(zip(flat[0::2], flat[1::2]))
     # In doubled coordinates a point lies d - b from its own diagonal
     # projection ((b + d) / 2 undoubled), an int.
     nx = len(dgm_x)

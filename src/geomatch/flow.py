@@ -15,13 +15,12 @@ blocks: source 0, sink 1, the points, the ranges, then the middle vertices.
 ``level_graph`` is their one BFS, ``_blocking_flow`` their one DFS and
 ``project_flow`` their one reader of a flow.
 
-A network can also grow and shrink: ``FlowNetwork.extend`` appends edges
-after the others and ``truncate`` drops them again.  ``max_flow_dinitz``
-continues from the residual of an earlier flow and reports the points and
-ranges on the source side of its minimum cut.  The L2 bottleneck search
-grows one network along its sorted pairs this way, and ``truncate``s it
-back to a shorter prefix; the implicit engine appends a backward
-edge to its cover's network for each pair new to its flow's support.
+A network can also grow: ``FlowNetwork.extend`` appends edges after the
+others, and ``max_flow_dinitz`` continues from the residual of an earlier
+flow and reports the points and ranges on the source side of its minimum
+cut.  The L2 bottleneck search grows one network along its sorted pairs this
+way; the implicit engine appends a backward edge to its cover's network for
+each pair new to its flow's support.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ class FlowNetwork:
     def extend(self, tails, heads, caps) -> None:
         """Append an edge from ``tails[k]`` to ``heads[k]`` with capacity
         ``caps[k]`` for each k.  Their ids continue the list, so each is the
-        last of its ends' adjacencies until a later one comes, and
-        ``truncate`` undoes them."""
+        last of its ends' adjacencies until a later one comes."""
         m, e0 = len(tails), len(self.eto)
         eto = [0] * (2 * m)
         eto[0::2] = heads
@@ -123,14 +121,6 @@ class FlowNetwork:
         np_, ecap = self.n_points, self.ecap
         ecap[0 : 2 * np_ : 2] = supplies
         ecap[2 * np_ : 2 * (np_ + self.n_ranges) : 2] = demands
-
-    def truncate(self, m: int) -> None:
-        """Drop the original edges from index m on, the last ones appended."""
-        eto, head = self.eto, self.head
-        for e in range(len(eto) - 2, 2 * m - 1, -2):
-            head[eto[e + 1]].pop()
-            head[eto[e]].pop()
-        del eto[2 * m :], self.ecap[2 * m :]
 
 
 @dataclass

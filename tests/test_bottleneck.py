@@ -463,7 +463,10 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
     # search starts every max flow from the empty flow: no seed (L-infinity,
     # L1) or a residual reset to the network's capacities (L2's grown
     # network).  The L-infinity and L1 searches decide to the end: their
-    # minimax finish would end them before any warm-started decision.
+    # minimax finish would end them before any warm-started decision.  The
+    # L2 search ends at its first feasible decision whatever the deficit;
+    # on these instances its first decision, at the Hall start, is
+    # infeasible, so the next one continues a warm residual.
     monkeypatch.setattr(bottleneck_mod, "_FINISH_DEFICIT", 0)
     dinitz, search = bottleneck_mod.max_flow_dinitz, bottleneck_mod.sampled_search
     rng = random.Random(36)
@@ -767,6 +770,31 @@ def test_grown_search_decides_nothing_below_its_hall_start(monkeypatch):
         else:
             # the first decision ends the tie group of the pair before it
             assert ranks[0] == bisect_right(dist, dist[max(start, 1) - 1])
+
+
+def test_grown_search_ends_at_its_first_feasible_decision(monkeypatch):
+    # fractional many-to-many instances: every decision but the last is
+    # infeasible, and the finish deficit of the L-infinity and L1 search
+    # changes none of them
+    log = _log_grown_search(monkeypatch)
+    rng = random.Random(50)
+    galloped = 0
+    for _ in range(40):
+        P, Q = rand_pts(rng, rng.randrange(1, 10)), rand_pts(rng, rng.randrange(1, 10))
+        sd = rand_sd(rng, len(P), len(Q), integral=False)
+        runs = []
+        for deficit in (0, 32, 10**9):
+            monkeypatch.setattr(bottleneck_mod, "_FINISH_DEFICIT", deficit)
+            log["decisions"].clear()
+            r = bottleneck_search(P, Q, Metric.L2, sd=sd)
+            runs.append(([(k, value) for k, value, _reached in log["decisions"]], r.lambda_star_sq))
+        assert runs[0] == runs[1] == runs[2]
+        values = [value for _k, value in runs[0][0]]
+        assert values[-1] == sd.target
+        assert all(value < sd.target for value in values[:-1])
+        galloped += len(values) > 2
+        assert runs[0][1] == _brute_sd(P, Q, sd, Metric.L2)
+    assert galloped > 10
 
 
 def _unbalanced_cases(rng, count):

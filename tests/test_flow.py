@@ -371,18 +371,10 @@ def test_grown_network_continues_to_a_maximum_flow():
         pairs = [(i, j) for i in range(n) for j in range(m) if rng.random() < 0.4]
         rng.shuffle(pairs)
         net = build_network(BicliqueCover(n, m, []), sd)
-        base = net.edge_count
         res = list(net.ecap)
         k = 0
         while k < len(pairs):
             step = pairs[k : k + rng.randrange(1, 6)]
-            if rng.random() < 0.3:
-                # appended and dropped again, leaving the network as it was
-                before = (list(net.eto), list(net.ecap), [list(h) for h in net.head])
-                net.add_direct([p for p, _r in step], [r for _p, r in step])
-                net.truncate(base + k)
-                assert (net.eto, net.ecap, net.head) == before
-                continue
             k += len(step)
             net.add_direct([p for p, _r in step], [r for _p, r in step])
             res += net.ecap[len(res) :]
