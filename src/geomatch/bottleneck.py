@@ -14,6 +14,9 @@ selection.  Each test covers the incidences between one side and the
 metric balls around the other (a box tree for L-infinity and L1), and asks
 the flow module whether the target value is reached; a feasible test's
 witness moves the interval's upper end down to its own bottleneck.
+Supplies and demands are read as ints too, all multiplied by one positive
+int, so every amount a search adds or compares is an int; the witness's
+amounts are divided back once, at the end.
 
 An L-infinity or L1 search stops testing once a feasible test has set the
 upper end hi and the last infeasible test's maximum matching lacks at most
@@ -61,23 +64,16 @@ from .flow import (
     max_flow_dinitz,
     project_flow,
     seed_flow,
+    unscaled,
 )
 from .geometry import Metric, Point
-from .numeric import InputError, InternalError, exact, float_sqrt, integer_scale, scaled_ints
+from .numeric import InputError, InternalError, exact, float_sqrt, scaled_coords
 
 # The L-infinity and L1 search stops deciding once a decision has been
 # feasible and the last infeasible decision's flow lacks at most this many
-# units of its target, and finishes by minimax augmenting paths
-# (``_cover_search``); 0 never finishes.
+# units of its target, the supplies and demands scaled to ints, and
+# finishes by minimax augmenting paths (``_cover_search``); 0 never finishes.
 _FINISH_DEFICIT = 32
-
-
-def _near_target(sd: SupplyDemand):
-    """The finish test of ``_cover_search``: whether a flow of a given value
-    lacks at most ``_FINISH_DEFICIT`` units of the target, the supplies and
-    demands counted as ints after scaling by the LCM of their denominators."""
-    unit = math.lcm(*{x.denominator for x in (*sd.supplies, *sd.demands)})
-    return lambda value: (sd.target - value) * unit <= _FINISH_DEFICIT
 
 
 class SortedMatrix:
@@ -196,13 +192,15 @@ def _as_point(p) -> Point:
 
 def _int_coords(Pset, Qset, metric: Metric, sd: SupplyDemand | None) -> tuple:
     """The set-up every decision and search shares: (pp, qq, sd, scale,
-    ints).  ``pp`` and ``qq`` hold the points as int coordinate tuples, each
-    coordinate read exactly and multiplied by ``scale``, the one positive int
-    that makes every coordinate an int; L1 points are then rotated by 45
-    degrees, which turns L1 balls into L-infinity balls of the same radius.
-    Scaling every coordinate alike scales every distance alike, so no
-    decision changes.  ``sd`` defaults to a perfect matching; ``ints`` tells
-    whether every input coordinate was an int already."""
+    wscale).  ``pp`` and ``qq`` hold the points as the int coordinate tuples
+    of ``scaled_coords``, every coordinate multiplied by ``scale``, None when
+    every input coordinate was an int already; L1 points are then rotated
+    by 45 degrees, which turns L1 balls into L-infinity balls of the same
+    radius.  Scaling every coordinate alike scales every distance alike, so
+    no decision changes.  ``sd`` defaults to a perfect matching and comes
+    back as the int weights of ``SupplyDemand.scaled``, every supply and
+    demand multiplied by ``wscale``, None when every one was an int already;
+    ``flow.unscaled`` divides a matching over them back."""
     P = [_as_point(p).coords for p in Pset]
     Q = [_as_point(q).coords for q in Qset]
     dims = {len(c) for c in P + Q}
@@ -219,16 +217,13 @@ def _int_coords(Pset, Qset, metric: Metric, sd: SupplyDemand | None) -> tuple:
             f"{len(sd.supplies)} supplies and {len(sd.demands)} demands "
             f"for {len(P)} and {len(Q)} points"
         )
-    coords = [c for p in P + Q for c in p]
-    scale = integer_scale(coords)
-    # one scaled tuple, regrouped point by point
-    flat = iter(scaled_ints(coords, scale))
-    pts = list(zip(*[flat] * dims.pop())) if dims else []
+    pts, scale = scaled_coords(P + Q)
     pp, qq = pts[: len(P)], pts[len(P) :]
     if metric is Metric.L1:
         pp = [(x + y, x - y) for x, y in pp]
         qq = [(x + y, x - y) for x, y in qq]
-    return pp, qq, sd, scale, all(isinstance(c, int) for c in coords)
+    sd, wscale = sd.scaled()
+    return pp, qq, sd, scale, wscale
 
 
 def _cover_at(pp, qq, metric: Metric, sd: SupplyDemand):
@@ -262,19 +257,23 @@ def decide(
     many-to-many variant.  With ``squared`` (L2 only) ``lam`` is taken as the
     squared radius, keeping the decision exact.  Float coordinates and
     bounds are read exactly.  The matching is returned only for a feasible
-    decision."""
-    pp, qq, sd, scale, _ints = _int_coords(Pset, Qset, metric, sd)
+    decision.
+
+    The bound is scaled as the coordinates are and rounded down to an int:
+    every distance between int tuples (squared for L2) is an int, so the
+    rounding drops no pair."""
+    pp, qq, sd, scale, wscale = _int_coords(Pset, Qset, metric, sd)
     lam = exact(lam)
     if lam < 0:
         raise InputError("negative distance bound")
     if squared and metric is not Metric.L2:
         raise InputError("squared bounds apply to L2 only")
-    if metric is Metric.L2:
-        lam = (lam if squared else lam * lam) * scale * scale
-    else:
-        lam *= scale
-    feasible, matching = _solve(_cover_at(pp, qq, metric, sd)(lam), sd)
-    return DecideResult(feasible, matching if feasible else None)
+    if metric is Metric.L2 and not squared:
+        lam *= lam
+    if scale:
+        lam *= scale * scale if metric is Metric.L2 else scale
+    feasible, matching = _solve(_cover_at(pp, qq, metric, sd)(math.floor(lam)), sd)
+    return DecideResult(feasible, unscaled(matching, wscale) if feasible else None)
 
 
 def _box_cover(tree, centres, lam, sd, extra_parts=()) -> BicliqueCover:
@@ -321,9 +320,11 @@ def bottleneck_search(
     along its sorted squared pairwise distances from its Hall start
     (``_grown_search``) and draws no pivot.  Both end by minimax augmenting
     paths: L2 once a decision is feasible, L-infinity and L1 once the
-    target is also nearly reached.  The search runs on
-    the scaled ints of ``_int_coords``, so the answer is exact on every
-    input: an int for int coordinates and a ``Fraction`` for any other.
+    target is also nearly reached.  The search decides, gallops and
+    finishes on the scaled ints of ``_int_coords``, coordinates and weights
+    alike, so the answer is exact on every input: an int for int
+    coordinates and a ``Fraction`` for any other, and the witness's amounts
+    ints for int weights and ``Fraction``s for any other.
 
     Decisions move both ends of the search's interval.  A feasible one's
     witness is feasible at its own bottleneck, so the upper end drops to
@@ -331,7 +332,7 @@ def bottleneck_search(
     its bound, so it is a feasible flow at every larger bound the search
     decides later and starts that decision's max flow; the grown L2 search
     keeps it as its residual."""
-    pp, qq, sd, scale, ints = _int_coords(Pset, Qset, metric, sd)
+    pp, qq, sd, scale, wscale = _int_coords(Pset, Qset, metric, sd)
     if not pp or not qq:
         sq = 0 if metric is Metric.L2 else None
         return BottleneckResult(0, metric, [], lambda_star_sq=sq)
@@ -342,8 +343,9 @@ def bottleneck_search(
         lam, witness = _grown_search(pp, qq, sd)
     else:
         lam, witness = _cover_search(pp, qq, metric, sd, rng)
-    if not ints:
+    if scale:
         lam = Fraction(lam, scale * scale if metric is Metric.L2 else scale)
+    witness = unscaled(witness, wscale)
     if metric is Metric.L2:
         return BottleneckResult(float_sqrt(lam), metric, witness, lambda_star_sq=lam)
     return BottleneckResult(lam, metric, witness)
@@ -356,14 +358,13 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
 
     It stops deciding once two things hold: a feasible decision has set the
     upper end hi, and the last infeasible decision's maximum matching M
-    lacks at most ``_FINISH_DEFICIT`` units of the target (``_near_target``).
+    lacks at most ``_FINISH_DEFICIT`` units of the int weights' target.
     ``_minimax_finish`` then augments M to the target along minimax
     augmenting paths over the pairs within hi, which it reads off the last
     feasible decision's cover, built at a bound of at least hi; no further
     cover is queried.  Where no decision was feasible, it decides to the
     end."""
     cover_at = _cover_at(pp, qq, metric, sd)
-    near_target = _near_target(sd)
     witness = seed = None
     # the last feasible decision's cover and its witness's bottleneck, hi
     hi_cover = hi = None
@@ -388,7 +389,7 @@ def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
     def feas_or_finish(v):
         got = feas(v)
         if hi is not None and seed is not None:
-            if near_target(matching_value(seed)):
+            if sd.target - matching_value(seed) <= _FINISH_DEFICIT:
                 raise _Settled
         return got
 
@@ -452,7 +453,8 @@ def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom) -> tuple
         unmet[r] -= a
         into[r][p] = a
     # the points with supply to spare and whether each range has demand to
-    # meet, kept apart from the amounts so a path search compares no amount
+    # meet, kept next to the amounts for speed: a path search starts from
+    # the few sources and reads one flag per range it reaches
     sources = [p for p in range(np_) if spare[p] > 0]
     short = [x > 0 for x in unmet]
     # sd.target sums every supply and demand, so it is read once
@@ -639,7 +641,7 @@ def _diagram(x) -> PersistenceDiagram:
     return x if isinstance(x, PersistenceDiagram) else PersistenceDiagram(tuple(x))
 
 
-def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
+def pd_bottleneck(X, Y):
     """Bottleneck distance between two persistence diagrams.
 
     Each off-diagonal point may match a point of the other diagram within
@@ -655,12 +657,7 @@ def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
     dgm_x, dgm_y = _diagram(X), _diagram(Y)
     if not dgm_x.points and not dgm_y.points:
         return 0
-    if rng is None:
-        rng = random.Random(0)
-    coords = [c for pair in dgm_x.points + dgm_y.points for c in pair]
-    scale = integer_scale(coords)
-    flat = scaled_ints(coords, scale)
-    bd = list(zip(flat[0::2], flat[1::2]))
+    bd, scale = scaled_coords(dgm_x.points + dgm_y.points)
     # In doubled coordinates a point lies d - b from its own diagonal
     # projection ((b + d) / 2 undoubled), an int.
     nx = len(dgm_x)
@@ -686,8 +683,8 @@ def pd_bottleneck(X, Y, *, rng: random.Random | None = None):
         mats += build_sorted_matrices(pts[:nx], pts[nx:])
     lb = _diagram_lower_bound(pts, to_diagonal, nx)
     # ub is an entry and feasible, so the search needs no decision at it
-    lam = sampled_search(mats, feasible, rng, lo=lb - 1, hi=max(to_diagonal))
-    return Fraction(lam, 2 * scale)
+    lam = sampled_search(mats, feasible, random.Random(0), lo=lb - 1, hi=max(to_diagonal))
+    return Fraction(lam, 2 * (scale or 1))
 
 
 def _diagram_lower_bound(pts, to_diagonal, nx) -> int:

@@ -271,7 +271,7 @@ def _run_bottleneck(task: dict) -> dict:
 def _run_pd(task: dict) -> dict:
     x = parse_diagram(task["dgm1"])
     y = parse_diagram(task["dgm2"])
-    v = pd_bottleneck(x, y, rng=random.Random(task["seed"]))
+    v = pd_bottleneck(x, y)
     return {"w_inf": _shown(task)(v)}
 
 
@@ -314,15 +314,6 @@ def _common(sub) -> None:
     sub.add_argument("--jobs", type=int, default=1, help="parallel workers across instances")
 
 
-def _seeded(sub) -> None:
-    sub.add_argument(
-        "--seed", type=int, help="seed of the searches' random pivots, 0 if not given (an "
-        "L2 search draws none, and a --lambda decision takes no seed); "
-        "it changes no distance, only the witness, through the few decisions an L-infinity "
-        "or L1 search samples before its augmenting-path finish"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="geomatch",
@@ -359,13 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("files", nargs="+", help="alternating RED BLUE point file pairs")
     b.add_argument("--metric", choices=tuple(_METRICS), default="linf")
     b.add_argument("--lambda", dest="lam", help="decide feasibility at this bound")
+    b.add_argument(
+        "--seed", type=int, help="seed of the search's random pivots, 0 if not given (an "
+        "L2 search draws none, and a --lambda decision takes no seed); "
+        "it changes no distance, only the witness, through the few decisions an L-infinity "
+        "or L1 search samples before its augmenting-path finish"
+    )
     _common(b)
-    _seeded(b)
 
     p = subs.add_parser("pd", help="bottleneck distance between persistence diagrams")
     p.add_argument("files", nargs="+", help="alternating DIAGRAM DIAGRAM file pairs")
     _common(p)
-    _seeded(p)
 
     return ap
 
@@ -398,17 +393,17 @@ def _tasks_from_args(args: argparse.Namespace) -> list:
             )
             for pts, rng in pairs
         ]
-    seed = 0 if args.seed is None else args.seed
     if args.command == "bottleneck":
         if args.lam is not None and args.seed is not None:
             raise InputError("--seed has no effect with --lambda: a decision draws no pivot")
+        seed = 0 if args.seed is None else args.seed
         pairs = _pairs(args.files, ("red", "blue"))
         return [
             dict(base, red=r, blue=b, metric=args.metric, lam=args.lam, seed=seed)
             for r, b in pairs
         ]
     pairs = _pairs(args.files, ("diagram", "diagram"))
-    return [dict(base, dgm1=a, dgm2=b, seed=seed) for a, b in pairs]
+    return [dict(base, dgm1=a, dgm2=b) for a, b in pairs]
 
 
 def main(argv=None) -> int:

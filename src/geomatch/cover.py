@@ -15,10 +15,9 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .geometry import Box, Disk, contains
-from .numeric import InputError, exact, integer_scale, scaled_ints
+from .numeric import InputError, exact, scaled_coords
 
 _PAIR_GUARD = 10**7
 
@@ -104,9 +103,10 @@ def box_cover(points, boxes, dim: int | None = None) -> BicliqueCover:
     """Edge-disjoint cover of point/box incidences via a multi-level range
     tree (see ``BoxTree``).
 
-    When some coordinate is a ``Fraction``, every coordinate is first
-    multiplied by the LCM of the denominators, so the tree sorts and
-    compares ints; scaling by one positive int changes no incidence."""
+    The points and the box corners are read as int tuples first
+    (``scaled_coords``: floats exactly, every coordinate multiplied by one
+    positive int), so the tree sorts and compares ints; scaling by one
+    positive int changes no incidence."""
     d = dim if dim is not None else (points[0].dim if points else (boxes[0].dim if boxes else 1))
     for p in points:
         if p.dim != d:
@@ -118,14 +118,10 @@ def box_cover(points, boxes, dim: int | None = None) -> BicliqueCover:
             raise InputError("box dimension mismatch")
     parts = []
     if points and boxes:
-        pc = [p.coords for p in points]
-        lo = [b.lo.coords for b in boxes]
-        hi = [b.hi.coords for b in boxes]
-        every = [c for group in (pc, lo, hi) for t in group for c in t]
-        if any(isinstance(c, Fraction) for c in every):
-            scale = integer_scale(every)
-            pc, lo, hi = ([scaled_ints(t, scale) for t in group] for group in (pc, lo, hi))
-        parts = BoxTree(pc, d).parts(lo, hi)
+        corners = [b.lo.coords for b in boxes] + [b.hi.coords for b in boxes]
+        ints, _scale = scaled_coords([p.coords for p in points] + corners)
+        n, m = len(points), len(boxes)
+        parts = BoxTree(ints[:n], d).parts(ints[n : n + m], ints[n + m :])
     return BicliqueCover(len(points), len(boxes), parts)
 
 

@@ -28,9 +28,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .geometry import contains
-from .numeric import InputError, InternalError, exact
+from .numeric import InputError, InternalError, exact, integer_scale, scaled_ints
 
 INF = math.inf
 
@@ -57,6 +58,20 @@ class SupplyDemand:
     def target(self):
         """Upper bound min(total supply, total demand) on any matching value."""
         return min(sum(self.supplies), sum(self.demands))
+
+    def scaled(self) -> tuple:
+        """(int weights, scale): this instance with every supply and demand
+        multiplied by the scale, the one positive int that makes each an int
+        (``integer_scale``), so a solver adds and compares ints only, and
+        ``unscaled`` divides the amounts it finds back.  When every weight
+        is an int already, the scale is None and the instance comes back as
+        it is; ``Fraction(1)`` weights scale by 1, and their amounts come
+        back as ``Fraction``s."""
+        weights = self.supplies + self.demands
+        if all(isinstance(w, int) for w in weights):
+            return self, None
+        scale = integer_scale(weights)
+        return SupplyDemand(*(scaled_ints(w, scale) for w in (self.supplies, self.demands))), scale
 
 
 class FlowNetwork:
@@ -426,6 +441,15 @@ def _pair_part(lp: list, lr: list) -> list:
 
 def matching_value(matching: Matching):
     return sum((amt for _p, _r, amt in matching), 0)
+
+
+def unscaled(matching: Matching, scale) -> Matching:
+    """A matching over the int weights of ``SupplyDemand.scaled`` as one
+    over the weights it scaled: every amount divided back by ``scale``,
+    unless the scale is None."""
+    if scale is None:
+        return matching
+    return [(p, r, Fraction(a, scale)) for p, r, a in matching]
 
 
 def validate_matching(matching: Matching, points, ranges, sd: SupplyDemand) -> bool:

@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from .cover import BicliqueCover
 from .flow import Flow, FlowNetwork, Matching, SupplyDemand
-from .flow import _blocking_flow, build_network, level_graph, project_flow
-from .numeric import InputError, InternalError, integer_scale, scaled_ints
+from .flow import _blocking_flow, build_network, level_graph, project_flow, unscaled
+from .numeric import InputError, InternalError
 from .rblct import prune_to_forest
 
 # build_level_graph returns Done (None) when no unmet demand is reachable,
@@ -159,10 +159,10 @@ def max_matching_implicit(
     as ``trace`` to receive one (t_level, pushed value, support size) triple
     per phase.
 
-    With some ``Fraction`` weight, supplies and demands are multiplied once
-    by the LCM of their denominators, so every phase adds, subtracts and
-    compares ints; each amount (and each traced value) is divided back as
-    ``Fraction(v, scale)``.
+    Supplies and demands are read once as ints (``SupplyDemand.scaled``),
+    so every phase adds, subtracts and compares ints; with some weight that
+    is not an int, each amount (``flow.unscaled``) and each traced value is
+    divided back as ``Fraction(v, scale)``.
     """
     n_points = P if isinstance(P, int) else len(P)
     n_ranges = R if isinstance(R, int) else len(R)
@@ -171,12 +171,7 @@ def max_matching_implicit(
     if c.left_count != n_points or c.right_count != n_ranges:
         raise InputError("cover shape does not match the point/range counts")
 
-    weights = sd.supplies + sd.demands
-    scale = None
-    if not all(isinstance(w, int) for w in weights):
-        scale = integer_scale(weights)
-        sd = SupplyDemand(scaled_ints(sd.supplies, scale), scaled_ints(sd.demands, scale))
-
+    sd, scale = sd.scaled()
     net = build_network(c, sd)
     m = net.edge_count
     state = new_phase_state(n_points, n_ranges)
@@ -201,6 +196,4 @@ def max_matching_implicit(
             trace.append((t_level, pushed, len(state.flow)))
         if len(state.t_levels) > max_phases:
             raise InternalError("phase count exceeded the layer bound")
-    if scale is None:
-        return sorted((p, r, a) for (p, r), a in state.flow.items())
-    return sorted((p, r, Fraction(a, scale)) for (p, r), a in state.flow.items())
+    return unscaled(sorted((p, r, a) for (p, r), a in state.flow.items()), scale)

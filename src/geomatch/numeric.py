@@ -1,9 +1,10 @@
 """Scalars shared by every solver module.
 
-Every algorithm runs on exact values: ints and ``fractions.Fraction``s, which
-mix freely.  Floats are accepted at the input boundary and read exactly
-(``exact``): a finite float is a dyadic rational, so ``Fraction(x)`` loses
-nothing.
+Every algorithm runs on exact values.  Floats are accepted at the input
+boundary and read exactly (``exact``): a finite float is a dyadic rational,
+so ``Fraction(x)`` loses nothing.  The solvers then turn their inputs into
+ints in one place each: coordinates through ``scaled_coords`` and supplies
+and demands through ``flow.SupplyDemand.scaled``, both on ``integer_scale``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,21 @@ def scaled_ints(values, scale: int) -> tuple:
     """Each value times ``scale``, as an int; ``scale`` must be a multiple of
     every denominator (see ``integer_scale``)."""
     return tuple(v.numerator * (scale // v.denominator) for v in map(exact, values))
+
+
+def scaled_coords(tuples) -> tuple:
+    """(int tuples, scale) of coordinate tuples all of one length.  When
+    every coordinate is an int already, the tuples come back as they are
+    and the scale is None; else every coordinate is read exactly and
+    multiplied by the scale, the one positive int that makes each an int
+    (``integer_scale``).  Scaling every coordinate alike changes no order
+    and no incidence, and scales every distance alike."""
+    flat = [c for t in tuples for c in t]
+    if all(isinstance(c, int) for c in flat):
+        return list(tuples), None
+    scale = integer_scale(flat)
+    ints = iter(scaled_ints(flat, scale))
+    return list(zip(*[ints] * len(tuples[0]))), scale
 
 
 def to_float(x) -> float:

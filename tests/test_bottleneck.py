@@ -15,9 +15,10 @@ from geomatch.bottleneck import (
     pd_bottleneck,
     sampled_search,
 )
-from geomatch.cover import BicliqueCover, BoxTree
-from geomatch.flow import SupplyDemand, matching_value
-from geomatch.geometry import Metric, Point, rotate45
+import geomatch.cover as cover_mod
+from geomatch.cover import BicliqueCover, BoxTree, box_cover, validate_cover
+from geomatch.flow import INF, SupplyDemand, matching_value
+from geomatch.geometry import Box, Metric, Point, rotate45
 from geomatch.numeric import InputError, InternalError
 
 from brute import _DIST, bottleneck_brute, l2sq, linf, pd_brute, range_tree_parts
@@ -451,6 +452,65 @@ def test_warm_search_matches_brute_force_many_to_many():
             assert all(_DIST[metric](P[p], Q[q]) <= star for p, q, _a in r.matching)
 
 
+def _ints_only(values) -> bool:
+    return all(type(v) is int or v == INF for v in values)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_fractional_weights_reach_flows_and_finishes_as_ints(monkeypatch, metric):
+    # fractional coordinates and weights: every max flow gets int
+    # capacities and every minimax finish int supplies, demands and
+    # amounts, and every box tree int coordinates; the witnesses and the
+    # decisions' matchings still carry Fraction amounts
+    seen = {"flows": 0, "finishes": 0, "trees": 0}
+    dinitz, finish = bottleneck_mod.max_flow_dinitz, bottleneck_mod._minimax_finish
+
+    def checked_dinitz(net, residual=None):
+        assert _ints_only(net.ecap) and (residual is None or _ints_only(residual))
+        seen["flows"] += 1
+        return dinitz(net, residual)
+
+    def checked_finish(near, sd, matching, bottom):
+        assert _ints_only(sd.supplies + sd.demands)
+        assert _ints_only(a for _p, _r, a in matching)
+        seen["finishes"] += 1
+        return finish(near, sd, matching, bottom)
+
+    class CheckedTree(BoxTree):
+        def __init__(self, coords, dim):
+            assert _ints_only(c for t in coords for c in t)
+            seen["trees"] += 1
+            super().__init__(coords, dim)
+
+    monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", checked_dinitz)
+    monkeypatch.setattr(bottleneck_mod, "_minimax_finish", checked_finish)
+    monkeypatch.setattr(bottleneck_mod, "BoxTree", CheckedTree)
+    monkeypatch.setattr(cover_mod, "BoxTree", CheckedTree)
+    rng = random.Random(51)
+    for _ in range(16):
+        P, Q = rand_pts(rng, rng.randrange(2, 9)), rand_pts(rng, rng.randrange(2, 9))
+        sd = rand_sd(rng, len(P), len(Q), integral=False)
+        r = bottleneck_search(P, Q, metric, sd=sd)
+        star = r.lambda_star_sq if metric is Metric.L2 else r.lambda_star
+        assert star == _brute_sd(P, Q, sd, metric)
+        decided = decide(P, Q, metric, star, sd=sd, squared=metric is Metric.L2)
+        for matching in (r.matching, decided.matching):
+            assert all(type(a) is Fraction and a > 0 for _p, _q, a in matching)
+            assert matching_value(matching) == sd.target
+            assert all(_DIST[metric](P[p], Q[q]) <= star for p, q, _a in matching)
+            for k, cap in enumerate(sd.supplies):
+                assert sum(a for p, _q, a in matching if p == k) <= cap
+            for k, cap in enumerate(sd.demands):
+                assert sum(a for _p, q, a in matching if q == k) <= cap
+    # box_cover reads float coordinates exactly, as int tuples too, even
+    # where no coordinate is a Fraction
+    pts = [Point((0.1, 2.5)), Point((0.25, -1.0)), Point((3, 0.30000000000000004))]
+    boxes = [Box(Point((0.1, 0.3)), Point((1, 2.5))), Box(Point((0, -1)), Point((0.5, 0)))]
+    assert validate_cover(box_cover(pts, boxes), pts, boxes).ok
+    assert seen["flows"] and seen["finishes"]
+    assert seen["trees"] == (1 if metric is Metric.L2 else 33)
+
+
 @pytest.mark.parametrize("metric", list(Metric))
 def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
     # A warm start changes no verdict and no minimum cut: the points and
@@ -686,6 +746,12 @@ def _int_grid_cases(rng, count):
     return cases
 
 
+def _weight_unit(sd: SupplyDemand) -> int:
+    """The int that a search multiplies the supplies and demands of ``sd``
+    by, and so the values of its max flows: the LCM of their denominators."""
+    return math.lcm(*(Fraction(w).denominator for w in sd.supplies + sd.demands))
+
+
 def test_grown_search_decisions_match_cold_decisions(monkeypatch):
     log = _log_grown_search(monkeypatch)
     rng = random.Random(44)
@@ -696,18 +762,21 @@ def test_grown_search_decisions_match_cold_decisions(monkeypatch):
         full = sd or SupplyDemand.unit(len(P), len(Q))
         # int points need no scaling: the search's squares are the inputs'
         dist = sorted(l2sq(p, q) for p in P for q in Q)
+        # the search's flows run on the scaled weights
+        unit = _weight_unit(full)
         # the cold decisions below log their own max flows
         for k, value, (S, T) in list(log["decisions"]):
             # every decision ends a tie group, so a cold decision at its
             # distance has the same incidences and must give the same verdict
             assert k == len(dist) or dist[k] > dist[k - 1]
-            feasible = value == full.target
+            feasible = value == full.target * unit
             assert decide(P, Q, Metric.L2, dist[k - 1], sd=sd, squared=True).feasible == feasible
             if feasible:
                 continue
             # the reached set is a minimum cut ...
             out_s = [i for i in range(len(P)) if i not in S]
-            assert value == sum(full.supplies[i] for i in out_s) + sum(full.demands[j] for j in T)
+            cut = sum(full.supplies[i] for i in out_s) + sum(full.demands[j] for j in T)
+            assert value == cut * unit
             # ... that stands below the nearest pair crossing it, so the
             # bound just below that pair's distance is infeasible cold
             cross = min(l2sq(P[i], Q[j]) for i in S for j in range(len(Q)) if j not in T)
@@ -789,9 +858,11 @@ def test_grown_search_ends_at_its_first_feasible_decision(monkeypatch):
             r = bottleneck_search(P, Q, Metric.L2, sd=sd)
             runs.append(([(k, value) for k, value, _reached in log["decisions"]], r.lambda_star_sq))
         assert runs[0] == runs[1] == runs[2]
+        # the search's flows run on the scaled weights
+        target = sd.target * _weight_unit(sd)
         values = [value for _k, value in runs[0][0]]
-        assert values[-1] == sd.target
-        assert all(value < sd.target for value in values[:-1])
+        assert values[-1] == target
+        assert all(value < target for value in values[:-1])
         galloped += len(values) > 2
         assert runs[0][1] == _brute_sd(P, Q, sd, Metric.L2)
     assert galloped > 10

@@ -270,9 +270,10 @@ def test_l2_bottleneck_output_ignores_the_seed(tmp_path, capsys):
     assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command", ["match", "cover"])
+@pytest.mark.parametrize("command", ["match", "cover", "pd"])
 def test_seed_is_refused_where_nothing_reads_it(triangle, capsys, command):
-    # only the searches of `bottleneck` and `pd` draw random pivots
+    # only the searches of `bottleneck` read a seed: `pd` prints only
+    # w_inf, which no seed changes
     with pytest.raises(SystemExit) as exc:
         main([command, *triangle, "--seed", "1"])
     assert exc.value.code == 2
