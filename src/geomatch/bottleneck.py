@@ -4,49 +4,40 @@ distance between persistence diagrams.
 Every decision and search first reads both point sets as int coordinate
 tuples: floats exactly, every coordinate scaled by one positive int, and L1
 rotated by 45 degrees onto L-infinity.  L-infinity takes points of any one
-dimension; L1 and L2 take planar points.  The optimum under L-infinity is
-always a coordinate difference between the two sets, so the candidate values
-form two implicitly sorted int matrices per axis.  A search keeps an open
-interval of candidate values (infeasible below, feasible above), decides
-feasibility at a uniformly sampled candidate strictly inside it, and shrinks
-the interval until none is left: O(log n) expected feasibility tests and no
-selection.  Each test covers the incidences between one side and the
-metric balls around the other (a box tree for L-infinity and L1), and asks
-the flow module whether the target value is reached; a feasible test's
-witness moves the interval's upper end down to its own bottleneck.
-Supplies and demands are read as ints too, all multiplied by one positive
-int, so every amount a search adds or compares is an int; the witness's
-amounts are divided back once, at the end.
+dimension; L1 and L2 take planar points.  Supplies and demands are read as
+ints too, all multiplied by one positive int, so every amount a search adds
+or compares is an int; the witness's amounts are divided back once, at the
+end.  Each decision covers the incidences between one side and the metric
+balls around the other (a box tree for L-infinity and L1) and asks the flow
+module whether the target value is reached.
 
-An L-infinity or L1 search stops testing once a feasible test has set the
-upper end hi and the last infeasible test's maximum matching lacks at most
-``_FINISH_DEFICIT`` units of the target.  It lists the pairs within hi from
-the last feasible test's cover and augments that matching to the target
-along minimax augmenting paths, each one the path whose longest new pair is
-shortest (the augmenting-path method for bottleneck assignment,
-Derigs-Zimmermann 1978; Gabow-Tarjan 1988).  The optimum is the longest of
-those pairs and of the matching's own, and the augmented flow is its
-witness.
+Every search has one shape: a Hall start, a gallop and a minimax finish.
+The Hall start is a bound below which some point or range that must carry
+flow has no partner at all.  The gallop decides there and, while a decision
+is infeasible, decides next at twice its bound plus one, its maximum
+matching starting the next decision's max flow.  The first feasible
+decision's witness sets the upper end hi, its own bottleneck.  If an
+earlier decision was infeasible, the search augments that decision's
+matching to the target along minimax augmenting paths over the pairs within
+hi, each path the one whose longest new pair is shortest (the
+augmenting-path method for bottleneck assignment, Derigs-Zimmermann 1978;
+Gabow-Tarjan 1988; Efrat-Itai-Katz 2001 in the plane).  The optimum is the
+longest of those pairs and of the matching's bound, and the augmented flow
+is its witness.
 
-L2 works on squared distances so the decisions stay exact.  It sorts all
-n^2 pairs once by squared distance and grows one flow network along them,
-one direct edge per pair: each decision appends the pairs up to its rank and
-continues the last one's maximum flow.  The first decision is made at the
-Hall start, the first pair by which every point and range that must carry
-flow has a pair, and each next one at twice the last one's rank until one
-is feasible.  The search then ends by minimax augmenting paths, as
-L-infinity does, from the last infeasible decision's flow over the pairs
-the feasible one's flow reaches.
-
-The diagram search starts inside a bracket of two bounds that need no
-decision: a feasible upper bound (every point to its own diagonal
-projection) and a lower bound below which some point has no partner.
+L-infinity, L1 and diagrams gallop on value bounds, each decision querying
+one box tree built per search (``_gallop``).  L2 works on squared distances
+so the decisions stay exact: it sorts all n^2 pairs once and grows one flow
+network along them, galloping on ranks (``_grown_search``).  A diagram
+search caps its gallop at the largest distance of a point to the diagonal,
+feasible by sending every point to its own projection, and its finish keeps
+the free part between diagonal projections as one hub vertex
+(Kerber-Morozov-Nigmetov 2017 treat the diagonal so).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,123 +59,6 @@ from .flow import (
 )
 from .geometry import Metric, Point
 from .numeric import InputError, InternalError, exact, float_sqrt, scaled_coords
-
-# The L-infinity and L1 search stops deciding once a decision has been
-# feasible and the last infeasible decision's flow lacks at most this many
-# units of its target, the supplies and demands scaled to ints, and
-# finishes by minimax augmenting paths (``_cover_search``); 0 never finishes.
-_FINISH_DEFICIT = 32
-
-
-class SortedMatrix:
-    """Implicit int matrix of the differences rows[i] - cols[j].  It keeps
-    the rows ascending in ``_a`` and the negated columns ascending in ``_b``,
-    so its entries are the sums a[i] + b[j], ascending along every row and
-    every column."""
-
-    def __init__(self, rows, cols):
-        self._a = sorted(rows)
-        self._b = sorted(-c for c in cols)
-
-    def min_entry(self):
-        return self._a[0] + self._b[0]
-
-    def max_entry(self):
-        return self._a[-1] + self._b[-1]
-
-    def count_lt(self, x) -> int:
-        """Entries < x, by one staircase walk."""
-        a, b = self._a, self._b
-        j = len(b) - 1
-        n = 0
-        for ai in a:
-            while j >= 0 and ai + b[j] >= x:
-                j -= 1
-            if j < 0:
-                break
-            n += j + 1
-        return n
-
-    def open_at(self, lo, hi, idx: int):
-        """idx-th entry (row-major) among those strictly between lo and hi."""
-        b = self._b
-        for ai in self._a:
-            jl = bisect_right(b, lo - ai)
-            cnt = bisect_left(b, hi - ai) - jl
-            if idx < cnt:
-                return ai + b[jl + idx]
-            idx -= cnt
-        raise InternalError("open entry index ran past the matrix")
-
-
-def build_sorted_matrices(pp, qq) -> list:
-    """The candidate matrices of coordinate differences between the int
-    coordinate tuples pp and qq, two per axis: x_i - x'_j and x'_j - x_i,
-    then the same for y and every further axis.  Every L-infinity bottleneck
-    value is an entry of one of them.  ``sampled_search`` counts the entries
-    up to lo as those below lo + 1, which holds on ints only, so any other
-    coordinate is an InputError."""
-    coords = [*pp, *qq]
-    if len({len(c) for c in coords}) > 1:
-        raise InputError("points disagree on dimension")
-    if not all(isinstance(x, int) for c in coords for x in c):
-        raise InputError("candidate matrices take int coordinates")
-    mats = []
-    for axis in range(len(coords[0]) if coords else 0):
-        ps, qs = [p[axis] for p in pp], [q[axis] for q in qq]
-        mats += [SortedMatrix(ps, qs), SortedMatrix(qs, ps)]
-    return mats
-
-
-def sampled_search(mats: list, feasible, rng: random.Random | None = None, *, lo=None, hi=None):
-    """Smallest x in (lo, hi], hi itself or an entry of the sorted int
-    matrices ``mats``, with ``feasible(x)`` true, for a monotone
-    ``feasible`` that fails at lo and holds at hi.  lo defaults to a
-    sentinel below every entry and hi to the largest entry; a caller that
-    knows tighter bounds passes them, and hi is never decided.  ``feasible``
-    returns a bool, or for a feasible x an entry in (lo, x] that it knows to
-    be feasible too, which then becomes hi.  It may also end the search
-    early by raising, for a caller that finishes it another way
-    (``_cover_search`` raises ``_Settled``).
-
-    Keeps the open interval (lo, hi) between the largest value known to be
-    infeasible and the smallest entry known to be feasible, decides at an
-    entry drawn uniformly from strictly inside it, and stops once no entry
-    is left inside.  Each draw is a rank query by staircase walks, so the
-    search makes O(log N) expected decisions over N entries and never runs a
-    selection."""
-    if rng is None:
-        rng = random.Random(0)
-    if lo is None:
-        lo = min(m.min_entry() for m in mats) - 1
-    if hi is None:
-        hi = max(m.max_entry() for m in mats)
-    # per-matrix counts below hi and up to lo; a decision moves one bound,
-    # so only that bound's counts are walked again
-    below_hi = [m.count_lt(hi) for m in mats]
-    # the entries are ints: up to lo means below lo + 1
-    upto_lo = [m.count_lt(lo + 1) for m in mats]
-    while True:
-        counts = [b - a for b, a in zip(below_hi, upto_lo)]
-        active = sum(counts)
-        if active == 0:
-            return hi
-        idx = rng.randrange(active)
-        for m, cnt in zip(mats, counts):
-            if idx < cnt:
-                break
-            idx -= cnt
-        x = m.open_at(lo, hi, idx)
-        got = feasible(x)
-        if got is False:
-            lo = x
-            upto_lo = [m.count_lt(lo + 1) for m in mats]
-            continue
-        if got is not True and not lo < got <= x:
-            raise InternalError(f"feasible bound {got} outside ({lo}, {x}]")
-        hi = x if got is True else got
-        below_hi = [m.count_lt(hi) for m in mats]
-
 
 def _as_point(p) -> Point:
     return p if isinstance(p, Point) else Point(tuple(p))
@@ -287,15 +161,12 @@ def _box_cover(tree, centres, lam, sd, extra_parts=()) -> BicliqueCover:
     return BicliqueCover(len(sd.supplies), len(sd.demands), parts)
 
 
-def _solve(cover, sd, want_matching=True, seed=None) -> tuple:
-    """One decision over a cover: (feasible, maximum matching or None).
-    ``seed``, a matching over pairs the cover holds, starts the flow."""
+def _solve(cover, sd, seed=None) -> tuple:
+    """One decision over a cover: (feasible, maximum matching).  ``seed``, a
+    matching over pairs the cover holds, starts the flow."""
     net = build_network(cover, sd)
     flow = max_flow_dinitz(net, seed_flow(net, seed) if seed else None)
-    feasible = sd.target == flow.value
-    if not want_matching:
-        return feasible, None
-    return feasible, flow_to_matching(flow, net, cover)
+    return sd.target == flow.value, flow_to_matching(flow, net, cover)
 
 
 @dataclass
@@ -312,37 +183,32 @@ def bottleneck_search(
     metric: Metric,
     *,
     sd: SupplyDemand | None = None,
-    rng: random.Random | None = None,
 ) -> BottleneckResult:
     """Minimum lam such that decide(..., lam) is feasible, with a witness
-    matching.  L-infinity and L1 run the sampled search over the coordinate
-    differences (``_cover_search``); L2, at every size, grows one network
-    along its sorted squared pairwise distances from its Hall start
-    (``_grown_search``) and draws no pivot.  Both end by minimax augmenting
-    paths: L2 once a decision is feasible, L-infinity and L1 once the
-    target is also nearly reached.  The search decides, gallops and
-    finishes on the scaled ints of ``_int_coords``, coordinates and weights
-    alike, so the answer is exact on every input: an int for int
-    coordinates and a ``Fraction`` for any other, and the witness's amounts
-    ints for int weights and ``Fraction``s for any other.
+    matching.  L-infinity and L1 gallop on value bounds from their Hall
+    start (``_cover_search``); L2, at every size, grows one network along
+    its sorted squared pairwise distances from its Hall start and gallops
+    on ranks (``_grown_search``).  Both end by minimax augmenting paths at
+    their first feasible decision, unless it was the first one.  The search
+    decides, gallops and finishes on the scaled ints of ``_int_coords``,
+    coordinates and weights alike, so the answer is exact on every input:
+    an int for int coordinates and a ``Fraction`` for any other, and the
+    witness's amounts ints for int weights and ``Fraction``s for any other.
+    The search draws nothing at random: equal inputs give equal outputs.
 
-    Decisions move both ends of the search's interval.  A feasible one's
-    witness is feasible at its own bottleneck, so the upper end drops to
-    that value.  An infeasible one's maximum matching uses only pairs within
-    its bound, so it is a feasible flow at every larger bound the search
-    decides later and starts that decision's max flow; the grown L2 search
-    keeps it as its residual."""
+    An infeasible decision's maximum matching uses only pairs within its
+    bound, so it is a feasible flow at every larger bound and starts the
+    next decision's max flow; the grown L2 search keeps it as its
+    residual."""
     pp, qq, sd, scale, wscale = _int_coords(Pset, Qset, metric, sd)
     if not pp or not qq:
         sq = 0 if metric is Metric.L2 else None
         return BottleneckResult(0, metric, [], lambda_star_sq=sq)
-    if rng is None:
-        rng = random.Random(0)
 
     if metric is Metric.L2:
         lam, witness = _grown_search(pp, qq, sd)
     else:
-        lam, witness = _cover_search(pp, qq, metric, sd, rng)
+        lam, witness = _cover_search(pp, qq, metric, sd)
     if scale:
         lam = Fraction(lam, scale * scale if metric is Metric.L2 else scale)
     witness = unscaled(witness, wscale)
@@ -351,73 +217,100 @@ def bottleneck_search(
     return BottleneckResult(lam, metric, witness)
 
 
-def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand, rng) -> tuple:
-    """(optimum, witness) of an L-infinity or L1 search whose every decision
-    solves a cover from ``_cover_at``, warm-started by the last infeasible
-    one.
-
-    It stops deciding once two things hold: a feasible decision has set the
-    upper end hi, and the last infeasible decision's maximum matching M
-    lacks at most ``_FINISH_DEFICIT`` units of the int weights' target.
-    ``_minimax_finish`` then augments M to the target along minimax
-    augmenting paths over the pairs within hi, which it reads off the last
-    feasible decision's cover, built at a bound of at least hi; no further
-    cover is queried.  Where no decision was feasible, it decides to the
-    end."""
-    cover_at = _cover_at(pp, qq, metric, sd)
-    witness = seed = None
-    # the last feasible decision's cover and its witness's bottleneck, hi
-    hi_cover = hi = None
-
-    def feas(v):
-        # False, or the witness's bottleneck: a feasible bound at most v
-        nonlocal witness, seed, hi_cover, hi
-        if v < 0:
-            return False
-        cover = cover_at(v)
-        feasible, matching = _solve(cover, sd, seed=seed)
-        if not feasible:
-            # every later decision is at a larger bound
-            seed = matching
-            return False
-        # feasible decisions only lower the bound, so the last one is the
-        # witness at the value the search returns
-        witness = matching
-        hi_cover, hi = cover, max(_linf_dist(pp[p], qq[r]) for p, r, _a in matching)
-        return hi
-
-    def feas_or_finish(v):
-        got = feas(v)
-        if hi is not None and seed is not None:
-            if sd.target - matching_value(seed) <= _FINISH_DEFICIT:
-                raise _Settled
-        return got
-
-    try:
-        lam = sampled_search(build_sorted_matrices(pp, qq), feas_or_finish, rng)
-    except _Settled:
-        # M's pairs lie within its bound, below hi, so the cover holds them
-        bottom = max((_linf_dist(pp[p], qq[r]) for p, r, _a in seed), default=-1)
-        return _minimax_finish(_pairs_within(hi_cover, pp, qq, hi), sd, seed, bottom)
-    # no decision was feasible: the search returned its largest candidate
-    # without deciding it
-    if witness is None and feas(lam) is False:
-        raise InternalError("search landed on an infeasible bound")
-    return lam, witness
+def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand) -> tuple:
+    """(optimum, witness) of an L-infinity or L1 search: a ``_gallop`` of
+    decisions over covers from ``_cover_at``, from the Hall start of the
+    points and ranges that must carry flow.  The first feasible decision's
+    witness has bottleneck hi.  If it was the first decision, hi is the
+    optimum: no bound below the Hall start is feasible.  Otherwise
+    ``_minimax_finish`` augments the last infeasible decision's matching to
+    the target over the pairs within hi, read off the feasible decision's
+    cover; no further cover is queried."""
+    lb = _hall_start(pp, qq, [INF if need else 0 for need in _needs(sd)])
+    cover, witness, seed, bottom = _gallop(_cover_at(pp, qq, metric, sd), sd, lb)
+    hi = max(_linf_dist(pp[p], qq[r]) for p, r, _a in witness)
+    if bottom is None:
+        return hi, witness
+    return _minimax_finish(_pairs_within(cover.parts, pp, qq, hi), sd, seed, bottom)
 
 
-class _Settled(Exception):
-    """Raised by a search's feasibility callback to end the search: its
-    caller finishes it some other way."""
+def _gallop(cover_at, sd: SupplyDemand, lam, ub=INF) -> tuple:
+    """(cover, witness, seed, bottom) of the first feasible decision of a
+    search that decides at lam, a bound below which none is feasible, and
+    after each infeasible decision at twice its bound plus one, capped at
+    ub, a bound known to be feasible.  ``cover_at`` gives a decision's cover
+    from its bound; each decision's max flow starts from the last
+    infeasible decision's maximum matching, ``seed``, decided at ``bottom``.
+    Both are None when the first decision was feasible."""
+    seed = bottom = None
+    while True:
+        cover = cover_at(lam)
+        feasible, matching = _solve(cover, sd, seed)
+        if feasible:
+            return cover, matching, seed, bottom
+        seed, bottom = matching, lam
+        lam = min(2 * lam + 1, ub)
 
 
-def _pairs_within(cover, pp, qq, hi) -> list:
-    """The pairs that ``cover``, a cover over the int tuples pp and qq,
-    holds within L-infinity distance hi, as ``_minimax_finish`` reads them:
-    per point p, a (distance, |P| + r) tuple for each such range r."""
-    np_ = len(pp)
-    near = [[] for _ in range(np_)]
-    for ps, rs in cover.parts:
+def _needs(sd: SupplyDemand) -> list:
+    """Per point, then per range, whether it must carry flow: a point must
+    when the other points' supplies fall short of the target, a range when
+    the other ranges' demands do."""
+    target, supply, demand = sd.target, sum(sd.supplies), sum(sd.demands)
+    return [s > supply - target for s in sd.supplies] + [x > demand - target for x in sd.demands]
+
+
+def _hall_start(pp, qq, caps) -> int:
+    """The largest, over the points of pp then qq (int coordinate tuples),
+    of the smaller of the point's cap ``caps[k]`` and its L-infinity
+    distance to the nearest point of the other side.  A point that must
+    carry flow, and whose only partners besides the other side's points lie
+    at least its cap away, has no partner below that value, so no bound
+    below the result is feasible.  The point searches pass INF for the
+    points and ranges that must carry flow and 0, which never counts, for
+    the rest; diagrams pass every point's distance to the diagonal.
+
+    Points are taken in decreasing cap, until the cap cannot raise the
+    bound.  Each scans the other side outward from its sorted position, one
+    step on each side at a time; a side stops at a first-coordinate gap of
+    the point's best value so far, and the scan stops once a partner within
+    the bound turns up."""
+    sides = (sorted(qq), sorted(pp))
+    pts = [*pp, *qq]
+    lb = 0
+    for cap, k in sorted(zip(caps, range(len(pts))), reverse=True):
+        if cap <= lb:
+            break
+        p = pts[k]
+        other = sides[k >= len(pp)]
+        best = cap
+        right = bisect_left(other, p)
+        left = right - 1
+        while best > lb:
+            moved = False
+            if left >= 0 and p[0] - other[left][0] < best:
+                best = min(best, _linf_dist(p, other[left]))
+                left -= 1
+                moved = True
+            if right < len(other) and other[right][0] - p[0] < best:
+                best = min(best, _linf_dist(p, other[right]))
+                right += 1
+                moved = True
+            if not moved:
+                break
+        lb = max(lb, best)
+    return lb
+
+
+def _pairs_within(parts, pp, qq, hi, np_=None) -> list:
+    """The pairs that the cover parts ``parts``, over the int tuples pp and
+    qq, hold within L-infinity distance hi, as ``_minimax_finish`` reads
+    them: per point p, a (distance, np_ + r) tuple for each such range r.
+    ``np_`` defaults to |pp|; a caller that numbers more points passes it."""
+    if np_ is None:
+        np_ = len(pp)
+    near = [[] for _ in pp]
+    for ps, rs in parts:
         for r in rs:
             q, v = qq[r], np_ + r
             for p in ps:
@@ -427,11 +320,12 @@ def _pairs_within(cover, pp, qq, hi) -> list:
     return near
 
 
-def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom) -> tuple:
-    """(optimum, witness): the maximum flow ``matching`` M at some bound,
-    whose pairs all lie within ``bottom``, augmented to the target of ``sd``
-    over the pairs ``near``, which must hold every pair within the optimum:
-    per point p, a (distance, |P| + r) tuple for each range r it may use.
+def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom, hub=False) -> tuple:
+    """(optimum, witness): the flow ``matching`` M, whose pairs all lie
+    within ``bottom``, a bound at most the optimum (the searches pass their
+    last infeasible bound), augmented to the target of ``sd`` over the pairs
+    ``near``, which must hold every pair within the optimum: per point p, a
+    (distance, |P| + r) tuple for each range r it may use.
 
     Each augmenting path is one whose largest forward pair is smallest: a
     Dijkstra over the residual graph, keyed by that largest pair, from every
@@ -443,11 +337,20 @@ def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom) -> tuple
     within the optimum, so no key passes it; and the result carries the full
     target, so its largest pair is at least the optimum.  So the optimum is
     the largest of ``bottom`` and every path's key, and the result is its
-    witness.  Pairs that cannot reach the target raise InternalError."""
-    np_ = len(sd.supplies)
-    spare = list(sd.supplies)
-    unmet = list(sd.demands)
-    into = [{} for _ in range(len(sd.demands))]  # into[r]: point -> flow on (p, r)
+    witness.  Pairs that cannot reach the target raise InternalError.
+
+    With ``hub``, one more point and one more range follow the others, with
+    no supply or demand, and range r is vertex |P| + 1 + r: the hub range
+    sends INF back to the hub point, so a path through the two runs from any
+    point that lists the hub range to any range the hub point lists, as one
+    complete part of the cover would let it.  The witness then holds flows
+    through the hub."""
+    spare = [*sd.supplies, *[0] * hub]
+    unmet = [*sd.demands, *[0] * hub]
+    np_ = len(spare)
+    into = [{} for _ in unmet]  # into[r]: point -> flow on (p, r)
+    if hub:
+        into[-1][np_ - 1] = INF
     for p, r, a in matching:
         spare[p] -= a
         unmet[r] -= a
@@ -554,10 +457,9 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     them; each decision appends the pairs up to its rank and continues the
     last decision's maximum flow, with every new pair at its full capacity.
     The Hall start is the rank of the first pair by which every point and
-    every range that must carry flow has a pair: a point must when the other
-    points' supplies fall short of the target, a range when the other
-    ranges' demands do.  No prefix without that pair is feasible
-    (``_diagram_lower_bound`` bounds diagrams the same way).  The first
+    every range that must carry flow (``_needs``) has a pair.  No prefix
+    without that pair is feasible (``_hall_start`` bounds the other searches
+    the same way).  The first
     decision ends the tie group of the pair before it, and until a decision
     is feasible each next one ends the tie group at twice the last one's
     rank, lo.  So every decision answers what a cold decision at its
@@ -582,8 +484,7 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
 
     # the Hall start: the rank of the pair that gives the last point or
     # range that must carry flow its first pair
-    target, supply, demand = sd.target, sum(sd.supplies), sum(sd.demands)
-    needs = [s > supply - target for s in sd.supplies] + [x > demand - target for x in sd.demands]
+    needs = _needs(sd)
     left, start = sum(needs), -1
     while left:
         start += 1
@@ -596,6 +497,7 @@ def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     base = net.edge_count  # the feeders and drains; pair k is edge base + k
     res = list(net.ecap)
     lo = lo_flow = None
+    target = sd.target
     # every pair if they all tie the Hall start's
     k = len(dist) if dist[start] == dist[-1] else bisect_right(dist, dist[max(start, 1) - 1])
     while True:
@@ -648,12 +550,13 @@ def pd_bottleneck(X, Y):
     L-infinity distance lam or its own diagonal projection; projections match
     each other freely, contributed by one complete cover part.  (Letting a
     point reach any projection instead gives the same optimum: none is nearer
-    than its own.)  The optimum is found by the sampled search over the
-    coordinate-difference candidates, started inside the bracket (lb - 1, ub]
-    of two bounds that cost no decision: ub, the largest distance of a point
-    to the diagonal, is feasible by sending every point to its own
-    projection, and below lb (see ``_diagram_lower_bound``) some point has no
-    partner at all.  The answer is exact, with float values read exactly."""
+    than its own.)  The search gallops as ``_cover_search`` does, from the
+    Hall start of every point, each capped at its distance to the diagonal,
+    and caps its bounds at ub, the largest distance of a point to the
+    diagonal, which is feasible by sending every point to its own
+    projection.  Its finish keeps the free part as one hub
+    (``_diagram_pairs_within``).  The answer is exact, with float values
+    read exactly."""
     dgm_x, dgm_y = _diagram(X), _diagram(Y)
     if not dgm_x.points and not dgm_y.points:
         return 0
@@ -671,57 +574,49 @@ def pd_bottleneck(X, Y):
     tree = BoxTree(pts[:nx], 2)
     centres = pts[nx:]
 
-    def feasible(lam) -> bool:
+    def cover_at(lam):
         own = [([i], [ny + i]) for i in range(nx) if to_diagonal[i] <= lam]
         own += [([nx + j], [j]) for j in range(ny) if to_diagonal[nx + j] <= lam]
-        cover = _box_cover(tree, centres, lam, sd, own + free)
-        return _solve(cover, sd, want_matching=False)[0]
+        return _box_cover(tree, centres, lam, sd, own + free)
 
-    # the optimum is a point-to-point distance or a distance to the diagonal
-    mats = [SortedMatrix(to_diagonal, (0,))]
-    if nx and ny:
-        mats += build_sorted_matrices(pts[:nx], pts[nx:])
-    lb = _diagram_lower_bound(pts, to_diagonal, nx)
-    # ub is an entry and feasible, so the search needs no decision at it
-    lam = sampled_search(mats, feasible, random.Random(0), lo=lb - 1, hi=max(to_diagonal))
+    def dist(p, r):
+        if p < nx and r < ny:
+            return _linf_dist(pts[p], centres[r])
+        # a projection pair is free; a point reaches only its own projection
+        return 0 if p >= nx and r >= ny else to_diagonal[p]
+
+    lb = _hall_start(pts[:nx], centres, to_diagonal)
+    cover, witness, seed, bottom = _gallop(cover_at, sd, lb, max(to_diagonal))
+    lam = max(dist(p, r) for p, r, _a in witness)
+    if bottom is not None:
+        near = _diagram_pairs_within(cover, pts, to_diagonal, nx, lam)
+        lam = _minimax_finish(near, sd, seed, bottom, hub=len(near) > n)[0]
     return Fraction(lam, 2 * (scale or 1))
 
 
-def _diagram_lower_bound(pts, to_diagonal, nx) -> int:
-    """The largest, over the points of both diagrams (``pts[:nx]`` and
-    ``pts[nx:]``, doubled int coordinates), of the smaller of the point's
-    distance to the diagonal and its L-infinity distance to the nearest point
-    of the other diagram.  Below it that point's row or column has no
-    incidence, so no bound there is feasible.
-
-    Points are taken in decreasing distance to the diagonal, until that
-    distance cannot raise the bound.  Each scans the other diagram outward
-    from its (x, y)-sorted position, one step on each side at a time; a side
-    stops at an x-gap of the point's best value so far, and the scan stops
-    once a partner within the bound turns up."""
-    others = (sorted(pts[nx:]), sorted(pts[:nx]))
-    lb = 0
-    for d, k in sorted(zip(to_diagonal, range(len(pts))), reverse=True):
-        if d <= lb:
-            break
-        px, py = pts[k]
-        other = others[k >= nx]
-        best = d
-        right = bisect_left(other, (px, py))
-        left = right - 1
-        while best > lb:
-            moved = False
-            if left >= 0 and px - other[left][0] < best:
-                qx, qy = other[left]
-                best = min(best, max(px - qx, abs(py - qy)))
-                left -= 1
-                moved = True
-            if right < len(other) and other[right][0] - px < best:
-                qx, qy = other[right]
-                best = min(best, max(qx - px, abs(py - qy)))
-                right += 1
-                moved = True
-            if not moved:
-                break
-        lb = max(lb, best)
-    return lb
+def _diagram_pairs_within(cover, pts, to_diagonal, nx, hi) -> list:
+    """The pairs within hi of a diagram decision's cover, as
+    ``_minimax_finish`` reads them, with the free part between projections
+    kept as one hub: no projection-to-projection pair is listed.  Rows are
+    the nx points of X (``pts[:nx]``), then the projections of Y; when both
+    diagrams have points, the hub point follows them, the hub range follows
+    the columns, every projection row lists the hub range at 0, and the hub
+    point lists every projection column of X and the hub range at 0.  Its
+    pair to the hub range lets a path that reaches the hub from a column go
+    back to a row that sends flow into it."""
+    n = len(pts)
+    ny = n - nx
+    hub = bool(nx and ny)
+    np_ = n + hub
+    # the box tree's parts: rows of X to columns of Y
+    parts = [(ps, rs) for ps, rs in cover.parts if ps[0] < nx and rs[0] < ny]
+    near = _pairs_within(parts, pts[:nx], pts[nx:], hi, np_) + [[] for _ in range(ny)]
+    for k, d in enumerate(to_diagonal):
+        if d <= hi:
+            # a point of X to its projection's column, a projection of Y to its point
+            near[k].append((d, np_ + (ny + k if k < nx else k - nx)))
+    if hub:
+        for row in near[nx:]:
+            row.append((0, np_ + n))
+        near.append([(0, np_ + c) for c in range(ny, n + 1)])
+    return near

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -257,7 +256,7 @@ def _run_bottleneck(task: dict) -> dict:
             "matching": None if res.matching is None else _matching_json(res.matching, shown),
         }
 
-    r = bottleneck_search(red, blue, metric, rng=random.Random(task["seed"]))
+    r = bottleneck_search(red, blue, metric)
     out = {
         "metric": task["metric"],
         "lambda_star": shown(r.lambda_star),
@@ -350,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("files", nargs="+", help="alternating RED BLUE point file pairs")
     b.add_argument("--metric", choices=tuple(_METRICS), default="linf")
     b.add_argument("--lambda", dest="lam", help="decide feasibility at this bound")
-    b.add_argument(
-        "--seed", type=int, help="seed of the search's random pivots, 0 if not given (an "
-        "L2 search draws none, and a --lambda decision takes no seed); "
-        "it changes no distance, only the witness, through the few decisions an L-infinity "
-        "or L1 search samples before its augmenting-path finish"
-    )
     _common(b)
 
     p = subs.add_parser("pd", help="bottleneck distance between persistence diagrams")
@@ -394,14 +387,8 @@ def _tasks_from_args(args: argparse.Namespace) -> list:
             for pts, rng in pairs
         ]
     if args.command == "bottleneck":
-        if args.lam is not None and args.seed is not None:
-            raise InputError("--seed has no effect with --lambda: a decision draws no pivot")
-        seed = 0 if args.seed is None else args.seed
         pairs = _pairs(args.files, ("red", "blue"))
-        return [
-            dict(base, red=r, blue=b, metric=args.metric, lam=args.lam, seed=seed)
-            for r, b in pairs
-        ]
+        return [dict(base, red=r, blue=b, metric=args.metric, lam=args.lam) for r, b in pairs]
     pairs = _pairs(args.files, ("diagram", "diagram"))
     return [dict(base, dgm1=a, dgm2=b) for a, b in pairs]
 

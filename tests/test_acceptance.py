@@ -168,7 +168,7 @@ def test_criterion_08_bottleneck_matches_brute_force():
             for _ in range(n)
         ]
         for metric in Metric:
-            r = bottleneck_search(P, Q, metric, rng=random.Random(i))
+            r = bottleneck_search(P, Q, metric)
             got = r.lambda_star_sq if metric is Metric.L2 else r.lambda_star
             assert got == bottleneck_brute(P, Q, metric), f"{metric} disagreed"
         direct = bottleneck_search(P, Q, Metric.L1).lambda_star

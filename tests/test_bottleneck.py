@@ -6,15 +6,7 @@ from fractions import Fraction
 import pytest
 
 import geomatch.bottleneck as bottleneck_mod
-from geomatch.bottleneck import (
-    PersistenceDiagram,
-    SortedMatrix,
-    bottleneck_search,
-    build_sorted_matrices,
-    decide,
-    pd_bottleneck,
-    sampled_search,
-)
+from geomatch.bottleneck import PersistenceDiagram, bottleneck_search, decide, pd_bottleneck
 import geomatch.cover as cover_mod
 from geomatch.cover import BicliqueCover, BoxTree, box_cover, validate_cover
 from geomatch.flow import INF, SupplyDemand, matching_value
@@ -31,152 +23,6 @@ def rand_pts(rng, n):
         Point((rand_fraction(rng, -30, 30), rand_fraction(rng, -30, 30)))
         for _ in range(n)
     ]
-
-
-# ------------------------------------------------------------ sorted matrices
-
-def rand_ints(rng, n, lo=-40, hi=40):
-    return [rng.randrange(lo, hi) for _ in range(n)]
-
-
-def open_entries(m, lo, hi):
-    """Every entry of ``m`` strictly between lo and hi, in draw order."""
-    return [m.open_at(lo, hi, k) for k in range(m.count_lt(hi) - m.count_lt(lo + 1))]
-
-
-def test_matrix_column_of_differences():
-    m = SortedMatrix([1, 3], [2])
-    assert (m.min_entry(), m.max_entry()) == (-1, 1)
-    assert open_entries(m, -2, 2) == [-1, 1]
-
-
-def test_matrix_rows_and_columns_monotone():
-    rng = random.Random(9)
-    rows, cols = rand_ints(rng, 12), rand_ints(rng, 9)
-    m = SortedMatrix(rows, cols)
-    entries = open_entries(m, m.min_entry() - 1, m.max_entry() + 1)
-    assert sorted(entries) == sorted(r - c for r in rows for c in cols)
-    # row-major draw order over ascending rows and descending columns
-    grid = [entries[i * 9 : (i + 1) * 9] for i in range(12)]
-    for row in grid:
-        assert row == sorted(row)
-    for col in zip(*grid):
-        assert list(col) == sorted(col)
-
-
-def test_transposed_matrices_negate():
-    rng = random.Random(10)
-    pp = [tuple(rand_ints(rng, 2)) for _ in range(8)]
-    qq = [tuple(rand_ints(rng, 2)) for _ in range(6)]
-    mats = build_sorted_matrices(pp, qq)
-    assert len(mats) == 4
-    for axis, (d, dbar) in enumerate(zip(mats[::2], mats[1::2])):
-        diffs = sorted(p[axis] - q[axis] for p in pp for q in qq)
-        assert sorted(open_entries(d, -100, 100)) == diffs
-        assert sorted(open_entries(dbar, -100, 100)) == sorted(-x for x in diffs)
-
-
-def test_count_staircases():
-    m = SortedMatrix([1, 5, 3], [2, 0])
-    vals = [r - c for r in (1, 5, 3) for c in (2, 0)]
-    for x in range(-2, 7):
-        assert m.count_lt(x) == sum(1 for v in vals if v < x)
-        for hi in range(x + 1, 8):
-            assert sorted(open_entries(m, x, hi)) == sorted(v for v in vals if x < v < hi)
-
-
-@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5])
-def test_build_sorted_matrices_rejects_non_int_coordinates(bad):
-    # the staircase counts and draws are exact on ints only
-    with pytest.raises(InputError, match="int coordinates"):
-        build_sorted_matrices([(0, 1)], [(bad, 2)])
-    with pytest.raises(InputError, match="dimension"):
-        build_sorted_matrices([(0, 1)], [(2,)])
-
-
-def test_sampled_search_finds_smallest_feasible_entry():
-    rng = random.Random(13)
-    pp = [tuple(rand_ints(rng, 2, -300, 300)) for _ in range(20)]
-    qq = [tuple(rand_ints(rng, 2, -300, 300)) for _ in range(20)]
-    mats = build_sorted_matrices(pp, qq)
-    flat = sorted(
-        s * (p[axis] - q[axis]) for s in (1, -1) for axis in (0, 1) for p in pp for q in qq
-    )
-    cases = [(t, {}) for t in rng.sample(flat, 30) + [flat[0], flat[-1]]]
-    # given intervals: lo below the answer (an entry, or between entries) and
-    # hi a feasible entry, possibly the answer itself
-    for t in rng.sample(flat, 30) + [flat[0], flat[-1]]:
-        below = [x for x in flat if x < t]
-        lo = rng.choice(below) - rng.randrange(2) if below else t - 1
-        cases.append((t, {"lo": lo, "hi": rng.choice([x for x in flat if x >= t])}))
-    for k, (t, bounds) in enumerate(cases):
-        calls = []
-
-        def feasible(x, t=t):
-            calls.append(x)
-            return x >= t
-
-        assert sampled_search(mats, feasible, random.Random(k), **bounds) == t
-        # each decision is made strictly inside the shrinking interval
-        assert len(calls) == len(set(calls))
-        lo, hi = bounds.get("lo", flat[0] - 1), bounds.get("hi", flat[-1])
-        assert all(lo < x < hi for x in calls)
-
-
-def _recount_both_search(mats, feasible, rng, *, lo=None, hi=None):
-    """The search loop that walks every staircase at both bounds per draw."""
-    if lo is None:
-        lo = min(m.min_entry() for m in mats) - 1
-    if hi is None:
-        hi = max(m.max_entry() for m in mats)
-    while True:
-        counts = [m.count_lt(hi) - m.count_lt(lo + 1) for m in mats]
-        if sum(counts) == 0:
-            return hi
-        idx = rng.randrange(sum(counts))
-        for m, cnt in zip(mats, counts):
-            if idx < cnt:
-                break
-            idx -= cnt
-        x = m.open_at(lo, hi, idx)
-        got = feasible(x)
-        if got is False:
-            lo = x
-        else:
-            # a witness's own bottleneck, when the callback returns one
-            hi = x if got is True else got
-
-
-def test_search_recounting_one_bound_makes_the_same_decisions(monkeypatch):
-    rng = random.Random(30)
-    cases = []
-    for _ in range(6):
-        P, Q = rand_pts(rng, 9), rand_pts(rng, 9)
-        cases.append(lambda P=P, Q=Q: bottleneck_search(P, Q, Metric.LINF).lambda_star)
-        cases.append(lambda P=P, Q=Q: bottleneck_search(P, Q, Metric.L1).lambda_star)
-        # 9 crowded points a side: smaller or sparser diagrams often leave
-        # the bracket of pd_bottleneck no candidate to decide
-        X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fractions(rng, 9, 2)]
-        Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fractions(rng, 9, 2)]
-        cases.append(lambda X=X, Y=Y: pd_bottleneck(X, Y))
-
-    def decisions(search, run):
-        decided = []
-
-        def logged(matrices, feasible, rng=None, **bounds):
-            def logged_feasible(x):
-                decided.append(x)
-                return feasible(x)
-
-            return search(matrices, logged_feasible, rng, **bounds)
-
-        monkeypatch.setattr(bottleneck_mod, "sampled_search", logged)
-        return run(), decided
-
-    for run in cases:
-        star, decided = decisions(sampled_search, run)
-        assert decided
-        assert decisions(_recount_both_search, run) == (star, decided)
 
 
 # ------------------------------------------------------------------- decide
@@ -300,7 +146,7 @@ def test_search_matches_brute_force():
         n = rng.randrange(1, 9)
         P, Q = rand_pts(rng, n), rand_pts(rng, n)
         for metric in Metric:
-            r = bottleneck_search(P, Q, metric, rng=random.Random(1))
+            r = bottleneck_search(P, Q, metric)
             got = r.lambda_star_sq if metric is Metric.L2 else r.lambda_star
             assert got == bottleneck_brute(P, Q, metric)
 
@@ -511,30 +357,54 @@ def test_fractional_weights_reach_flows_and_finishes_as_ints(monkeypatch, metric
     assert seen["trees"] == (1 if metric is Metric.L2 else 33)
 
 
+def _log_gallop(monkeypatch) -> list:
+    """Wrap the gallop of the L-infinity, L1 and diagram searches.  The list
+    gets one dict per search: its start ``lb``, its cap ``ub``, and its
+    ``decisions``, one [bound, verdict] per decision, in order."""
+    gallop, solve, log = bottleneck_mod._gallop, bottleneck_mod._solve, []
+
+    def logged_gallop(cover_at, sd, lam, ub=INF):
+        search = {"lb": lam, "ub": ub, "decisions": []}
+        log.append(search)
+
+        def logged_cover_at(x):
+            search["decisions"].append([x, None])
+            return cover_at(x)
+
+        return gallop(logged_cover_at, sd, lam, ub)
+
+    def logged_solve(cover, sd, seed=None):
+        got = solve(cover, sd, seed)
+        log[-1]["decisions"][-1][1] = got[0]
+        return got
+
+    monkeypatch.setattr(bottleneck_mod, "_gallop", logged_gallop)
+    monkeypatch.setattr(bottleneck_mod, "_solve", logged_solve)
+    return log
+
+
 @pytest.mark.parametrize("metric", list(Metric))
 def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
     # A warm start changes no verdict and no minimum cut: the points and
     # ranges an infeasible decision's last BFS reaches are the same for every
-    # maximum flow.  But a warm and a cold maximum flow may hold different
-    # witnesses, and a feasible decision's witness moves the search's upper
-    # end.  So the two searches decide the same bounds with the same
-    # verdicts and cuts up to the first feasible decision whose witness ends
-    # elsewhere, and make equally many decisions when none does.  The cold
-    # search starts every max flow from the empty flow: no seed (L-infinity,
-    # L1) or a residual reset to the network's capacities (L2's grown
-    # network).  The L-infinity and L1 searches decide to the end: their
-    # minimax finish would end them before any warm-started decision.  The
-    # L2 search ends at its first feasible decision whatever the deficit;
-    # on these instances its first decision, at the Hall start, is
-    # infeasible, so the next one continues a warm residual.
-    monkeypatch.setattr(bottleneck_mod, "_FINISH_DEFICIT", 0)
-    dinitz, search = bottleneck_mod.max_flow_dinitz, bottleneck_mod.sampled_search
+    # maximum flow.  Each search's next bound (a value, or a rank for L2)
+    # depends on the last verdict only, and the search ends at its first
+    # feasible decision, so the warm and cold searches decide the same
+    # bounds with the same verdicts and cuts; only the last, feasible
+    # decision's flow may differ.  The cold search starts every max flow
+    # from the empty flow: its seed's residual (L-infinity, L1) or the grown
+    # network's residual (L2) is reset to the network's capacities.  Where
+    # the first decision, at the Hall start, is infeasible, the next one
+    # continues a warm flow.
+    dinitz = bottleneck_mod.max_flow_dinitz
+    gallops = _log_gallop(monkeypatch)
     rng = random.Random(36)
-    for _ in range(4):
+    warmed = 0
+    for _ in range(8):
         P, Q = rand_pts(rng, 12), rand_pts(rng, 12)
         runs = []
         for cold in (False, True):
-            seeded, steps, last = [], [], []
+            seeded, steps = [], []
 
             def counted(net, residual=None):
                 seeded.append(residual is not None and any(v > 0 for v in residual[1::2]))
@@ -543,41 +413,21 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
                 flow = dinitz(net, residual)
                 if not cold:
                     assert flow.value == dinitz(net).value
-                if flow.value == 12:
-                    last[:] = [True, flow.last_loaded()]
-                else:
-                    last[:] = [False, (flow.value, flow.reached)]
-                if metric is Metric.L2:
-                    # the rank: the pair edges past the feeders and drains
-                    steps.append((net.edge_count - 24, *last))
+                # the bound: L2's rank is the pair edges past the feeders and drains
+                x = net.edge_count - 24 if metric is Metric.L2 else gallops[-1]["decisions"][-1][0]
+                steps.append((x, flow.value == 12, None if flow.value == 12 else flow.reached))
                 return flow
 
-            def logged_search(mats, feasible, rng=None, **bounds):
-                def logged(x):
-                    last.clear()
-                    got = feasible(x)
-                    # a negative bound is infeasible without a max flow
-                    steps.append((x, got is not False, got if last[:1] == [True] else last[1:]))
-                    return got
-
-                return search(mats, logged, rng, **bounds)
-
             monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", counted)
-            monkeypatch.setattr(bottleneck_mod, "sampled_search", logged_search)
             r = bottleneck_search(P, Q, metric)
             runs.append((r.lambda_star_sq if metric is Metric.L2 else r.lambda_star, seeded, steps))
         (warm_star, warm_seeded, warm_steps), (cold_star, _cold_seeded, cold_steps) = runs
         assert warm_star == cold_star
-        assert any(warm_seeded)
-        assert warm_steps
-        for (x, verdict, detail), (y, cold_verdict, cold_detail) in zip(warm_steps, cold_steps):
-            assert (x, verdict) == (y, cold_verdict)
-            if detail != cold_detail:
-                # only a feasible decision's witness may end elsewhere
-                assert verdict
-                break
-        else:
-            assert len(warm_steps) == len(cold_steps)
+        assert warm_steps == cold_steps
+        verdicts = [verdict for _x, verdict, _cut in warm_steps]
+        assert verdicts == [False] * (len(verdicts) - 1) + [True]
+        warmed += any(warm_seeded)
+    assert warmed > 2
 
 
 def _count_finishes(monkeypatch) -> list:
@@ -640,32 +490,17 @@ def test_minimax_finish_refuses_a_short_pair_list():
         finish([[]], SupplyDemand.unit(1, 1), [], -1)
 
 
-def _count_decisions(monkeypatch, search_name, feas_pos, cover_owner, cover_name):
-    """Wrap the search loop so every call of its feasibility callback at a
-    non-negative bound counts as asked, and the per-decision cover query
-    ``cover_owner.cover_name`` so every decision counts as made."""
-    counts = {"asked": 0, "made": 0}
-    search, cover = getattr(bottleneck_mod, search_name), getattr(cover_owner, cover_name)
+def _count_tree_queries(monkeypatch) -> list:
+    """Wrap ``BoxTree.parts``, the cover query of every decision of a
+    gallop; the list gets one entry per query."""
+    parts, calls = BoxTree.parts, []
 
-    def counted_search(*args, **bounds):
-        args = list(args)
-        feasible = args[feas_pos]
+    def counted(*args):
+        calls.append(1)
+        return parts(*args)
 
-        def asked(v):
-            if v >= 0:  # a negative bound is infeasible without a decision
-                counts["asked"] += 1
-            return feasible(v)
-
-        args[feas_pos] = asked
-        return search(*args, **bounds)
-
-    def counted_cover(*args, **kwargs):
-        counts["made"] += 1
-        return cover(*args, **kwargs)
-
-    monkeypatch.setattr(bottleneck_mod, search_name, counted_search)
-    monkeypatch.setattr(cover_owner, cover_name, counted_cover)
-    return counts
+    monkeypatch.setattr(BoxTree, "parts", counted)
+    return calls
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -690,10 +525,14 @@ def test_search_decides_only_when_asked(monkeypatch, metric):
                 lo = k
         assert len(r.matching) == 8
         return
-    counts = _count_decisions(monkeypatch, "sampled_search", 1, BoxTree, "parts")
+    # every decision of the gallop queries the search's one tree once, at a
+    # larger bound than the last, and the finish queries none
+    gallops, queries = _log_gallop(monkeypatch), _count_tree_queries(monkeypatch)
     r = bottleneck_search(P, Q, metric)
-    assert counts["asked"] > 0
-    assert counts["made"] == counts["asked"]
+    bounds = [x for x, _verdict in gallops[0]["decisions"]]
+    assert len(gallops) == 1 and bounds
+    assert len(queries) == len(bounds)
+    assert bounds == sorted(set(bounds))
     assert len(r.matching) == 8
 
 
@@ -843,28 +682,22 @@ def test_grown_search_decides_nothing_below_its_hall_start(monkeypatch):
 
 def test_grown_search_ends_at_its_first_feasible_decision(monkeypatch):
     # fractional many-to-many instances: every decision but the last is
-    # infeasible, and the finish deficit of the L-infinity and L1 search
-    # changes none of them
+    # infeasible
     log = _log_grown_search(monkeypatch)
     rng = random.Random(50)
     galloped = 0
     for _ in range(40):
         P, Q = rand_pts(rng, rng.randrange(1, 10)), rand_pts(rng, rng.randrange(1, 10))
         sd = rand_sd(rng, len(P), len(Q), integral=False)
-        runs = []
-        for deficit in (0, 32, 10**9):
-            monkeypatch.setattr(bottleneck_mod, "_FINISH_DEFICIT", deficit)
-            log["decisions"].clear()
-            r = bottleneck_search(P, Q, Metric.L2, sd=sd)
-            runs.append(([(k, value) for k, value, _reached in log["decisions"]], r.lambda_star_sq))
-        assert runs[0] == runs[1] == runs[2]
+        log["decisions"].clear()
+        r = bottleneck_search(P, Q, Metric.L2, sd=sd)
         # the search's flows run on the scaled weights
         target = sd.target * _weight_unit(sd)
-        values = [value for _k, value in runs[0][0]]
+        values = [value for _k, value, _reached in log["decisions"]]
         assert values[-1] == target
         assert all(value < target for value in values[:-1])
         galloped += len(values) > 2
-        assert runs[0][1] == _brute_sd(P, Q, sd, Metric.L2)
+        assert r.lambda_star_sq == _brute_sd(P, Q, sd, Metric.L2)
     assert galloped > 10
 
 
@@ -912,18 +745,21 @@ def test_grown_search_matches_brute_force_on_unbalanced_totals():
 
 
 def test_pd_decides_only_when_asked(monkeypatch):
-    counts = _count_decisions(monkeypatch, "sampled_search", 1, BoxTree, "parts")
+    gallops, queries = _log_gallop(monkeypatch), _count_tree_queries(monkeypatch)
     rng = random.Random(29)
-    asked = 0
-    # the search's bracket leaves some instances no candidate to decide
     for _ in range(6):
         X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
         Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fraction_list(rng, 9)]
+        gallops.clear()
+        queries.clear()
         assert pd_bottleneck(X, Y) == pd_brute(X, Y)
-        assert counts["made"] == counts["asked"]
-        asked += counts["asked"]
-        counts.update(asked=0, made=0)
-    assert asked > 0
+        if not X and not Y:
+            assert not gallops and not queries
+            continue
+        bounds = [x for x, _verdict in gallops[0]["decisions"]]
+        assert len(gallops) == 1 and bounds
+        assert len(queries) == len(bounds)
+        assert bounds == sorted(set(bounds))
 
 
 def _rebuilt_runs(monkeypatch, run) -> list:
@@ -974,6 +810,109 @@ def test_pd_on_one_tree_matches_rebuilt_covers(monkeypatch):
         (tree, made), (ref, ref_made) = _rebuilt_runs(monkeypatch, lambda: pd_bottleneck(X, Y))
         assert made == ref_made
         assert tree == ref
+
+
+def _int_pts(rng, n, d=2, side=12):
+    """n points of int coordinates in [0, side]^d: the search reads them
+    unscaled, so its bounds are the inputs' distances."""
+    return [Point(tuple(rng.randrange(side + 1) for _ in range(d))) for _ in range(n)]
+
+
+def _int_diagram(rng, n, span=2):
+    births = [rng.randrange(-span, span + 1) for _ in range(n)]
+    return [(b, b + rng.randrange(1, 9)) for b in births]
+
+
+def _brute_needs(sd) -> list:
+    """Per point, then per range, whether the others' weights fall short of
+    the target without it."""
+    supply, demand = sum(sd.supplies), sum(sd.demands)
+    return [s > supply - sd.target for s in sd.supplies] + [
+        x > demand - sd.target for x in sd.demands
+    ]
+
+
+def _brute_hall_start(P, Q, dist, needs) -> int:
+    """The largest, over the points of P and Q that must carry flow, of the
+    distance to the nearest point of the other set."""
+    sides = [(p, Q) for p in P] + [(q, P) for q in Q]
+    return max(
+        (min(dist(p, o) for o in other) for (p, other), need in zip(sides, needs) if need),
+        default=0,
+    )
+
+
+@pytest.mark.parametrize("kind", [Metric.LINF, Metric.L1, "diagram"])
+def test_gallop_starts_at_the_hall_start_and_doubles(monkeypatch, kind):
+    gallops = _log_gallop(monkeypatch)
+    rng = random.Random(52)
+    galloped = 0
+    for t in range(60):
+        gallops.clear()
+        if kind == "diagram":
+            X, Y = _int_diagram(rng, rng.randrange(1, 9)), _int_diagram(rng, rng.randrange(0, 9))
+            star, want = pd_bottleneck(X, Y), pd_brute(X, Y)
+            lb, ub = _pd_bracket(X, Y)
+        else:
+            d = 1 + t % 3 if kind is Metric.LINF else 2
+            n = rng.randrange(1, 10)
+            P, Q = _int_pts(rng, n, d), _int_pts(rng, n if t % 3 else rng.randrange(1, 10), d)
+            sd = None if t % 3 else rand_sd(rng, len(P), len(Q), integral=t % 2 == 0, max_w=3)
+            full = sd or SupplyDemand.unit(len(P), len(Q))
+            star = bottleneck_search(P, Q, kind, sd=sd).lambda_star
+            want = _brute_sd(P, Q, full, kind)
+            lb, ub = _brute_hall_start(P, Q, _DIST[kind], _brute_needs(full)), INF
+        assert star == want
+        (search,) = gallops
+        # int inputs: the search's unit is 1 for points, 1/2 for diagrams
+        unit = Fraction(1, 2) if kind == "diagram" else 1
+        assert search["lb"] * unit == lb and search["ub"] * unit == ub
+        bounds = [x for x, _verdict in search["decisions"]]
+        verdicts = [verdict for _x, verdict in search["decisions"]]
+        # the first decision is at lb and each next one at twice the last
+        # plus one, capped at ub; every decision but the last is infeasible
+        assert bounds[0] == search["lb"]
+        assert all(y == min(2 * x + 1, search["ub"]) for x, y in zip(bounds, bounds[1:]))
+        assert verdicts == [False] * (len(bounds) - 1) + [True]
+        assert all(x * unit < star for x in bounds[:-1]) and bounds[-1] * unit >= star
+        galloped += len(bounds) > 1
+    assert galloped > 10
+
+
+def test_hall_start_scan_matches_brute_force_nearest_partners():
+    hall = bottleneck_mod._hall_start
+    rng = random.Random(53)
+    for t in range(240):
+        side = rng.choice((1, 2, 3, 40))
+        n, m = rng.randrange(1, 9), rng.randrange(1, 9)
+        if t % 4 == 3:
+            # L1: the search scans the points rotated onto L-infinity
+            P, Q = _int_pts(rng, n, 2, side), _int_pts(rng, m, 2, side)
+            Q += rng.sample(P, rng.randrange(len(P) + 1))  # coincident points
+            rot = lambda pts: [(x + y, x - y) for x, y in (p.coords for p in pts)]
+            pp, qq, dist = rot(P), rot(Q), _DIST[Metric.L1]
+        else:
+            # L-infinity in 1-3 dimensions, ties on small grids
+            P, Q = _int_pts(rng, n, 1 + t % 4, side), _int_pts(rng, m, 1 + t % 4, side)
+            Q += rng.sample(P, rng.randrange(len(P) + 1))
+            pp, qq, dist = [p.coords for p in P], [q.coords for q in Q], linf
+        # a perfect matching or many-to-many weights, often unbalanced
+        if len(P) == len(Q) and t % 2:
+            sd = SupplyDemand.unit(len(P), len(Q))
+        else:
+            sd = rand_sd(rng, len(P), len(Q), max_w=4)
+        needs = bottleneck_mod._needs(sd)
+        assert needs == _brute_needs(sd)
+        caps = [INF if need else 0 for need in needs]
+        assert hall(pp, qq, caps) == _brute_hall_start(P, Q, dist, needs)
+    # diagrams: every point, capped at its distance to the diagonal
+    for _ in range(60):
+        X, Y = _int_diagram(rng, rng.randrange(1, 9)), _int_diagram(rng, rng.randrange(0, 9))
+        Y += rng.sample(X, rng.randrange(len(X) + 1))
+        pts = [(2 * b, 2 * d) for b, d in X + Y]
+        to_diagonal = [d - b for b, d in X + Y]
+        lb = hall(pts[: len(X)], pts[len(X) :], to_diagonal)
+        assert Fraction(lb, 2) == _pd_bracket(X, Y)[0]
 
 
 # ------------------------------------------------------------------ diagrams
@@ -1054,34 +993,23 @@ def test_pd_search_decides_inside_its_bracket(monkeypatch):
             (equal_births(n), equal_births(m)),
             (equal_deaths(n), equal_deaths(m)),
         ]
-    bracket = {}
-
-    def logged(mats, feasible, rng=None, *, lo, hi):
-        def logged_feasible(x):
-            bracket["decided"].append(x)
-            return feasible(x)
-
-        bracket.update(lo=lo, hi=hi)
-        return sampled_search(mats, logged_feasible, rng, lo=lo, hi=hi)
-
-    monkeypatch.setattr(bottleneck_mod, "sampled_search", logged)
+    gallops = _log_gallop(monkeypatch)
     at = {"lb": 0, "ub": 0, "inside": 0}
-    made = 0
     for X, Y in cases:
-        bracket["decided"] = []
+        gallops.clear()
         star = pd_bottleneck(X, Y)
         assert star == pd_brute(X, Y)
         lb, ub = _pd_bracket(X, Y)
+        (search,) = gallops
         # the search runs on ints: its unit is a fixed fraction of the input's
-        unit = ub / bracket["hi"]
-        assert (bracket["lo"] + 1) * unit == lb
-        # ub is feasible by construction and never decided
-        assert all(bracket["lo"] < x < bracket["hi"] for x in bracket["decided"])
+        unit = ub / search["ub"]
+        assert search["lb"] * unit == lb
+        # every decision lies in [lb, ub], and ub is feasible by construction
+        bounds = [x * unit for x, _verdict in search["decisions"]]
+        assert bounds[0] == lb and all(lb <= x <= ub for x in bounds)
         assert lb <= star <= ub
-        made += len(bracket["decided"])
         at["lb" if star == lb else "ub" if star == ub else "inside"] += 1
     assert all(at.values()), at
-    assert made
 
 
 def test_pd_scaled_inputs_match_brute_force():
@@ -1163,3 +1091,88 @@ def test_pd_triangle_inequality_soft():
         d12 = float(pd_bottleneck(dgms[1], dgms[2]))
         d02 = float(pd_bottleneck(dgms[0], dgms[2]))
         assert d02 <= d01 + d12 + 1e-9
+
+
+def _check_diagram_pairs(monkeypatch) -> list:
+    """Wrap the diagram finish's pair lists: check that none pairs a
+    projection with a projection, and that the hub is there exactly when
+    both diagrams have points.  The list gets one entry per finish, whether
+    it ran with the hub."""
+    pairs_within, finish, hubs = (
+        bottleneck_mod._diagram_pairs_within, bottleneck_mod._minimax_finish, []
+    )
+
+    def checked(cover, pts, to_diagonal, nx, hi):
+        near = pairs_within(cover, pts, to_diagonal, nx, hi)
+        n, ny = len(pts), len(pts) - nx
+        hub = nx > 0 and ny > 0
+        np_ = n + hub
+        assert len(near) == np_
+        # projection rows list their own point and the hub range only
+        for k in range(nx, n):
+            assert all(v - np_ == k - nx or (hub and v - np_ == n) for _d, v in near[k])
+        # rows of X list points of Y and their own projection only
+        for k in range(nx):
+            assert all(v - np_ < ny or v - np_ == ny + k for _d, v in near[k])
+        assert all(d <= hi for row in near for d, _v in row)
+        return near
+
+    def counted(near, sd, matching, bottom, hub=False):
+        hubs.append(hub)
+        return finish(near, sd, matching, bottom, hub)
+
+    monkeypatch.setattr(bottleneck_mod, "_diagram_pairs_within", checked)
+    monkeypatch.setattr(bottleneck_mod, "_minimax_finish", counted)
+    return hubs
+
+
+def test_pd_finish_through_the_hub_matches_brute_force(monkeypatch):
+    hubs = _check_diagram_pairs(monkeypatch)
+    rng = random.Random(54)
+    dgm = lambda: [
+        (b, b + rand_fraction(rng, 1, 8)) for b in rand_fractions(rng, rng.randrange(1, 10), 3)
+    ]
+    for t in range(80):
+        X, Y = dgm(), dgm()
+        if t % 4 == 0:
+            Y += rng.sample(X, rng.randrange(len(X) + 1))
+        assert pd_bottleneck(X, Y) == pd_brute(X, Y)
+    assert all(hubs) and len(hubs) > 20
+
+
+def test_pd_pairs_within_one_empty_diagram():
+    # no hub: one row per point and one per projection, as the cover's
+    # rows; each lists its own partner within hi only
+    X = [(0, 2), (1, 7), (3, 4)]
+    pts = [(2 * b, 2 * d) for b, d in X]
+    to_diagonal = [d - b for b, d in X]
+    own = BicliqueCover(3, 3, [([i], [i]) for i in range(3)])
+    for nx, want in ((3, [[(2, 3)], [], [(1, 5)]]), (0, [[(2, 3)], [], [(1, 5)]])):
+        # with Y = X and X empty, projection row k lists point k
+        near = bottleneck_mod._diagram_pairs_within(own, pts, to_diagonal, nx, 4)
+        assert near == want
+    # the finish over them: points 0 and 2 take their projections, and the
+    # one left needs its own at 6
+    near = bottleneck_mod._diagram_pairs_within(own, pts, to_diagonal, 3, 6)
+    finish = bottleneck_mod._minimax_finish
+    assert finish(near, SupplyDemand.unit(3, 3), [(0, 0, 1), (2, 2, 1)], 4)[0] == 6
+    assert pd_bottleneck(X, []) == pd_bottleneck([], X) == 3
+
+
+@pytest.mark.parametrize("kind", [Metric.LINF, Metric.L1, "diagram"])
+def test_search_whose_hall_start_is_zero_but_infeasible(monkeypatch, kind):
+    # every point coincides with one of the other side, but a and b come
+    # twice on one side and once on the other
+    gallops = _log_gallop(monkeypatch)
+    a, b = (1, 4), (3, 9)
+    if kind == "diagram":
+        X, Y = [a, a, b], [a, b, b]
+        assert pd_bottleneck(X, Y) == pd_brute(X, Y) > 0
+    else:
+        P, Q = [Point(a), Point(a), Point(b)], [Point(a), Point(b), Point(b)]
+        r = bottleneck_search(P, Q, kind)
+        assert r.lambda_star == bottleneck_brute(P, Q, kind) > 0
+        assert matching_value(r.matching) == 3
+    (search,) = gallops
+    assert search["lb"] == 0
+    assert search["decisions"][:2] == [[0, False], [1, False]]

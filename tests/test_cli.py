@@ -257,36 +257,13 @@ def test_bottleneck_metrics(tmp_path, capsys):
     assert code == 0 and body["lambda_star_sq"] == "5"
 
 
-def test_l2_bottleneck_output_ignores_the_seed(tmp_path, capsys):
-    # an L2 search grows one network and draws no pivot
-    rng = random.Random(17)
-    rows = lambda pts: "".join(",".join(map(str, p.coords)) + "\n" for p in pts)
-    red = write(tmp_path, "red.csv", rows(rand_points(rng, 12)))
-    blue = write(tmp_path, "blue.csv", rows(rand_points(rng, 12)))
-    outs = [
-        run_cli(capsys, "bottleneck", red, blue, "--metric", "l2", "--seed", seed)
-        for seed in ("0", "7")
-    ]
-    assert outs[0][0] == 0 and outs[0] == outs[1]
-
-
-@pytest.mark.parametrize("command", ["match", "cover", "pd"])
+@pytest.mark.parametrize("command", ["match", "cover", "pd", "bottleneck"])
 def test_seed_is_refused_where_nothing_reads_it(triangle, capsys, command):
-    # only the searches of `bottleneck` read a seed: `pd` prints only
-    # w_inf, which no seed changes
+    # no command draws anything at random, so none takes a seed
     with pytest.raises(SystemExit) as exc:
         main([command, *triangle, "--seed", "1"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
-
-
-def test_seed_is_refused_with_a_decision(tmp_path, capsys):
-    # `--lambda` runs one decision, which draws no pivot
-    red = write(tmp_path, "red.csv", "0,0\n")
-    blue = write(tmp_path, "blue.csv", "1,2\n")
-    code, stdout, stderr = run_cli(capsys, "bottleneck", red, blue, "--lambda", "2", "--seed", "5")
-    assert code == 2 and stdout == ""
-    assert "--seed" in stderr
 
 
 def test_bottleneck_decision_flag(tmp_path, capsys):
