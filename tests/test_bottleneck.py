@@ -482,6 +482,23 @@ def test_minimax_finish_reroutes_through_a_backward_edge():
     assert finish(near, SupplyDemand.unit(2, 2), M, 1) == (3, [(0, 1, 1), (1, 0, 1)])
 
 
+def test_minimax_finish_through_the_hub_goes_back_from_a_column_to_a_row():
+    # Diagram rows: point 0 of X and the projection of Y's one point (row
+    # 1), then the hub point 2; columns: Y's point (vertex 3), the projection
+    # of X's point (vertex 4), then the hub range (vertex 5).  The first path
+    # sends row 1 through the hub to column 4 at 0.  Point 0 reaches only
+    # column 4, at 5, so the second path must take the hub point back from
+    # column 4, step to the hub range and back to row 1, which moves on to
+    # its own point at 2.
+    near = [[(5, 4)], [(2, 3), (0, 5)], [(0, 4), (0, 5)]]
+    finish = bottleneck_mod._minimax_finish
+    lam, witness = finish(near, SupplyDemand.unit(2, 2), [], 0, hub=True)
+    assert lam == 5
+    # row 1 to its point, point 0 to its projection; the hub keeps only its
+    # own INF
+    assert witness == [(0, 1, 1), (1, 0, 1), (2, 2, INF)]
+
+
 def test_minimax_finish_refuses_a_short_pair_list():
     finish = bottleneck_mod._minimax_finish
     with pytest.raises(InternalError, match="do not reach the target"):
@@ -1115,6 +1132,9 @@ def _check_diagram_pairs(monkeypatch) -> list:
         for k in range(nx):
             assert all(v - np_ < ny or v - np_ == ny + k for _d, v in near[k])
         assert all(d <= hi for row in near for d, _v in row)
+        if hub:
+            # the hub point lists every projection column and the hub range
+            assert near[n] == [(0, np_ + c) for c in range(ny, n + 1)]
         return near
 
     def counted(near, sd, matching, bottom, hub=False):
