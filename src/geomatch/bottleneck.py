@@ -26,19 +26,20 @@ longest of those pairs and of the matching's bound, and the augmented flow
 is its witness.
 
 L-infinity, L1 and diagrams gallop on value bounds, each decision querying
-one box tree built per search (``_gallop``).  L2 works on squared distances
-so the decisions stay exact: it sorts all n^2 pairs once and grows one flow
-network along them, galloping on ranks (``_grown_search``).  A diagram
-search caps its gallop at the largest distance of a point to the diagonal,
-feasible by sending every point to its own projection, and its finish keeps
-the free part between diagonal projections as one hub vertex
-(Kerber-Morozov-Nigmetov 2017 treat the diagonal so).
+one box tree built per search (``_gallop``).  L2 gallops by the same rule on
+squared distances, so the decisions stay exact: it lists the n*m squared
+distances once and grows one flow network by the pairs within each
+decision's bound (``_grown_search``).  A diagram search caps its gallop at
+the largest distance of a point to the diagonal, feasible by sending every
+point to its own projection, and its finish keeps the free part between
+diagonal projections as one hub vertex (Kerber-Morozov-Nigmetov 2017 treat
+the diagonal so).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -186,15 +187,16 @@ def bottleneck_search(
 ) -> BottleneckResult:
     """Minimum lam such that decide(..., lam) is feasible, with a witness
     matching.  L-infinity and L1 gallop on value bounds from their Hall
-    start (``_cover_search``); L2, at every size, grows one network along
-    its sorted squared pairwise distances from its Hall start and gallops
-    on ranks (``_grown_search``).  Both end by minimax augmenting paths at
-    their first feasible decision, unless it was the first one.  The search
-    decides, gallops and finishes on the scaled ints of ``_int_coords``,
-    coordinates and weights alike, so the answer is exact on every input:
-    an int for int coordinates and a ``Fraction`` for any other, and the
-    witness's amounts ints for int weights and ``Fraction``s for any other.
-    The search draws nothing at random: equal inputs give equal outputs.
+    start (``_cover_search``); L2, at every size, gallops on squared
+    distances from its Hall start over one network that grows by the pairs
+    within each bound (``_grown_search``).  Both end by minimax augmenting
+    paths at their first feasible decision, unless it was the first one.
+    The search decides, gallops and finishes on the scaled ints of
+    ``_int_coords``, coordinates and weights alike, so the answer is exact
+    on every input: an int for int coordinates and a ``Fraction`` for any
+    other, and the witness's amounts ints for int weights and ``Fraction``s
+    for any other.  The search draws nothing at random: equal inputs give
+    equal outputs.
 
     An infeasible decision's maximum matching uses only pairs within its
     bound, so it is a feasible flow at every larger bound and starts the
@@ -450,76 +452,59 @@ def _linf_dist(p, q) -> int:
 
 def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     """(smallest feasible squared distance, witness) between the planar int
-    points pp and qq, over all pairs sorted by squared distance, ties in
-    (i, j) order.  A rank k stands for the k nearest pairs.
+    points pp and qq: the rule of ``_gallop`` on one flow network that grows
+    by the pairs each decision's bound lets in.
 
-    One network holds the pairs, one direct edge each, and grows along
-    them; each decision appends the pairs up to its rank and continues the
-    last decision's maximum flow, with every new pair at its full capacity.
-    The Hall start is the rank of the first pair by which every point and
-    every range that must carry flow (``_needs``) has a pair.  No prefix
-    without that pair is feasible (``_hall_start`` bounds the other searches
-    the same way).  The first
-    decision ends the tie group of the pair before it, and until a decision
-    is feasible each next one ends the tie group at twice the last one's
-    rank, lo.  So every decision answers what a cold decision at its
-    distance would.
+    The squared distances are listed once, pair (i, j) at i * |Q| + j.  The
+    Hall start is the largest distance from a point or range that must carry
+    flow (``_needs``) to its nearest partner, read off the rows and columns
+    of that list; no bound below it is feasible (``_hall_start`` bounds the
+    other searches the same way).  The search decides there and, while a
+    decision is infeasible, next at twice its bound plus one, capped at the
+    largest distance.  Each decision appends the pairs within its bound and
+    beyond the last one, one direct edge each at its full capacity, in index
+    order, and continues the last decision's maximum flow.  So every
+    decision answers what a cold decision at its bound would.
 
-    If the first decision is feasible, its flow is the witness, at the
-    distance of the Hall start's tie group.  Otherwise ``_minimax_finish``
-    augments lo's flow to the target over the pairs of ranks below hi, the
-    rank after the last pair the feasible decision's flow uses, and its
-    result is the search's."""
-    np_ = len(pp)
-    # one flat list, pair (i, j) at i * |Q| + j; the stable sort keeps the
-    # (i, j) order of equal distances
+    The first feasible decision's flow sets hi, the largest distance of a
+    pair that carries flow.  If it was the first decision, hi is the optimum
+    and the flow its witness.  Otherwise ``_minimax_finish`` augments the
+    last infeasible decision's flow to the target over the added pairs
+    within hi, and its result is the search's."""
+    np_, nq = len(pp), len(qq)
     d = [(px - qx) * (px - qx) + (py - qy) * (py - qy) for px, py in pp for qx, qy in qq]
-    order = sorted(range(len(d)), key=d.__getitem__)
-    dist = list(map(d.__getitem__, order))
-    # through lookup lists, so each point and range is one shared int
-    rows = [i for i in range(np_) for _q in qq]
-    ps = list(map(rows.__getitem__, order))
-    rs = list(map((list(range(len(qq))) * np_).__getitem__, order))
-    del d, order, rows
-
-    # the Hall start: the rank of the pair that gives the last point or
-    # range that must carry flow its first pair
+    # point i's row of d is d[i * |Q| : (i + 1) * |Q|], range j's column d[j :: |Q|]
     needs = _needs(sd)
-    left, start = sum(needs), -1
-    while left:
-        start += 1
-        for v in (ps[start], np_ + rs[start]):
-            if needs[v]:
-                needs[v] = False
-                left -= 1
-
-    net = build_network(BicliqueCover(np_, len(qq), []), sd)
-    base = net.edge_count  # the feeders and drains; pair k is edge base + k
+    rows = [min(d[i * nq : i * nq + nq]) for i in range(np_) if needs[i]]
+    lam = max(rows + [min(d[j::nq]) for j in range(nq) if needs[np_ + j]], default=0)
+    ub = max(d)
+    net = build_network(BicliqueCover(np_, nq, []), sd)
+    base = net.edge_count  # the feeders and drains; edge base + e is pair added[e]
     res = list(net.ecap)
-    lo = lo_flow = None
+    added, last, seed, bottom = [], -1, None, None
     target = sd.target
-    # every pair if they all tie the Hall start's
-    k = len(dist) if dist[start] == dist[-1] else bisect_right(dist, dist[max(start, 1) - 1])
     while True:
-        have = net.edge_count - base
-        net.add_direct(ps[have:k], rs[have:k])
+        new = [k for k, x in enumerate(d) if last < x <= lam]
+        added += new
+        net.add_direct([k // nq for k in new], [k % nq for k in new])
         res += net.ecap[len(res) :]
         flow = max_flow_dinitz(net, residual=res)
         if flow.value == target:
             break
-        if k == len(dist):
+        if lam == ub:
             raise InternalError("every pair together falls short of the target")
-        lo, lo_flow = k, flow
-        k = bisect_right(dist, dist[min(2 * k, len(dist)) - 1])
-    hi = flow.last_loaded() - base + 1
-    if lo is None:
-        return dist[hi - 1], sorted(project_flow(net, flow.values)[0])
+        seed, bottom, last = flow, lam, lam
+        lam = min(2 * lam + 1, ub)
+    values = flow.values
+    hi = max(d[k] for e, k in enumerate(added, base) if values[e] > 0)
+    if bottom is None:
+        return hi, sorted(project_flow(net, values)[0])
     near = [[] for _ in pp]
-    for j in range(hi):
-        near[ps[j]].append((dist[j], np_ + rs[j]))
-    # lo's pairs lie within dist[lo - 1], which an infeasible lo puts at or
-    # below the optimum, and so does the Hall start
-    return _minimax_finish(near, sd, project_flow(net, lo_flow.values)[0], dist[max(lo - 1, start)])
+    for k in added:
+        if d[k] <= hi:
+            near[k // nq].append((d[k], np_ + k % nq))
+    # the seed's pairs lie within bottom, which is infeasible and so below the optimum
+    return _minimax_finish(near, sd, project_flow(net, seed.values)[0], bottom)
 
 
 @dataclass(frozen=True)

@@ -165,10 +165,8 @@ def _build_cover(points, ranges, dim, shape: str):
         if not all(isinstance(r, Box) for r in ranges):
             raise InputError("shape=box needs box ranges only")
         return box_cover(points, ranges, dim)
-    if shape == "disk":
-        if not all(isinstance(r, Disk) for r in ranges):
-            raise InputError("shape=disk needs disk ranges only")
-        return trivial_cover(points, ranges)
+    if shape == "disk" and not all(isinstance(r, Disk) for r in ranges):
+        raise InputError("shape=disk needs disk ranges only")
     return trivial_cover(points, ranges)
 
 

@@ -18,9 +18,9 @@ blocks: source 0, sink 1, the points, the ranges, then the middle vertices.
 A network can also grow: ``FlowNetwork.extend`` appends edges after the
 others, and ``max_flow_dinitz`` continues from the residual of an earlier
 flow and reports the points and ranges on the source side of its minimum
-cut.  The L2 bottleneck search grows one network along its sorted pairs this
-way; the implicit engine appends a backward edge to its cover's network for
-each pair new to its flow's support.
+cut.  The L2 bottleneck search grows one network by the pairs within each
+decision's bound this way; the implicit engine appends a backward edge to
+its cover's network for each pair new to its flow's support.
 """
 
 from __future__ import annotations
@@ -152,14 +152,6 @@ class Flow:
 
     def on(self, edge_id: int):
         return self.values[edge_id // 2]
-
-    def last_loaded(self) -> int:
-        """Index of the last original edge that carries flow, -1 if none."""
-        values = self.values
-        k = len(values) - 1
-        while k >= 0 and not values[k] > 0:
-            k -= 1
-        return k
 
 
 def build_network(cover, sd: SupplyDemand) -> FlowNetwork:

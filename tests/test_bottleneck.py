@@ -387,15 +387,14 @@ def _log_gallop(monkeypatch) -> list:
 def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
     # A warm start changes no verdict and no minimum cut: the points and
     # ranges an infeasible decision's last BFS reaches are the same for every
-    # maximum flow.  Each search's next bound (a value, or a rank for L2)
-    # depends on the last verdict only, and the search ends at its first
-    # feasible decision, so the warm and cold searches decide the same
-    # bounds with the same verdicts and cuts; only the last, feasible
-    # decision's flow may differ.  The cold search starts every max flow
-    # from the empty flow: its seed's residual (L-infinity, L1) or the grown
-    # network's residual (L2) is reset to the network's capacities.  Where
-    # the first decision, at the Hall start, is infeasible, the next one
-    # continues a warm flow.
+    # maximum flow.  Each search's next bound depends on the last verdict
+    # only, and the search ends at its first feasible decision, so the warm
+    # and cold searches decide the same bounds with the same verdicts and
+    # cuts; only the last, feasible decision's flow may differ.  The cold
+    # search starts every max flow from the empty flow: its seed's residual
+    # (L-infinity, L1) or the grown network's residual (L2) is reset to the
+    # network's capacities.  Where the first decision, at the Hall start, is
+    # infeasible, the next one continues a warm flow.
     dinitz = bottleneck_mod.max_flow_dinitz
     gallops = _log_gallop(monkeypatch)
     rng = random.Random(36)
@@ -413,7 +412,7 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
                 flow = dinitz(net, residual)
                 if not cold:
                     assert flow.value == dinitz(net).value
-                # the bound: L2's rank is the pair edges past the feeders and drains
+                # the bound; for L2, the pairs within it: the edges past the feeders and drains
                 x = net.edge_count - 24 if metric is Metric.L2 else gallops[-1]["decisions"][-1][0]
                 steps.append((x, flow.value == 12, None if flow.value == 12 else flow.reached))
                 return flow
@@ -661,40 +660,22 @@ def test_grown_search_matches_brute_force_on_ties():
         assert matching_value(r.matching) == full.target
 
 
-def _hall_start(P, Q, sd) -> int:
-    """The rank of the first pair, in (squared distance, i, j) order, by
-    which every point whose supply the other points cannot make up for has
-    a pair, and so has every range whose demand the other ranges cannot."""
-    pairs = sorted((l2sq(p, q), i, j) for i, p in enumerate(P) for j, q in enumerate(Q))
-    slack_s, slack_d = sum(sd.supplies) - sd.target, sum(sd.demands) - sd.target
-    need = {("p", i) for i, s in enumerate(sd.supplies) if s > slack_s}
-    need |= {("r", j) for j, d in enumerate(sd.demands) if d > slack_d}
-    for k, (_d, i, j) in enumerate(pairs):
-        need -= {("p", i), ("r", j)}
-        if not need:
-            return k
-    raise AssertionError("every pair gives every point and range a pair")
-
-
 def test_grown_search_decides_nothing_below_its_hall_start(monkeypatch):
     log = _log_grown_search(monkeypatch)
     rng = random.Random(48)
     for P, Q, sd in _int_grid_cases(rng, 60):
         log["decisions"].clear()
         full = sd or SupplyDemand.unit(len(P), len(Q))
-        start = _hall_start(P, Q, full)
+        start = _brute_hall_start(P, Q, l2sq, _brute_needs(full))
         dist = sorted(l2sq(p, q) for p in P for q in Q)
         r = bottleneck_search(P, Q, Metric.L2, sd=sd)
-        # no prefix without the pair at the Hall start is feasible
-        assert r.lambda_star_sq >= dist[start]
+        # no bound below the Hall start is feasible
+        assert r.lambda_star_sq >= start
         ranks = [k for k, _value, _reached in log["decisions"]]
-        assert all(k >= start for k in ranks)
-        if dist[start] == dist[-1]:
-            # the search is over before it decides: every pair is feasible
-            assert ranks == [len(dist)]
-        else:
-            # the first decision ends the tie group of the pair before it
-            assert ranks[0] == bisect_right(dist, dist[max(start, 1) - 1])
+        # the first decision holds every pair within the Hall start, and
+        # each later one holds at least as many
+        assert ranks[0] == bisect_right(dist, start)
+        assert ranks == sorted(ranks)
 
 
 def test_grown_search_ends_at_its_first_feasible_decision(monkeypatch):
@@ -859,13 +840,14 @@ def _brute_hall_start(P, Q, dist, needs) -> int:
     )
 
 
-@pytest.mark.parametrize("kind", [Metric.LINF, Metric.L1, "diagram"])
+@pytest.mark.parametrize("kind", [Metric.LINF, Metric.L1, Metric.L2, "diagram"])
 def test_gallop_starts_at_the_hall_start_and_doubles(monkeypatch, kind):
-    gallops = _log_gallop(monkeypatch)
+    gallops, grown = _log_gallop(monkeypatch), _log_grown_search(monkeypatch)
     rng = random.Random(52)
     galloped = 0
     for t in range(60):
         gallops.clear()
+        grown["decisions"].clear()
         if kind == "diagram":
             X, Y = _int_diagram(rng, rng.randrange(1, 9)), _int_diagram(rng, rng.randrange(0, 9))
             star, want = pd_bottleneck(X, Y), pd_brute(X, Y)
@@ -876,20 +858,36 @@ def test_gallop_starts_at_the_hall_start_and_doubles(monkeypatch, kind):
             P, Q = _int_pts(rng, n, d), _int_pts(rng, n if t % 3 else rng.randrange(1, 10), d)
             sd = None if t % 3 else rand_sd(rng, len(P), len(Q), integral=t % 2 == 0, max_w=3)
             full = sd or SupplyDemand.unit(len(P), len(Q))
-            star = bottleneck_search(P, Q, kind, sd=sd).lambda_star
+            r = bottleneck_search(P, Q, kind, sd=sd)
+            star = r.lambda_star_sq if kind is Metric.L2 else r.lambda_star
             want = _brute_sd(P, Q, full, kind)
             lb, ub = _brute_hall_start(P, Q, _DIST[kind], _brute_needs(full)), INF
         assert star == want
-        (search,) = gallops
         # int inputs: the search's unit is 1 for points, 1/2 for diagrams
         unit = Fraction(1, 2) if kind == "diagram" else 1
-        assert search["lb"] * unit == lb and search["ub"] * unit == ub
-        bounds = [x for x, _verdict in search["decisions"]]
-        verdicts = [verdict for _x, verdict in search["decisions"]]
-        # the first decision is at lb and each next one at twice the last
-        # plus one, capped at ub; every decision but the last is infeasible
-        assert bounds[0] == search["lb"]
-        assert all(y == min(2 * x + 1, search["ub"]) for x, y in zip(bounds, bounds[1:]))
+        if kind is Metric.L2:
+            # the grown search decides at lb and each next bound at twice
+            # the last plus one, capped at the largest squared distance;
+            # decision t holds exactly the pairs within bound t
+            dist = sorted(l2sq(p, q) for p in P for q in Q)
+            bounds = [lb]
+            for _ in grown["decisions"][1:]:
+                bounds.append(min(2 * bounds[-1] + 1, dist[-1]))
+            ranks = [k for k, _value, _reached in grown["decisions"]]
+            assert ranks == [bisect_right(dist, x) for x in bounds]
+            # the search's flows run on the scaled weights
+            target = full.target * _weight_unit(full)
+            verdicts = [value == target for _k, value, _reached in grown["decisions"]]
+        else:
+            (search,) = gallops
+            assert search["lb"] * unit == lb and search["ub"] * unit == ub
+            bounds = [x for x, _verdict in search["decisions"]]
+            verdicts = [verdict for _x, verdict in search["decisions"]]
+            # the first decision is at lb and each next one at twice the
+            # last plus one, capped at ub
+            assert bounds[0] == search["lb"]
+            assert all(y == min(2 * x + 1, search["ub"]) for x, y in zip(bounds, bounds[1:]))
+        # every decision but the last is infeasible
         assert verdicts == [False] * (len(bounds) - 1) + [True]
         assert all(x * unit < star for x in bounds[:-1]) and bounds[-1] * unit >= star
         galloped += len(bounds) > 1
