@@ -13,24 +13,27 @@ module whether the target value is reached.
 
 Every search has one shape: a Hall start, a gallop and a minimax finish.
 The Hall start is a bound below which some point or range that must carry
-flow has no partner at all.  The gallop decides there and, while a decision
-is infeasible, decides next at twice its bound plus one, its maximum
-matching starting the next decision's max flow.  The first feasible
-decision's witness sets the upper end hi, its own bottleneck.  If an
-earlier decision was infeasible, the search augments that decision's
-matching to the target along minimax augmenting paths over the pairs within
-hi, each path the one whose longest new pair is shortest (the
+flow has no partner at all.  The gallop (``_gallop``, the one decision loop)
+decides there and, while a decision is infeasible, decides next at twice
+its bound plus one, up to a cap within which every pair lies.  It grows one
+flow network per search, and each decision's max flow continues the last
+one's.  The first feasible decision's witness sets the upper end hi, its
+own bottleneck.  If an earlier decision was infeasible, the search augments
+that decision's flow to the target along minimax augmenting paths over the
+pairs within hi, each path the one whose longest new pair is shortest (the
 augmenting-path method for bottleneck assignment, Derigs-Zimmermann 1978;
 Gabow-Tarjan 1988; Efrat-Itai-Katz 2001 in the plane).  The optimum is the
-longest of those pairs and of the matching's bound, and the augmented flow
-is its witness.
+longest of those pairs and of the flow's bound, and the augmented flow is
+its witness.
 
 L-infinity, L1 and diagrams gallop on value bounds, each decision querying
-one box tree built per search (``_gallop``).  L2 gallops by the same rule on
+one box tree built per search; the network keeps the edges that carry flow
+and gains the whole cover at each bound (``_regrow``).  L2 gallops on
 squared distances, so the decisions stay exact: it lists the n*m squared
-distances once and grows one flow network by the pairs within each
-decision's bound (``_grown_search``).  A diagram search caps its gallop at
-the largest distance of a point to the diagonal, feasible by sending every
+distances once and its network grows by the pairs within each decision's
+bound (``_grown_search``).  L-infinity and L1 cap the gallop at the largest
+extent of the points along one axis.  A diagram search caps it at the
+largest distance of a point to the diagonal, feasible by sending every
 point to its own projection, and its finish keeps the free part between
 diagonal projections as one hub vertex (Kerber-Morozov-Nigmetov 2017 treat
 the diagonal so).
@@ -55,7 +58,6 @@ from .flow import (
     matching_value,
     max_flow_dinitz,
     project_flow,
-    seed_flow,
     unscaled,
 )
 from .geometry import Metric, Point
@@ -147,8 +149,12 @@ def decide(
         lam *= lam
     if scale:
         lam *= scale * scale if metric is Metric.L2 else scale
-    feasible, matching = _solve(_cover_at(pp, qq, metric, sd)(math.floor(lam)), sd)
-    return DecideResult(feasible, unscaled(matching, wscale) if feasible else None)
+    cover = _cover_at(pp, qq, metric, sd)(math.floor(lam))
+    net = build_network(cover, sd)
+    flow = max_flow_dinitz(net)
+    if flow.value != sd.target:
+        return DecideResult(False)
+    return DecideResult(True, unscaled(flow_to_matching(flow, net, cover), wscale))
 
 
 def _box_cover(tree, centres, lam, sd, extra_parts=()) -> BicliqueCover:
@@ -160,14 +166,6 @@ def _box_cover(tree, centres, lam, sd, extra_parts=()) -> BicliqueCover:
     highs = [tuple(c + lam for c in q) for q in centres]
     parts = tree.parts(lows, highs) + list(extra_parts)
     return BicliqueCover(len(sd.supplies), len(sd.demands), parts)
-
-
-def _solve(cover, sd, seed=None) -> tuple:
-    """One decision over a cover: (feasible, maximum matching).  ``seed``, a
-    matching over pairs the cover holds, starts the flow."""
-    net = build_network(cover, sd)
-    flow = max_flow_dinitz(net, seed_flow(net, seed) if seed else None)
-    return sd.target == flow.value, flow_to_matching(flow, net, cover)
 
 
 @dataclass
@@ -187,10 +185,10 @@ def bottleneck_search(
 ) -> BottleneckResult:
     """Minimum lam such that decide(..., lam) is feasible, with a witness
     matching.  L-infinity and L1 gallop on value bounds from their Hall
-    start (``_cover_search``); L2, at every size, gallops on squared
-    distances from its Hall start over one network that grows by the pairs
-    within each bound (``_grown_search``).  Both end by minimax augmenting
-    paths at their first feasible decision, unless it was the first one.
+    start over covers (``_cover_search``); L2, at every size, gallops on
+    squared distances from its Hall start over its pairs
+    (``_grown_search``).  Both end by minimax augmenting paths at their
+    first feasible decision, unless it was the first one.
     The search decides, gallops and finishes on the scaled ints of
     ``_int_coords``, coordinates and weights alike, so the answer is exact
     on every input: an int for int coordinates and a ``Fraction`` for any
@@ -198,10 +196,9 @@ def bottleneck_search(
     for any other.  The search draws nothing at random: equal inputs give
     equal outputs.
 
-    An infeasible decision's maximum matching uses only pairs within its
-    bound, so it is a feasible flow at every larger bound and starts the
-    next decision's max flow; the grown L2 search keeps it as its
-    residual."""
+    An infeasible decision's maximum flow uses only pairs within its bound,
+    so it is a feasible flow at every larger bound: each search grows one
+    network and continues that flow's residual."""
     pp, qq, sd, scale, wscale = _int_coords(Pset, Qset, metric, sd)
     if not pp or not qq:
         sq = 0 if metric is Metric.L2 else None
@@ -222,36 +219,74 @@ def bottleneck_search(
 def _cover_search(pp, qq, metric: Metric, sd: SupplyDemand) -> tuple:
     """(optimum, witness) of an L-infinity or L1 search: a ``_gallop`` of
     decisions over covers from ``_cover_at``, from the Hall start of the
-    points and ranges that must carry flow.  The first feasible decision's
-    witness has bottleneck hi.  If it was the first decision, hi is the
-    optimum: no bound below the Hall start is feasible.  Otherwise
-    ``_minimax_finish`` augments the last infeasible decision's matching to
-    the target over the pairs within hi, read off the feasible decision's
-    cover; no further cover is queried."""
+    points and ranges that must carry flow, capped at the largest extent of
+    the points along one axis, within which every pair lies.  The first
+    feasible decision's witness has bottleneck hi.  If it was the first
+    decision, hi is the optimum: no bound below the Hall start is feasible.
+    Otherwise ``_minimax_finish`` augments the last infeasible decision's
+    flow to the target over the pairs within hi, read off the feasible
+    decision's cover; no further cover is queried."""
     lb = _hall_start(pp, qq, [INF if need else 0 for need in _needs(sd)])
-    cover, witness, seed, bottom = _gallop(_cover_at(pp, qq, metric, sd), sd, lb)
+    ub = max(max(axis) - min(axis) for axis in zip(*pp, *qq))
+    cover, witness, seed, bottom = _gallop(_regrow(_cover_at(pp, qq, metric, sd)), sd, lb, ub)
     hi = max(_linf_dist(pp[p], qq[r]) for p, r, _a in witness)
     if bottom is None:
         return hi, witness
     return _minimax_finish(_pairs_within(cover.parts, pp, qq, hi), sd, seed, bottom)
 
 
-def _gallop(cover_at, sd: SupplyDemand, lam, ub=INF) -> tuple:
-    """(cover, witness, seed, bottom) of the first feasible decision of a
+def _regrow(cover_at):
+    """The grow step of ``_gallop`` for a search over covers, ``cover_at``
+    giving a decision's cover from its bound: the network keeps the edges
+    that carry flow and gains the whole cover at the bound, which the step
+    returns.  The pairs of the flow lie within an earlier, smaller bound,
+    so the network holds the cover's pairs and no other."""
+
+    def grow(net, res, lam):
+        net.drop_idle(res)
+        cover = cover_at(lam)
+        net.add_parts(cover.parts)
+        return cover
+
+    return grow
+
+
+def _gallop(grow, sd: SupplyDemand, lam, ub) -> tuple:
+    """(grown, witness, seed, bottom) of the first feasible decision of a
     search that decides at lam, a bound below which none is feasible, and
     after each infeasible decision at twice its bound plus one, capped at
-    ub, a bound known to be feasible.  ``cover_at`` gives a decision's cover
-    from its bound; each decision's max flow starts from the last
-    infeasible decision's maximum matching, ``seed``, decided at ``bottom``.
-    Both are None when the first decision was feasible."""
-    seed = bottom = None
+    ub, a bound known to be feasible; an infeasible decision at ub raises
+    InternalError.
+
+    The search grows one flow network, built here over no parts.  Before
+    each decision, ``grow(net, res, lam)`` makes the network hold exactly
+    the pairs within lam, given the residual ``res`` of the flow so far,
+    and returns what the search's finish reads, ``grown`` for the last
+    decision.  Each decision's max flow continues that residual.
+
+    When the first decision is feasible, ``witness`` is its maximum
+    matching and ``seed`` and ``bottom`` are None.  Otherwise a finish
+    follows: ``witness`` holds the (point, range, amount) triples of the
+    feasible flow, a pair perhaps more than once, and ``seed`` those of the
+    last infeasible decision's maximum flow, decided at ``bottom``."""
+    cover = BicliqueCover(len(sd.supplies), len(sd.demands), [])
+    net = build_network(cover, sd)
+    res = list(net.ecap)
+    last = None
     while True:
-        cover = cover_at(lam)
-        feasible, matching = _solve(cover, sd, seed)
-        if feasible:
-            return cover, matching, seed, bottom
-        seed, bottom = matching, lam
+        grown = grow(net, res, lam)
+        res += net.ecap[len(res) :]
+        flow = max_flow_dinitz(net, residual=res)
+        if flow.value == sd.target:
+            break
+        if lam == ub:
+            raise InternalError("every pair together falls short of the target")
+        last, bottom = flow, lam
         lam = min(2 * lam + 1, ub)
+    if last is None:
+        return grown, flow_to_matching(flow, net, cover), None, None
+    # edge ids stay as the network grows, so the last infeasible flow reads as it was
+    return grown, project_flow(net, flow.values)[0], project_flow(net, last.values)[0], bottom
 
 
 def _needs(sd: SupplyDemand) -> list:
@@ -323,11 +358,12 @@ def _pairs_within(parts, pp, qq, hi, np_=None) -> list:
 
 
 def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom, hub=False) -> tuple:
-    """(optimum, witness): the flow ``matching`` M, whose pairs all lie
-    within ``bottom``, a bound at most the optimum (the searches pass their
-    last infeasible bound), augmented to the target of ``sd`` over the pairs
-    ``near``, which must hold every pair within the optimum: per point p, a
-    (distance, |P| + r) tuple for each range r it may use.
+    """(optimum, witness): the flow ``matching`` M, (point, range, amount)
+    triples whose amounts add up where a pair repeats and whose pairs all
+    lie within ``bottom``, a bound at most the optimum (the searches pass
+    their last infeasible bound), augmented to the target of ``sd`` over the
+    pairs ``near``, which must hold every pair within the optimum: per point
+    p, a (distance, |P| + r) tuple for each range r it may use.
 
     Each augmenting path is one whose largest forward pair is smallest: a
     Dijkstra over the residual graph, keyed by that largest pair, from every
@@ -356,7 +392,7 @@ def _minimax_finish(near, sd: SupplyDemand, matching: Matching, bottom, hub=Fals
     for p, r, a in matching:
         spare[p] -= a
         unmet[r] -= a
-        into[r][p] = a
+        into[r][p] = into[r].get(p, 0) + a
     # the points with supply to spare and whether each range has demand to
     # meet, kept next to the amounts for speed: a path search starts from
     # the few sources and reads one flag per range it reaches
@@ -452,59 +488,48 @@ def _linf_dist(p, q) -> int:
 
 def _grown_search(pp, qq, sd: SupplyDemand) -> tuple:
     """(smallest feasible squared distance, witness) between the planar int
-    points pp and qq: the rule of ``_gallop`` on one flow network that grows
-    by the pairs each decision's bound lets in.
+    points pp and qq: a ``_gallop`` on squared distances, so every decision
+    is exact, whose network grows by the pairs each decision's bound lets
+    in.
 
-    The squared distances are listed once, pair (i, j) at i * |Q| + j.  The
-    Hall start is the largest distance from a point or range that must carry
-    flow (``_needs``) to its nearest partner, read off the rows and columns
-    of that list; no bound below it is feasible (``_hall_start`` bounds the
-    other searches the same way).  The search decides there and, while a
-    decision is infeasible, next at twice its bound plus one, capped at the
+    The squared distances are listed once, point i's row at ``d[i]``.  The
+    Hall start is the largest distance from a point or range that must
+    carry flow (``_needs``) to its nearest partner, read off the rows and
+    columns of that list; no bound below it is feasible (``_hall_start``
+    bounds the other searches the same way).  The gallop is capped at the
     largest distance.  Each decision appends the pairs within its bound and
-    beyond the last one, one direct edge each at its full capacity, in index
-    order, and continues the last decision's maximum flow.  So every
-    decision answers what a cold decision at its bound would.
+    beyond the last one, point by point and each point's in index order;
+    no pair is dropped, as none is listed again.
 
-    The first feasible decision's flow sets hi, the largest distance of a
-    pair that carries flow.  If it was the first decision, hi is the optimum
-    and the flow its witness.  Otherwise ``_minimax_finish`` augments the
-    last infeasible decision's flow to the target over the added pairs
-    within hi, and its result is the search's."""
-    np_, nq = len(pp), len(qq)
-    d = [(px - qx) * (px - qx) + (py - qy) * (py - qy) for px, py in pp for qx, qy in qq]
-    # point i's row of d is d[i * |Q| : (i + 1) * |Q|], range j's column d[j :: |Q|]
-    needs = _needs(sd)
-    rows = [min(d[i * nq : i * nq + nq]) for i in range(np_) if needs[i]]
-    lam = max(rows + [min(d[j::nq]) for j in range(nq) if needs[np_ + j]], default=0)
-    ub = max(d)
-    net = build_network(BicliqueCover(np_, nq, []), sd)
-    base = net.edge_count  # the feeders and drains; edge base + e is pair added[e]
-    res = list(net.ecap)
-    added, last, seed, bottom = [], -1, None, None
-    target = sd.target
-    while True:
-        new = [k for k, x in enumerate(d) if last < x <= lam]
-        added += new
-        net.add_direct([k // nq for k in new], [k % nq for k in new])
-        res += net.ecap[len(res) :]
-        flow = max_flow_dinitz(net, residual=res)
-        if flow.value == target:
-            break
-        if lam == ub:
-            raise InternalError("every pair together falls short of the target")
-        seed, bottom, last = flow, lam, lam
-        lam = min(2 * lam + 1, ub)
-    values = flow.values
-    hi = max(d[k] for e, k in enumerate(added, base) if values[e] > 0)
+    The first feasible decision's witness sets hi, its largest distance.
+    If it was the first decision, hi is the optimum.  Otherwise
+    ``_minimax_finish`` augments the last infeasible decision's flow to the
+    target over the added pairs within hi, and its result is the
+    search's."""
+    np_ = len(pp)
+    d = [[(px - qx) * (px - qx) + (py - qy) * (py - qy) for qx, qy in qq] for px, py in pp]
+    nearest = [*map(min, d), *map(min, zip(*d))]  # per point, then per range
+    added, last = [[] for _ in d], -1
+
+    def grow(net, _res, lam):
+        nonlocal last
+        parts = []
+        for i, row in enumerate(d):
+            rs = [j for j, x in enumerate(row) if last < x <= lam]
+            if rs:
+                parts.append(([i], rs))
+                added[i] += rs
+        net.add_parts(parts)
+        last = lam
+
+    lb = max((x for x, need in zip(nearest, _needs(sd)) if need), default=0)
+    _, witness, seed, bottom = _gallop(grow, sd, lb, max(map(max, d)))
+    hi = max(d[p][r] for p, r, _a in witness)
     if bottom is None:
-        return hi, sorted(project_flow(net, values)[0])
-    near = [[] for _ in pp]
-    for k in added:
-        if d[k] <= hi:
-            near[k // nq].append((d[k], np_ + k % nq))
+        return hi, witness
+    near = [[(row[j], np_ + j) for j in rs if row[j] <= hi] for row, rs in zip(d, added)]
     # the seed's pairs lie within bottom, which is infeasible and so below the optimum
-    return _minimax_finish(near, sd, project_flow(net, seed.values)[0], bottom)
+    return _minimax_finish(near, sd, seed, bottom)
 
 
 @dataclass(frozen=True)
@@ -571,7 +596,7 @@ def pd_bottleneck(X, Y):
         return 0 if p >= nx and r >= ny else to_diagonal[p]
 
     lb = _hall_start(pts[:nx], centres, to_diagonal)
-    cover, witness, seed, bottom = _gallop(cover_at, sd, lb, max(to_diagonal))
+    cover, witness, seed, bottom = _gallop(_regrow(cover_at), sd, lb, max(to_diagonal))
     lam = max(dist(p, r) for p, r, _a in witness)
     if bottom is not None:
         near = _diagram_pairs_within(cover, pts, to_diagonal, nx, lam)

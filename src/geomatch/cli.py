@@ -210,7 +210,7 @@ def _run_match(task: dict) -> dict:
         if bad:
             raise InputError(f"integral mode got non-integral weight {bad[0]}")
     sd = SupplyDemand(tuple(supplies), tuple(demands))
-    trace = []
+    trace = [] if task.get("trace") else None
     matching = max_matching_implicit(len(points), len(ranges), sd, cover, trace=trace)
     value = matching_value(matching)
 
@@ -222,7 +222,7 @@ def _run_match(task: dict) -> dict:
         "matching_size": len(matching),
         "matching": _matching_json(matching, shown),
     }
-    if task.get("trace"):
+    if trace is not None:
         out["trace"] = [
             {"t_level": t, "pushed": shown(v), "support": s}
             for t, v, s in trace

@@ -16,11 +16,13 @@ blocks: source 0, sink 1, the points, the ranges, then the middle vertices.
 ``project_flow`` their one reader of a flow.
 
 A network can also grow: ``FlowNetwork.extend`` appends edges after the
-others, and ``max_flow_dinitz`` continues from the residual of an earlier
-flow and reports the points and ranges on the source side of its minimum
-cut.  The L2 bottleneck search grows one network by the pairs within each
-decision's bound this way; the implicit engine appends a backward edge to
-its cover's network for each pair new to its flow's support.
+others (``add_parts`` appends cover parts), ``drop_idle`` takes the edges
+that carry no flow out of the adjacency lists, and ``max_flow_dinitz``
+continues from the residual of an earlier flow and reports the points and
+ranges on the source side of its minimum cut.  Every bottleneck search
+grows one network per search this way, and no decision of a search builds
+one; the implicit engine appends a backward edge to its cover's network for
+each pair new to its flow's support.
 """
 
 from __future__ import annotations
@@ -116,11 +118,49 @@ class FlowNetwork:
         for e, u in enumerate(tail_of, e0):
             head[u].append(e)
 
-    def add_direct(self, ps, rs) -> None:
-        """``extend`` by an uncapacitated direct edge from point ``ps[k]`` to
-        range ``rs[k]`` for each k."""
-        rbase = 2 + self.n_points
-        self.extend([2 + p for p in ps], [rbase + r for r in rs], [INF] * len(ps))
+    def add_parts(self, parts) -> None:
+        """``extend`` by the cover parts ``parts``, uncapacitated, in order.
+        A part with two or more points and two or more ranges gets a new
+        middle vertex, its pins then its pouts; any other part becomes
+        direct edges, point by point."""
+        np_ = self.n_points
+        mid0 = 2 + np_ + self.n_ranges
+        # lists, not ranges: indexed once per edge, and a list index is cheaper
+        pid, rid = list(range(2, 2 + np_)), list(range(2 + np_, mid0))
+        tails, heads = [], []
+        n = self.n
+        # one append per edge and no call per part: most parts hold one edge
+        tail, head = tails.append, heads.append
+        for ps, rs in parts:
+            if len(rs) == 1:  # direct edges into one range
+                v = rid[rs[0]]
+                for p in ps:
+                    tail(pid[p])
+                    head(v)
+            elif len(ps) > 1 and len(rs) > 1:
+                for p in ps:
+                    tail(pid[p])
+                    head(n)
+                for r in rs:
+                    tail(n)
+                    head(rid[r])
+                n += 1
+            else:  # direct edges out of one point
+                hs = [rid[r] for r in rs]
+                for p in ps:
+                    tails += [pid[p]] * len(hs)
+                    heads += hs
+        self.head += [[] for _ in range(n - self.n)]
+        self.n = n
+        self.extend(tails, heads, [INF] * len(tails))
+
+    def drop_idle(self, res) -> None:
+        """Remove from the adjacency lists every edge past the feeders and
+        drains that carries no flow in the residual ``res``, with its
+        reverse slot.  Edge ids stay, so a flow's values read as before."""
+        base = 2 * (self.n_points + self.n_ranges)
+        # slot e's original edge carries flow when its twin, slot e | 1, has residual
+        self.head = [[e for e in out if e < base or res[e | 1] > 0] for out in self.head]
 
     def add_backward(self, pairs: dict) -> None:
         """``extend`` by an edge from range r back to point p with capacity
@@ -157,44 +197,24 @@ class Flow:
 def build_network(cover, sd: SupplyDemand) -> FlowNetwork:
     """Flow network for a cover, in the one layout of both Dinitz drivers.
     Edge ids run: the feeders (point p's is 2p), the drains (range r's is
-    2(|P| + r)), then the parts in cover order.  A part with two or more
-    points and two or more ranges gets a middle vertex, its pins then its
-    pouts; any other part becomes direct edges, point by point.  So the
-    network has 2 + |P| + |R| + (parts with a middle vertex) vertices and
-    |P| + |R| + sum of |A|*|B| (singleton side) or |A| + |B| (other) edges."""
+    2(|P| + r)), then the parts in cover order (``FlowNetwork.add_parts``).
+    So the network has 2 + |P| + |R| + (parts with a middle vertex)
+    vertices and |P| + |R| + sum of |A|*|B| (singleton side) or |A| + |B|
+    (other) edges."""
     np_, nr = cover.left_count, cover.right_count
     if len(sd.supplies) != np_ or len(sd.demands) != nr:
         raise InputError("supply/demand lengths disagree with the cover")
-    mid0 = 2 + np_ + nr
-    # lists, not ranges: indexed once per edge, and a list index is cheaper
-    pid, rid = list(range(2, 2 + np_)), list(range(2 + np_, mid0))
-    tails = [0] * np_ + rid
-    heads = pid + [1] * nr
-    n = mid0
-    # one append per edge and no call per part: most parts hold one edge
-    tail, head = tails.append, heads.append
-    for ps, rs in cover.parts:
-        if len(rs) == 1:  # direct edges into one range
-            v = rid[rs[0]]
-            for p in ps:
-                tail(pid[p])
-                head(v)
-        elif len(ps) > 1 and len(rs) > 1:
-            for p in ps:
-                tail(pid[p])
-                head(n)
-            for r in rs:
-                tail(n)
-                head(rid[r])
-            n += 1
-        else:  # direct edges out of one point
-            for p in ps:
-                for r in rs:
-                    tail(pid[p])
-                    head(rid[r])
-    caps = [*sd.supplies, *sd.demands]
-    caps += [INF] * (len(tails) - len(caps))
-    return FlowNetwork(n, tails, heads, caps, n_points=np_, n_ranges=nr)
+    rbase = 2 + np_
+    net = FlowNetwork(
+        rbase + nr,
+        [0] * np_ + list(range(rbase, rbase + nr)),
+        list(range(2, rbase)) + [1] * nr,
+        [*sd.supplies, *sd.demands],
+        n_points=np_,
+        n_ranges=nr,
+    )
+    net.add_parts(cover.parts)
+    return net
 
 
 def level_graph(net: FlowNetwork, res: list) -> list:
@@ -253,10 +273,10 @@ def max_flow_dinitz(net: FlowNetwork, residual: list | None = None) -> Flow:
     mutated.
 
     ``residual`` gives the residual capacity of every edge slot, the state
-    of a feasible flow on this network to start from: a matching routed by
-    ``seed_flow``, or an earlier flow continued after ``extend`` appended
-    edges at their full capacities.  The phases augment it to a maximum in
-    place; without it they start from the empty flow."""
+    of a feasible flow on this network to start from: an earlier flow,
+    continued after ``extend`` appended edges at their full capacities and
+    ``drop_idle`` removed edges that carry none.  The phases augment it to
+    a maximum in place; without it they start from the empty flow."""
     s, t = net.source, net.sink
     head, eto = net.head, net.eto
     res = list(net.ecap) if residual is None else residual
@@ -322,36 +342,6 @@ def _blocking_flow(head, eto, res, level, s, t):
 
 # A matching is a list of (point index, range index, amount) triples.
 Matching = list
-
-
-def seed_flow(net: FlowNetwork, matching: Matching) -> list:
-    """Route a matching through a network from ``build_network``, as the
-    residual a ``max_flow_dinitz`` starts from: each triple (p, r, a) sends
-    a along the feeder of p (id 2p in the layout), a direct edge from p to r
-    or else the pin and pout of a part holding both, and the drain of r (id
-    2(|P| + r)).  A pair that no part holds, or a matching past a supply or
-    a demand, raises InternalError."""
-    np_ = net.n_points
-    head, eto = net.head, net.eto
-    res = list(net.ecap)
-    for p, r, amt in matching:
-        r_node = 2 + np_ + r
-        # p's even edges are its direct edges and its pins
-        out = [e for e in head[2 + p] if not e & 1]
-        route = next(((e,) for e in out if eto[e] == r_node), None)
-        if route is None:
-            # the pouts into r by middle vertex, then a pin of p into one of them
-            pout = {eto[e]: e ^ 1 for e in head[r_node] if e & 1}
-            pin = next((e for e in out if eto[e] in pout), None)
-            if pin is None:
-                raise InternalError(f"seed pair ({p}, {r}) is in no part of the cover")
-            route = (pin, pout[eto[pin]])
-        for e in (2 * p, *route, 2 * (np_ + r)):
-            res[e] -= amt
-            res[e + 1] += amt
-            if res[e] < 0:
-                raise InternalError("seed flow exceeds an edge capacity")
-    return res
 
 
 def project_flow(net: FlowNetwork, values):

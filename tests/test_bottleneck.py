@@ -358,29 +358,50 @@ def test_fractional_weights_reach_flows_and_finishes_as_ints(monkeypatch, metric
 
 
 def _log_gallop(monkeypatch) -> list:
-    """Wrap the gallop of the L-infinity, L1 and diagram searches.  The list
-    gets one dict per search: its start ``lb``, its cap ``ub``, and its
-    ``decisions``, one [bound, verdict] per decision, in order."""
-    gallop, solve, log = bottleneck_mod._gallop, bottleneck_mod._solve, []
+    """Wrap ``_gallop``, the one decision loop of every search.  The list
+    gets one dict per search: its start ``lb``, its cap ``ub`` and its
+    ``decisions``, in order.  Each decision is a dict of the ``bound`` its
+    grow step got and, from its max flow, whether it was ``feasible``, the
+    flow's ``value`` and ``reached`` set, and ``edges``, the network's edges
+    past the feeders and drains (for L2, the pairs within the bound)."""
+    gallop, log = bottleneck_mod._gallop, []
 
-    def logged_gallop(cover_at, sd, lam, ub=INF):
+    def logged_gallop(grow, sd, lam, ub):
         search = {"lb": lam, "ub": ub, "decisions": []}
         log.append(search)
+        dinitz = bottleneck_mod.max_flow_dinitz
 
-        def logged_cover_at(x):
-            search["decisions"].append([x, None])
-            return cover_at(x)
+        def logged_grow(net, res, x):
+            search["decisions"].append({"bound": x})
+            return grow(net, res, x)
 
-        return gallop(logged_cover_at, sd, lam, ub)
+        def logged_dinitz(net, residual=None):
+            flow = dinitz(net, residual)
+            search["decisions"][-1].update(
+                feasible=flow.value == sd.target,
+                value=flow.value,
+                reached=flow.reached,
+                edges=net.edge_count - net.n_points - net.n_ranges,
+            )
+            return flow
 
-    def logged_solve(cover, sd, seed=None):
-        got = solve(cover, sd, seed)
-        log[-1]["decisions"][-1][1] = got[0]
-        return got
+        # only the gallop's max flows are logged, not those of a later decide
+        bottleneck_mod.max_flow_dinitz = logged_dinitz
+        try:
+            return gallop(logged_grow, sd, lam, ub)
+        finally:
+            bottleneck_mod.max_flow_dinitz = dinitz
 
     monkeypatch.setattr(bottleneck_mod, "_gallop", logged_gallop)
-    monkeypatch.setattr(bottleneck_mod, "_solve", logged_solve)
     return log
+
+
+def _bounds(search) -> list:
+    return [d["bound"] for d in search["decisions"]]
+
+
+def _verdicts(search) -> list:
+    return [d["feasible"] for d in search["decisions"]]
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -391,10 +412,10 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
     # only, and the search ends at its first feasible decision, so the warm
     # and cold searches decide the same bounds with the same verdicts and
     # cuts; only the last, feasible decision's flow may differ.  The cold
-    # search starts every max flow from the empty flow: its seed's residual
-    # (L-infinity, L1) or the grown network's residual (L2) is reset to the
-    # network's capacities.  Where the first decision, at the Hall start, is
-    # infeasible, the next one continues a warm flow.
+    # search starts every max flow from the empty flow: the grown network's
+    # residual is reset to the network's capacities.  Where the first
+    # decision, at the Hall start, is infeasible, the next one continues a
+    # warm flow.
     dinitz = bottleneck_mod.max_flow_dinitz
     gallops = _log_gallop(monkeypatch)
     rng = random.Random(36)
@@ -412,8 +433,7 @@ def test_warm_search_makes_as_many_decisions_as_cold(monkeypatch, metric):
                 flow = dinitz(net, residual)
                 if not cold:
                     assert flow.value == dinitz(net).value
-                # the bound; for L2, the pairs within it: the edges past the feeders and drains
-                x = net.edge_count - 24 if metric is Metric.L2 else gallops[-1]["decisions"][-1][0]
+                x = gallops[-1]["decisions"][-1]["bound"]
                 steps.append((x, flow.value == 12, None if flow.value == 12 else flow.reached))
                 return flow
 
@@ -519,66 +539,58 @@ def _count_tree_queries(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("metric", list(Metric))
-def test_search_decides_only_when_asked(monkeypatch, metric):
+def _count_built(monkeypatch) -> dict:
+    """Count the networks and the covers made by the bottleneck module."""
+    built = {"networks": 0, "covers": 0}
+
+    def counted(kind, make):
+        def made(*args, **kwargs):
+            built[kind] += 1
+            return make(*args, **kwargs)
+
+        return made
+
+    monkeypatch.setattr(bottleneck_mod, "build_network", counted("networks", bottleneck_mod.build_network))
+    monkeypatch.setattr(bottleneck_mod, "BicliqueCover", counted("covers", bottleneck_mod.BicliqueCover))
+    return built
+
+
+@pytest.mark.parametrize("kind", [Metric.LINF, Metric.L1, Metric.L2, "diagram"])
+def test_search_decides_only_when_asked(monkeypatch, kind):
+    # every search builds one network and grows it per decision
+    gallops, queries = _log_gallop(monkeypatch), _count_tree_queries(monkeypatch)
+    built = _count_built(monkeypatch)
     rng = random.Random(28)
-    P, Q = rand_pts(rng, 8), rand_pts(rng, 8)
-    if metric is Metric.L2:
-        # the L2 search asks by growing its one network: every max flow is a
-        # decision at a prefix of the sorted pairs that no earlier verdict
-        # settles, and no cover or network is built per decision
-        log = _log_grown_search(monkeypatch)
-        r = bottleneck_search(P, Q, metric)
-        assert log["built"] == {"covers": 1, "networks": 1}
-        ranks = [k for k, _value, _reached in log["decisions"]]
+    if kind == "diagram":
+        X = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fractions(rng, 8)]
+        Y = [(b, b + rand_fraction(rng, 1, 8)) for b in rand_fractions(rng, 8)]
+        assert pd_bottleneck(X, Y) == pd_brute(X, Y)
+    else:
+        P, Q = rand_pts(rng, 8), rand_pts(rng, 8)
+        r = bottleneck_search(P, Q, kind)
+        assert len(r.matching) == 8
+    assert built["networks"] == 1
+    (search,) = gallops
+    bounds = _bounds(search)
+    assert bounds and bounds == sorted(set(bounds))
+    if kind is Metric.L2:
+        # the L2 search asks by growing its network by pairs: every max
+        # flow is a decision at a prefix of the sorted pairs that no earlier
+        # verdict settles, and it builds no cover per decision
+        assert built["covers"] == 1
+        ranks = [d["edges"] for d in search["decisions"]]
         assert ranks and len(set(ranks)) == len(ranks)
         lo, hi = 0, 64
-        for k, value, _reached in log["decisions"]:
+        for k, feasible in zip(ranks, _verdicts(search)):
             assert lo < k < hi or k == hi == 64
-            if value == 8:
+            if feasible:
                 hi = k
             else:
                 lo = k
-        assert len(r.matching) == 8
         return
     # every decision of the gallop queries the search's one tree once, at a
     # larger bound than the last, and the finish queries none
-    gallops, queries = _log_gallop(monkeypatch), _count_tree_queries(monkeypatch)
-    r = bottleneck_search(P, Q, metric)
-    bounds = [x for x, _verdict in gallops[0]["decisions"]]
-    assert len(gallops) == 1 and bounds
     assert len(queries) == len(bounds)
-    assert bounds == sorted(set(bounds))
-    assert len(r.matching) == 8
-
-
-def _log_grown_search(monkeypatch) -> dict:
-    """Wrap the L2 search's max flow, its network builder and its cover
-    class.  ``decisions`` gets (rank, flow value, reached set) per max flow,
-    the rank being the number of pair edges past the feeders and drains;
-    ``built`` counts the covers and networks made."""
-    log = {"decisions": [], "built": {"covers": 0, "networks": 0}}
-    dinitz, build, cover = (
-        bottleneck_mod.max_flow_dinitz, bottleneck_mod.build_network, bottleneck_mod.BicliqueCover
-    )
-
-    def logged(net, residual=None):
-        flow = dinitz(net, residual)
-        k = net.edge_count - net.n_points - net.n_ranges
-        log["decisions"].append((k, flow.value, flow.reached))
-        return flow
-
-    def built(kind, make):
-        def counted(*args, **kwargs):
-            log["built"][kind] += 1
-            return make(*args, **kwargs)
-
-        return counted
-
-    monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", logged)
-    monkeypatch.setattr(bottleneck_mod, "build_network", built("networks", build))
-    monkeypatch.setattr(bottleneck_mod, "BicliqueCover", built("covers", cover))
-    return log
 
 
 def _int_grid_cases(rng, count):
@@ -608,19 +620,20 @@ def _weight_unit(sd: SupplyDemand) -> int:
 
 
 def test_grown_search_decisions_match_cold_decisions(monkeypatch):
-    log = _log_grown_search(monkeypatch)
+    gallops = _log_gallop(monkeypatch)
     rng = random.Random(44)
     jumps = 0
     for P, Q, sd in _int_grid_cases(rng, 60):
-        log["decisions"].clear()
+        gallops.clear()
         r = bottleneck_search(P, Q, Metric.L2, sd=sd)
+        (search,) = gallops
         full = sd or SupplyDemand.unit(len(P), len(Q))
         # int points need no scaling: the search's squares are the inputs'
         dist = sorted(l2sq(p, q) for p in P for q in Q)
         # the search's flows run on the scaled weights
         unit = _weight_unit(full)
-        # the cold decisions below log their own max flows
-        for k, value, (S, T) in list(log["decisions"]):
+        # the cold decisions below log nothing
+        for k, value, (S, T) in [(d["edges"], d["value"], d["reached"]) for d in search["decisions"]]:
             # every decision ends a tie group, so a cold decision at its
             # distance has the same incidences and must give the same verdict
             assert k == len(dist) or dist[k] > dist[k - 1]
@@ -661,17 +674,18 @@ def test_grown_search_matches_brute_force_on_ties():
 
 
 def test_grown_search_decides_nothing_below_its_hall_start(monkeypatch):
-    log = _log_grown_search(monkeypatch)
+    gallops = _log_gallop(monkeypatch)
     rng = random.Random(48)
     for P, Q, sd in _int_grid_cases(rng, 60):
-        log["decisions"].clear()
+        gallops.clear()
         full = sd or SupplyDemand.unit(len(P), len(Q))
         start = _brute_hall_start(P, Q, l2sq, _brute_needs(full))
         dist = sorted(l2sq(p, q) for p in P for q in Q)
         r = bottleneck_search(P, Q, Metric.L2, sd=sd)
         # no bound below the Hall start is feasible
         assert r.lambda_star_sq >= start
-        ranks = [k for k, _value, _reached in log["decisions"]]
+        (search,) = gallops
+        ranks = [d["edges"] for d in search["decisions"]]
         # the first decision holds every pair within the Hall start, and
         # each later one holds at least as many
         assert ranks[0] == bisect_right(dist, start)
@@ -681,17 +695,18 @@ def test_grown_search_decides_nothing_below_its_hall_start(monkeypatch):
 def test_grown_search_ends_at_its_first_feasible_decision(monkeypatch):
     # fractional many-to-many instances: every decision but the last is
     # infeasible
-    log = _log_grown_search(monkeypatch)
+    gallops = _log_gallop(monkeypatch)
     rng = random.Random(50)
     galloped = 0
     for _ in range(40):
         P, Q = rand_pts(rng, rng.randrange(1, 10)), rand_pts(rng, rng.randrange(1, 10))
         sd = rand_sd(rng, len(P), len(Q), integral=False)
-        log["decisions"].clear()
+        gallops.clear()
         r = bottleneck_search(P, Q, Metric.L2, sd=sd)
         # the search's flows run on the scaled weights
         target = sd.target * _weight_unit(sd)
-        values = [value for _k, value, _reached in log["decisions"]]
+        (search,) = gallops
+        values = [d["value"] for d in search["decisions"]]
         assert values[-1] == target
         assert all(value < target for value in values[:-1])
         galloped += len(values) > 2
@@ -754,7 +769,7 @@ def test_pd_decides_only_when_asked(monkeypatch):
         if not X and not Y:
             assert not gallops and not queries
             continue
-        bounds = [x for x, _verdict in gallops[0]["decisions"]]
+        bounds = _bounds(gallops[0])
         assert len(gallops) == 1 and bounds
         assert len(queries) == len(bounds)
         assert bounds == sorted(set(bounds))
@@ -842,12 +857,11 @@ def _brute_hall_start(P, Q, dist, needs) -> int:
 
 @pytest.mark.parametrize("kind", [Metric.LINF, Metric.L1, Metric.L2, "diagram"])
 def test_gallop_starts_at_the_hall_start_and_doubles(monkeypatch, kind):
-    gallops, grown = _log_gallop(monkeypatch), _log_grown_search(monkeypatch)
+    gallops = _log_gallop(monkeypatch)
     rng = random.Random(52)
     galloped = 0
     for t in range(60):
         gallops.clear()
-        grown["decisions"].clear()
         if kind == "diagram":
             X, Y = _int_diagram(rng, rng.randrange(1, 9)), _int_diagram(rng, rng.randrange(0, 9))
             star, want = pd_bottleneck(X, Y), pd_brute(X, Y)
@@ -861,32 +875,27 @@ def test_gallop_starts_at_the_hall_start_and_doubles(monkeypatch, kind):
             r = bottleneck_search(P, Q, kind, sd=sd)
             star = r.lambda_star_sq if kind is Metric.L2 else r.lambda_star
             want = _brute_sd(P, Q, full, kind)
-            lb, ub = _brute_hall_start(P, Q, _DIST[kind], _brute_needs(full)), INF
+            lb = _brute_hall_start(P, Q, _DIST[kind], _brute_needs(full))
+            dist = sorted(_DIST[kind](p, q) for p in P for q in Q)
+            # L2 caps at the largest squared distance; L-infinity and L1 at
+            # the largest extent along one axis, of the rotated points for L1
+            pts = [rotate45(p) if kind is Metric.L1 else p for p in P + Q]
+            ub = dist[-1] if kind is Metric.L2 else max(max(c) - min(c) for c in zip(*pts))
+            assert dist[-1] <= ub
         assert star == want
         # int inputs: the search's unit is 1 for points, 1/2 for diagrams
         unit = Fraction(1, 2) if kind == "diagram" else 1
+        (search,) = gallops
+        assert search["lb"] * unit == lb and search["ub"] * unit == ub
+        bounds, verdicts = _bounds(search), _verdicts(search)
+        # the first decision is at lb and each next one at twice the last
+        # plus one, capped at ub
+        assert bounds[0] == search["lb"]
+        assert all(y == min(2 * x + 1, search["ub"]) for x, y in zip(bounds, bounds[1:]))
         if kind is Metric.L2:
-            # the grown search decides at lb and each next bound at twice
-            # the last plus one, capped at the largest squared distance;
-            # decision t holds exactly the pairs within bound t
-            dist = sorted(l2sq(p, q) for p in P for q in Q)
-            bounds = [lb]
-            for _ in grown["decisions"][1:]:
-                bounds.append(min(2 * bounds[-1] + 1, dist[-1]))
-            ranks = [k for k, _value, _reached in grown["decisions"]]
+            # the grown network of decision t holds exactly the pairs within bound t
+            ranks = [d["edges"] for d in search["decisions"]]
             assert ranks == [bisect_right(dist, x) for x in bounds]
-            # the search's flows run on the scaled weights
-            target = full.target * _weight_unit(full)
-            verdicts = [value == target for _k, value, _reached in grown["decisions"]]
-        else:
-            (search,) = gallops
-            assert search["lb"] * unit == lb and search["ub"] * unit == ub
-            bounds = [x for x, _verdict in search["decisions"]]
-            verdicts = [verdict for _x, verdict in search["decisions"]]
-            # the first decision is at lb and each next one at twice the
-            # last plus one, capped at ub
-            assert bounds[0] == search["lb"]
-            assert all(y == min(2 * x + 1, search["ub"]) for x, y in zip(bounds, bounds[1:]))
         # every decision but the last is infeasible
         assert verdicts == [False] * (len(bounds) - 1) + [True]
         assert all(x * unit < star for x in bounds[:-1]) and bounds[-1] * unit >= star
@@ -1020,7 +1029,7 @@ def test_pd_search_decides_inside_its_bracket(monkeypatch):
         unit = ub / search["ub"]
         assert search["lb"] * unit == lb
         # every decision lies in [lb, ub], and ub is feasible by construction
-        bounds = [x * unit for x, _verdict in search["decisions"]]
+        bounds = [x * unit for x in _bounds(search)]
         assert bounds[0] == lb and all(lb <= x <= ub for x in bounds)
         assert lb <= star <= ub
         at["lb" if star == lb else "ub" if star == ub else "inside"] += 1
@@ -1193,4 +1202,4 @@ def test_search_whose_hall_start_is_zero_but_infeasible(monkeypatch, kind):
         assert matching_value(r.matching) == 3
     (search,) = gallops
     assert search["lb"] == 0
-    assert search["decisions"][:2] == [[0, False], [1, False]]
+    assert _bounds(search)[:2] == [0, 1] and _verdicts(search)[:2] == [False, False]

@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 import geomatch.bottleneck as bottleneck_mod
+import geomatch.cli as cli_mod
+from geomatch.bottleneck import bottleneck_search, pd_bottleneck
 from geomatch.cli import main, parse_diagram, parse_points, parse_ranges
+from geomatch.flow import Flow
 from geomatch.geometry import Metric
-from geomatch.numeric import InputError
+from geomatch.numeric import InputError, InternalError
 
 from brute import bottleneck_brute
 from helpers import first_primes, rand_boxes, rand_congruent_disks, rand_points
@@ -243,6 +246,20 @@ def test_match_trace_levels_increase(tmp_path, capsys):
     trace = json.loads(stdout)["trace"]
     levels = [step["t_level"] for step in trace]
     assert levels == sorted(set(levels))
+
+
+def test_match_passes_the_engine_a_trace_only_under_the_flag(monkeypatch, capsys, triangle):
+    engine, traces = cli_mod.max_matching_implicit, []
+
+    def spied(*args, trace=None):
+        traces.append(trace)
+        return engine(*args, trace=trace)
+
+    monkeypatch.setattr(cli_mod, "max_matching_implicit", spied)
+    code, stdout, _ = run_cli(capsys, "match", *triangle)
+    assert code == 0 and "trace" not in json.loads(stdout) and traces == [None]
+    code, stdout, _ = run_cli(capsys, "match", *triangle, "--trace")
+    assert code == 0 and len(json.loads(stdout)["trace"]) == len(traces[1]) > 0
 
 
 def test_bottleneck_metrics(tmp_path, capsys):
@@ -501,6 +518,35 @@ def test_bottleneck_finish_short_of_pairs_exits_3(tmp_path, capsys, monkeypatch)
     code, stdout, stderr = run_cli(capsys, "bottleneck", red, blue)
     assert listed and code == 3 and stdout == ""
     assert "do not reach the target" in stderr
+
+
+def test_max_flow_short_of_the_target_stops_every_search(tmp_path, capsys, monkeypatch):
+    # a max flow that reports one unit short makes every decision
+    # infeasible, up to the search's cap, where the search must stop with an
+    # internal error; past 100 max flows it has not stopped
+    dinitz, calls = bottleneck_mod.max_flow_dinitz, []
+
+    def short(net, residual=None):
+        calls.append(1)
+        assert len(calls) < 100, "the search does not stop"
+        flow = dinitz(net, residual)
+        return Flow(flow.values, flow.value - 1, flow.reached)
+
+    monkeypatch.setattr(bottleneck_mod, "max_flow_dinitz", short)
+    rng = random.Random(57)
+    P, Q = rand_points(rng, 6), rand_points(rng, 6)
+    for metric in Metric:
+        calls.clear()
+        with pytest.raises(InternalError, match="falls short of the target"):
+            bottleneck_search(P, Q, metric)
+    calls.clear()
+    with pytest.raises(InternalError, match="falls short of the target"):
+        pd_bottleneck([(0, 3), (1, 5)], [(2, 4), (0, 1)])
+    calls.clear()
+    rows = lambda pts: "".join(",".join(map(str, p.coords)) + "\n" for p in pts)
+    red, blue = write(tmp_path, "red.csv", rows(P)), write(tmp_path, "blue.csv", rows(Q))
+    code, stdout, stderr = run_cli(capsys, "bottleneck", red, blue)
+    assert code == 3 and stdout == "" and "falls short of the target" in stderr
 
 
 def test_output_deterministic(tmp_path, capsys, triangle):

@@ -12,7 +12,7 @@ from geomatch.flow import (
     flow_to_matching,
     matching_value,
     max_flow_dinitz,
-    seed_flow,
+    project_flow,
     validate_matching,
 )
 from geomatch.geometry import Box, Point
@@ -180,15 +180,13 @@ def test_mixed_covers_match_the_reference(unit):
             sd = rand_sd(rng, len(pts), len(boxes), integral=False)
         want = reference_max_flow(g, sd.supplies, sd.demands)
         net = build_network(cover, sd)
-        runs = [max_flow_dinitz(net)]
+        runs = [(net, max_flow_dinitz(net))]
         if trial % 2:
             sub = BicliqueCover(
                 len(pts), len(boxes), rng.sample(cover.parts, len(cover.parts) // 2)
             )
-            sub_net = build_network(sub, sd)
-            seed = flow_to_matching(max_flow_dinitz(sub_net), sub_net, sub)
-            runs.append(max_flow_dinitz(net, seed_flow(net, seed)))
-        for flow in runs:
+            runs.append(_regrown(sub, cover, sd))
+        for net, flow in runs:
             assert flow.value == want
             assert_blocking(net, flow)
             matching = flow_to_matching(flow, net, cover)
@@ -289,8 +287,21 @@ def _centred_boxes(centres, half):
     ]
 
 
+def _regrown(sub, cover, sd) -> tuple:
+    """(network, flow): the maximum flow of ``sub``'s network, its idle
+    edges dropped and every part of ``cover`` added, continued to a maximum
+    flow, as a search grows its network from one decision to the next."""
+    net = build_network(sub, sd)
+    res = list(net.ecap)
+    max_flow_dinitz(net, residual=res)
+    net.drop_idle(res)
+    net.add_parts(cover.parts)
+    res += net.ecap[len(res) :]
+    return net, max_flow_dinitz(net, residual=res)
+
+
 @pytest.mark.parametrize("unit", [True, False])
-def test_seeded_dinitz_matches_cold(unit):
+def test_regrown_network_matches_cold(unit):
     rng = random.Random(31 if unit else 32)
     seeded = 0
     for trial in range(60):
@@ -311,32 +322,25 @@ def test_seeded_dinitz_matches_cold(unit):
                 len(pts), len(centres), rng.sample(cover.parts, len(cover.parts) // 2)
             )
         sub_net = build_network(sub, sd)
-        seed = flow_to_matching(max_flow_dinitz(sub_net), sub_net, sub)
-        seeded += bool(seed)
-        net = build_network(cover, sd)
-        cold = max_flow_dinitz(net)
-        warm = max_flow_dinitz(net, seed_flow(net, seed))
+        res = list(sub_net.ecap)
+        sub_flow = max_flow_dinitz(sub_net, residual=res)
+        seeded += sub_flow.value > 0
+        sub_net.drop_idle(res)
+        # the feeders and drains stay; past them only edges with flow do,
+        # and the flow reads as before by edge id
+        base = 2 * (len(pts) + len(centres))
+        for u, out in enumerate(sub_net.head):
+            assert [e for e in out if e < base] == [e for e in range(base) if sub_net.eto[e ^ 1] == u]
+            assert all(res[e | 1] > 0 for e in out if e >= base)
+        assert project_flow(sub_net, res[1::2]) == project_flow(sub_net, sub_flow.values)
+        net, warm = _regrown(sub, cover, sd)
+        cold = max_flow_dinitz(build_network(cover, sd))
         assert warm.value == cold.value
         assert_blocking(net, warm)
         matching = flow_to_matching(warm, net, cover)
         assert matching_value(matching) == cold.value
         assert validate_matching(matching, pts, _centred_boxes(centres, wide), sd)
     assert seeded > 20
-
-
-def test_seed_pair_outside_the_cover_raises():
-    cover = BicliqueCover(2, 2, [([0], [0]), ([1], [1])])
-    net = build_network(cover, SupplyDemand.unit(2, 2))
-    assert max_flow_dinitz(net, seed_flow(net, [(1, 1, 1)])).value == 2
-    with pytest.raises(InternalError):
-        seed_flow(net, [(0, 1, 1)])
-
-
-def test_initial_flow_over_capacity_raises():
-    cover = BicliqueCover(1, 1, [([0], [0])])
-    net = build_network(cover, SupplyDemand.unit(1, 1))
-    with pytest.raises(InternalError):
-        max_flow_dinitz(net, seed_flow(net, [(0, 0, 2)]))
 
 
 @pytest.mark.parametrize("unit", [True, False])
@@ -376,7 +380,7 @@ def test_grown_network_continues_to_a_maximum_flow():
         while k < len(pairs):
             step = pairs[k : k + rng.randrange(1, 6)]
             k += len(step)
-            net.add_direct([p for p, _r in step], [r for _p, r in step])
+            net.add_parts([([p], [r]) for p, r in step])
             res += net.ecap[len(res) :]
             flow = max_flow_dinitz(net, residual=res)
             # the same layout as the network of one part per pair, built anew
