@@ -3,10 +3,12 @@
 A cover represents the bipartite incidence graph I(P, R) as a union of
 complete bipartite pieces (P_i, R_i); its size is sigma = sum(|P_i| + |R_i|).
 The trivial cover lists one piece per incident pair; for congruent disks,
-``disk_cover`` finds those pairs through an exact grid and is the one disk
-cover that the CLI and L2 bottleneck decisions share.  For axis-aligned
-boxes, a multi-level range tree yields an edge-disjoint cover of size
-O(n log^d n) for d-dimensional inputs.
+``disk_cover`` finds those pairs through a grid over the scaled int
+coordinates and is the one disk cover that the CLI and L2 bottleneck
+decisions share.  For axis-aligned boxes, a multi-level range tree
+(``BoxTree``) yields an edge-disjoint cover of size O(n log^d n) for
+d-dimensional inputs; each of its levels holds a point subset as the sorted
+list of the points' ranks on that level's axis.
 """
 
 from __future__ import annotations
@@ -67,27 +69,26 @@ def trivial_cover(points, ranges) -> BicliqueCover:
 def disk_cover(points, centres, r_sq) -> BicliqueCover:
     """One part per pair of a point and a closed disk of squared radius
     ``r_sq`` around a centre (planar coordinate tuples), in (point, sorted
-    disk) order.  The pairs are found in 3x3 neighbourhoods of a grid of
-    square cells whose side s is a rational just above the radius; each cell
-    is the floor of an exact quotient, so no incidence is lost at any
-    coordinate size.  Float coordinates are read exactly, once each, and
-    int inputs with an int ``r_sq`` stay ints."""
+    disk) order.  The points and centres are read once as int tuples
+    (``scaled_coords``: floats exactly, every coordinate multiplied by one
+    positive int, the scale), so every squared distance is an int and is
+    compared with ``floor(r_sq * scale**2)``; int inputs with an int
+    ``r_sq`` pass through as they are.  The pairs are found in 3x3
+    neighbourhoods of a grid of square int cells of side
+    ``isqrt(r_sq) + 1``, just above the radius."""
     r_sq = exact(r_sq)
     if r_sq < 0:
         raise InputError("negative squared radius")
-    # r^2 = n/d and s = k/d with k = isqrt(n*d) + 1, so s^2 > n/d: a point
-    # within r of a centre lies in the centre's cell or a neighbouring one;
-    # the cell of x is floor(x / s) = floor(x*d / k)
-    d = r_sq.denominator
-    k = math.isqrt(r_sq.numerator * d) + 1
+    ints, scale = scaled_coords(list(points) + list(centres))
+    pts, cs = ints[: len(points)], ints[len(points) :]
+    r_sq = math.floor(r_sq * scale * scale if scale else r_sq)
+    k = math.isqrt(r_sq) + 1
     grid = defaultdict(list)
-    for j, (x, y) in enumerate(centres):
-        x, y = exact(x), exact(y)
-        grid[x * d // k, y * d // k].append((j, x, y))
+    for j, (x, y) in enumerate(cs):
+        grid[x // k, y // k].append((j, x, y))
     parts = []
-    for i, (px, py) in enumerate(points):
-        px, py = exact(px), exact(py)
-        gx, gy = px * d // k, py * d // k
+    for i, (px, py) in enumerate(pts):
+        gx, gy = px // k, py // k
         hits = [
             j
             for cx in (gx - 1, gx, gx + 1)
@@ -129,56 +130,96 @@ class BoxTree:
     """Multi-level range tree over a fixed point set, built once and queried
     with any number of box sets.
 
-    The outermost tree splits the points sorted on coordinate 0 at
-    ``(a + b) // 2``; each canonical node holds a tree over its points sorted
-    on the next coordinate, and each last-level node one sorted point list.
-    A box registers at the largest nodes whose points all lie inside it on
-    that level's coordinate.  The nodes' orders and point lists are built on
-    first use and kept, so a bottleneck search, whose decisions differ only in
-    their boxes, sorts each of them at most once.  Ties sort by point index.
+    Each axis sorts the points once, ties by point index; a point's place in
+    that order is its rank on the axis, and ``vals[j]`` holds the sorted
+    values.  A level-j tree over a point subset is the sorted list of its
+    points' ranks on axis j, split at ``(a + b) // 2``.  Each of its
+    canonical nodes, a position range ``(a, b)`` of that list, holds the
+    level-(j + 1) tree over its points, and each last-level node the sorted
+    tuple of its point indices.  A node is keyed by the ranges of its path
+    from the root, ``(a0, b0, a1, b1, ...)``.  A box registers at the
+    largest nodes whose points all lie inside it on that level's axis.  The
+    nodes are built on first use and kept, so a bottleneck search, whose
+    decisions differ only in their boxes, sorts each of them at most once.
     """
 
     def __init__(self, coords, dim: int):
         # coords: one coordinate tuple per point, all of dimension dim
         self.coords = coords
         self.dim = dim
-        self.root = _TreeNode(range(len(coords)), coords, 0)
+        n = len(coords)
+        # a stable sort of the indices breaks ties by index
+        orders = [sorted(range(n), key=[c[j] for c in coords].__getitem__) for j in range(dim)]
+        self.vals = [[coords[i][j] for i in order] for j, order in enumerate(orders)]
+        # the inverse permutations: a point's rank on each axis but the first
+        ranks = [sorted(range(n), key=order.__getitem__) for order in orders[1:]]
+        # cross[j][r]: the point of rank r on axis j, as its rank on axis
+        # j + 1, or past the last axis as its index
+        cross = [[rank[i] for i in order] for order, rank in zip(orders, ranks)] + orders[-1:]
+        self.nodes = _Nodes(cross, n)
+        # the canonical nodes by (lo, hi, n) below the outermost level, whose
+        # trees are small, so the same spans recur
+        self.spans = _Spans()
 
     def parts(self, lows, highs) -> list:
         """Cover parts, as ``(sorted point indices, sorted box indices)``, of
         the boxes with corner tuples ``lows[k]`` and ``highs[k]``, in the
-        order of canonical nodes, outermost level first.  Every list is the
+        order of canonical nodes, outermost level first: the sorted order
+        of their keys.  Box by box, two bisects per axis turn the box into
+        rank intervals, and two more per canonical node turn an interval
+        into positions of that node's rank list.  Every list is the
         caller's own: the tree keeps its point lists as tuples."""
-        out = []
-        self._query(self.root, 0, range(len(lows)), lows, highs, out)
-        return out
-
-    def _query(self, node, axis, boxes, lows, highs, out) -> None:
-        vals = node.vals
-        n = len(vals)
+        nodes, vals, spans = self.nodes, self.vals, self.spans
         reg = defaultdict(list)
-        for k in boxes:
-            lo = bisect_left(vals, lows[k][axis])
-            hi = bisect_right(vals, highs[k][axis])
-            if lo < hi:
-                for key in _canonical(lo, hi, n):
-                    reg[key].append(k)
-        last = axis + 1 == self.dim
-        sub = node.sub
-        for key in sorted(reg):
-            child = sub.get(key)
-            if child is None:
-                seg = node.order[key[0] : key[1]]
-                if last:
-                    child = tuple(sorted(seg))
-                else:
-                    child = _TreeNode(seg, self.coords, axis + 1)
-                sub[key] = child
-            if last:
-                # boxes register in ascending order, so reg[key] is sorted
-                out.append((list(child), reg[key]))
-            else:
-                self._query(child, axis + 1, reg[key], lows, highs, out)
+        starts = [bisect_left(vals[0], lo[0]) for lo in lows]
+        # boxes in the order of their first rank on axis 0, so that boxes
+        # walked one after another read nearby nodes
+        for k in sorted(range(len(lows)), key=starts.__getitem__):
+            lo, hi = lows[k], highs[k]
+            a, b = starts[k], bisect_right(vals[0], hi[0])
+            if a >= b:
+                continue
+            keys = _canonical(a, b, len(vals[0]))  # the root's ranks are its positions
+            for j in range(1, self.dim):
+                a, b = bisect_left(vals[j], lo[j]), bisect_right(vals[j], hi[j])
+                found = []
+                if a < b:
+                    for key in keys:
+                        ranks = nodes[key]
+                        x, y = bisect_left(ranks, a), bisect_left(ranks, b)
+                        if x < y:
+                            found += map(key.__add__, spans[x, y, len(ranks)])
+                keys = found
+            for key in keys:
+                reg[key].append(k)
+        for ks in reg.values():  # the walk's order is not the boxes' order
+            ks.sort()
+        return [(list(nodes[key]), reg[key]) for key in sorted(reg)]
+
+
+class _Nodes(dict):
+    """The nodes of a ``BoxTree`` by key, each built on first use from the
+    node of its key's prefix, a level-j tree: the ranks on axis j of the
+    points in positions ``key[-2]:key[-1]``, mapped by ``cross[j]`` and
+    sorted into a tuple."""
+
+    def __init__(self, cross, n: int):
+        super().__init__({(): range(n)})  # the root's ranks on axis 0
+        self.cross = cross
+
+    def __missing__(self, key) -> tuple:
+        a, b = key[-2:]
+        cross = self.cross[len(key) // 2 - 1]
+        self[key] = node = tuple(sorted(map(cross.__getitem__, self[key[:-2]][a:b])))
+        return node
+
+
+class _Spans(dict):
+    """``_canonical(lo, hi, n)`` by ``(lo, hi, n)``, computed on first use."""
+
+    def __missing__(self, span) -> list:
+        self[span] = out = _canonical(*span)
+        return out
 
 
 def _canonical(lo: int, hi: int, n: int) -> list:
@@ -220,19 +261,6 @@ def _canonical(lo: int, hi: int, n: int) -> list:
             y = m
     out.append((x, y))
     return out
-
-
-class _TreeNode:
-    """One level's tree over a point subset: the indices sorted on ``axis``,
-    their coordinates on it, and the children built so far, by index range
-    ``(a, b)`` into that order."""
-
-    __slots__ = ("order", "vals", "sub")
-
-    def __init__(self, idx, coords, axis: int):
-        self.order = sorted(idx, key=lambda i: (coords[i][axis], i))
-        self.vals = [coords[i][axis] for i in self.order]
-        self.sub = {}
 
 
 @dataclass

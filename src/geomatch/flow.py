@@ -64,7 +64,9 @@ class SupplyDemand:
     def scaled(self) -> tuple:
         """(int weights, scale): this instance with every supply and demand
         multiplied by the scale, the one positive int that makes each an int
-        (``integer_scale``), so a solver adds and compares ints only, and
+        (``integer_scale`` and ``scaled_ints``, which read each weight's
+        numerator and denominator by ``numeric.ratio``), so a solver adds
+        and compares ints only, and
         ``unscaled`` divides the amounts it finds back.  When every weight
         is an int already, the scale is None and the instance comes back as
         it is; ``Fraction(1)`` weights scale by 1, and their amounts come
@@ -234,7 +236,10 @@ def level_graph(net: FlowNetwork, res: list) -> list:
     these levels a residual edge never climbs more levels than it spans,
     and parity rules out one level on a two-level edge, so the blocking
     flow's test, a higher level at the head, admits exactly the next level
-    along each edge."""
+    along each edge.  The point-or-range test of the tail is made once per
+    expanded vertex, and only a point or a range tests its heads; an edge's
+    residual is read before its head, since every reverse slot of a phase
+    network starts empty."""
     s, t = net.source, net.sink
     head, eto = net.head, net.eto
     mid0 = 2 + net.n_points + net.n_ranges
@@ -246,16 +251,24 @@ def level_graph(net: FlowNetwork, res: list) -> list:
     while frontier or near:
         d += 1
         for u in frontier:
-            inner = 1 < u < mid0  # a point or a range
-            for e in head[u]:
-                v = eto[e]
-                if level[v] < 0 and res[e] > 0:
-                    if inner and 1 < v < mid0:
-                        level[v] = d + 1
-                        far.append(v)
-                    else:
-                        level[v] = d
-                        near.append(v)
+            if 1 < u < mid0:  # a point or a range
+                for e in head[u]:
+                    if res[e] > 0:
+                        v = eto[e]
+                        if level[v] < 0:
+                            if 1 < v < mid0:
+                                level[v] = d + 1
+                                far.append(v)
+                            else:
+                                level[v] = d
+                                near.append(v)
+            else:
+                for e in head[u]:
+                    if res[e] > 0:
+                        v = eto[e]
+                        if level[v] < 0:
+                            level[v] = d
+                            near.append(v)
         if level[t] >= 0:
             # the sink is entered by drains, one level each, so it sits
             # at level d; no other vertex at d or past it reaches it
@@ -300,39 +313,44 @@ def _blocking_flow(head, eto, res, level, s, t):
     for both Dinitz drivers.  An edge e out of u is admitted when
     ``res[e] > 0`` and its head has a higher level than u; the levels of
     ``level_graph`` make that exactly the edges of its level graph.  A dead
-    end is retired by setting its level to -1.  Augments ``res`` in place
-    and returns the amount pushed."""
+    end is retired by setting its level to -1.  A vertex's edges are
+    scanned from its pointer, held in a local until the scan stops.  A path
+    to the sink takes its least residual, and the DFS backs up to the tail
+    of its first saturated edge.  Augments ``res`` in place and returns the
+    amount pushed."""
     it = [0] * len(head)
     stack = []  # edge ids of the current DFS path
     total = 0
     u = s
     while True:
         if u == t:
-            delta = min(res[e] for e in stack)
+            delta = min(map(res.__getitem__, stack))
             for e in stack:
                 res[e] -= delta
                 res[e ^ 1] += delta
             total += delta
-            cut = next(i for i, e in enumerate(stack) if not res[e] > 0)
+            # cut the path at its first saturated edge
+            cut = 0
+            while res[stack[cut]] > 0:
+                cut += 1
             del stack[cut:]
             u = eto[stack[-1]] if stack else s
             continue
-        advanced = False
         out = head[u]
         lu = level[u]
-        end = len(out)
-        while it[u] < end:
-            e = out[it[u]]
-            v = eto[e]
-            if res[e] > 0 and level[v] > lu:
-                stack.append(e)
-                u = v
-                advanced = True
+        i, end = it[u], len(out)
+        while i < end:
+            e = out[i]
+            if res[e] > 0 and level[eto[e]] > lu:
                 break
-            it[u] += 1
-        if not advanced:
-            if u == s:
-                break
+            i += 1
+        it[u] = i
+        if i < end:
+            stack.append(e)
+            u = eto[e]
+        elif u == s:
+            break
+        else:
             level[u] = -1  # dead end, retire the vertex for this phase
             e = stack.pop()
             u = eto[e ^ 1]

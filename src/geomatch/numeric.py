@@ -1,10 +1,13 @@
 """Scalars shared by every solver module.
 
 Every algorithm runs on exact values.  Floats are accepted at the input
-boundary and read exactly (``exact``): a finite float is a dyadic rational,
-so ``Fraction(x)`` loses nothing.  The solvers then turn their inputs into
-ints in one place each: coordinates through ``scaled_coords`` and supplies
-and demands through ``flow.SupplyDemand.scaled``, both on ``integer_scale``.
+boundary and read exactly: a finite float is a dyadic rational, so
+``as_integer_ratio`` gives its numerator and its power-of-two denominator
+and loses nothing.  The solvers then turn their inputs into ints in one
+place each: coordinates through ``scaled_coords`` and supplies and demands
+through ``flow.SupplyDemand.scaled``, both on ``integer_scale`` and
+``scaled_ints``.  All of them read a value through ``ratio``, so no
+coordinate or weight becomes a ``Fraction`` on its way to an int.
 """
 
 from __future__ import annotations
@@ -46,12 +49,36 @@ def parse_scalar(text: str):
 SCALE_LIMIT_BITS = 4096
 
 
+_EXACT_TYPES = (float, int, Fraction)
+
+
+def ratio(x) -> tuple:
+    """(numerator, denominator) of an int, a ``Fraction`` or a finite float,
+    in lowest terms (``as_integer_ratio``); anything else is the InputError
+    of ``exact``."""
+    if isinstance(x, _EXACT_TYPES):
+        try:
+            return x.as_integer_ratio()
+        except (OverflowError, ValueError):  # inf, nan
+            pass
+    raise InputError(f"not a finite real number: {x!r}")
+
+
 def integer_scale(values) -> int:
     """Smallest positive int that turns every value into an int when
-    multiplied by it (the LCM of the denominators); floats are read through
-    ``exact``.  A scale longer than ``SCALE_LIMIT_BITS`` bits raises
-    InputError."""
-    scale = math.lcm(*{v.denominator for v in map(exact, values)})
+    multiplied by it (the LCM of the denominators of ``ratio``).  A scale
+    longer than ``SCALE_LIMIT_BITS`` bits raises InputError."""
+    return _common_scale(map(ratio, values))
+
+
+def scaled_ints(values, scale: int) -> tuple:
+    """Each value times ``scale``, as an int; ``scale`` must be a multiple of
+    every denominator (see ``integer_scale``)."""
+    return _times(map(ratio, values), scale)
+
+
+def _common_scale(ratios) -> int:
+    scale = math.lcm(*{d for _n, d in ratios})
     if scale.bit_length() > SCALE_LIMIT_BITS:
         raise InputError(
             f"the common denominator of the input has {scale.bit_length()} bits, "
@@ -60,24 +87,23 @@ def integer_scale(values) -> int:
     return scale
 
 
-def scaled_ints(values, scale: int) -> tuple:
-    """Each value times ``scale``, as an int; ``scale`` must be a multiple of
-    every denominator (see ``integer_scale``)."""
-    return tuple(v.numerator * (scale // v.denominator) for v in map(exact, values))
+def _times(ratios, scale: int) -> tuple:
+    return tuple(n * (scale // d) for n, d in ratios)
 
 
 def scaled_coords(tuples) -> tuple:
     """(int tuples, scale) of coordinate tuples all of one length.  When
     every coordinate is an int already, the tuples come back as they are
-    and the scale is None; else every coordinate is read exactly and
-    multiplied by the scale, the one positive int that makes each an int
-    (``integer_scale``).  Scaling every coordinate alike changes no order
-    and no incidence, and scales every distance alike."""
+    and the scale is None; else every coordinate is read once (``ratio``)
+    and multiplied by the scale, the one positive int that makes each an
+    int (``integer_scale``).  Scaling every coordinate alike changes no
+    order and no incidence, and scales every distance alike."""
     flat = [c for t in tuples for c in t]
     if all(isinstance(c, int) for c in flat):
         return list(tuples), None
-    scale = integer_scale(flat)
-    ints = iter(scaled_ints(flat, scale))
+    ratios = list(map(ratio, flat))
+    scale = _common_scale(ratios)
+    ints = iter(_times(ratios, scale))
     return list(zip(*[ints] * len(tuples[0]))), scale
 
 

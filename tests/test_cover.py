@@ -265,7 +265,7 @@ def _int_instance(rng, d):
 
 def test_box_tree_matches_recursive_reference():
     rng = random.Random(61)
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         for _ in range(60):
             pc, lo, hi = _int_instance(rng, d)
             parts = BoxTree(pc, d).parts(lo, hi)
@@ -275,6 +275,21 @@ def test_box_tree_matches_recursive_reference():
             cover = box_cover(pts, boxes, d)
             assert cover.parts == parts
             assert validate_cover(cover, pts, boxes).ok
+
+
+def test_box_tree_answers_growing_boxes_as_a_fresh_tree_would():
+    # a search queries one tree with the L-infinity balls of one set of
+    # centres at growing radii; every answer is the reference's, so the
+    # nodes kept from earlier queries carry nothing into a later one
+    rng = random.Random(63)
+    for d in (1, 2, 3):
+        pc = [tuple(rng.randrange(-20, 21) for _ in range(d)) for _ in range(40)]
+        centres = [tuple(rng.randrange(-20, 21) for _ in range(d)) for _ in range(30)]
+        tree = BoxTree(pc, d)
+        for lam in (0, 1, 3, 7, 15, 31, 63):
+            lo = [tuple(c - lam for c in q) for q in centres]
+            hi = [tuple(c + lam for c in q) for q in centres]
+            assert tree.parts(lo, hi) == range_tree_parts(pc, lo, hi, d), (d, lam)
 
 
 def test_box_tree_queries_share_no_state():
