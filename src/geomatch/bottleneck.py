@@ -286,7 +286,7 @@ def _gallop(grow, sd: SupplyDemand, lam, ub) -> tuple:
     if last is None:
         return grown, flow_to_matching(flow, net, cover), None, None
     # edge ids stay as the network grows, so the last infeasible flow reads as it was
-    return grown, project_flow(net, flow.values)[0], project_flow(net, last.values)[0], bottom
+    return grown, project_flow(net, flow.values), project_flow(net, last.values), bottom
 
 
 def _needs(sd: SupplyDemand) -> list:

@@ -340,7 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="'auto' to build from the ranges, or a cover file path",
     )
-    m.add_argument("--trace", action="store_true", help="include per-phase trace")
+    m.add_argument(
+        "--trace",
+        action="store_true",
+        help="include each phase's t-level, pushed amount and support (the pairs "
+        "that carry flow, counted before the final prune to a forest)",
+    )
     _common(m)
 
     b = subs.add_parser("bottleneck", help="bottleneck matching distance")

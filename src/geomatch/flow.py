@@ -13,7 +13,8 @@ only this module knows the layout.  A network describes itself by vertex
 blocks: source 0, sink 1, the points, the ranges, then the middle vertices.
 ``build_network`` builds the one network of both Dinitz drivers,
 ``level_graph`` is their one BFS, ``_blocking_flow`` their one DFS and
-``project_flow`` their one reader of a flow.
+``project_flow`` their one reader of a flow, which returns one list of
+(point, range, amount) triples.
 
 A network can also grow: ``FlowNetwork.extend`` appends edges after the
 others (``add_parts`` appends cover parts), ``drop_idle`` takes the edges
@@ -21,8 +22,9 @@ that carry no flow out of the adjacency lists, and ``max_flow_dinitz``
 continues from the residual of an earlier flow and reports the points and
 ranges on the source side of its minimum cut.  Every bottleneck search
 grows one network per search this way, and no decision of a search builds
-one; the implicit engine appends a backward edge to its cover's network for
-each pair new to its flow's support.
+one.  The implicit engine keeps its running flow in its cover's network
+alone: in the capacities of the feeders and drains, and of one backward edge
+per pair, appended the first time the pair carries flow.
 """
 
 from __future__ import annotations
@@ -170,14 +172,6 @@ class FlowNetwork:
         rbase = 2 + self.n_points
         rs = [rbase + r for _p, r in pairs]
         self.extend(rs, [2 + p for p, _r in pairs], list(pairs.values()))
-
-    def set_supply_demand(self, supplies, demands) -> None:
-        """Set the capacities of the feeders to ``supplies`` and of the
-        drains to ``demands``; they lead the layout, point p's feeder is
-        edge 2p and range r's drain 2(|P| + r)."""
-        np_, ecap = self.n_points, self.ecap
-        ecap[0 : 2 * np_ : 2] = supplies
-        ecap[2 * np_ : 2 * (np_ + self.n_ranges) : 2] = demands
 
 
 @dataclass
@@ -362,20 +356,20 @@ def _blocking_flow(head, eto, res, level, s, t):
 Matching = list
 
 
-def project_flow(net: FlowNetwork, values):
-    """(adds, subs): the (point, range, amount) triples of the flow ``values``
-    on the edges of ``net`` past its feeders and drains, which lead the
-    layout.  ``adds`` holds the direct edges' flows in id order, then each
-    middle vertex's paired flows; ``subs`` the flows of the edges from a
-    range back to a point, the implicit engine's backward edges.  An edge's
-    role follows from its ends' blocks."""
+def project_flow(net: FlowNetwork, values) -> list:
+    """The (point, range, amount) triples of the flow ``values`` on the
+    edges of ``net`` past its feeders and drains, which lead the layout, and
+    up to the end of ``values``: the direct edges' flows in id order, then
+    each middle vertex's paired flows.  The implicit engine passes the flow
+    on its cover's edges only, and not on the backward edges after them.
+    An edge's role follows from its ends' blocks."""
     eto = net.eto
     rbase = 2 + net.n_points
     mid0 = rbase + net.n_ranges
     # inflows and outflows of each middle vertex that carries flow; the few
     # such vertices of a phase, not every middle vertex of the network
     mids = {}
-    adds, subs = [], []
+    adds = []
     # the |P| feeders and |R| drains lead
     for k in range(mid0 - 2, len(values)):
         amt = values[k]
@@ -387,13 +381,11 @@ def project_flow(net: FlowNetwork, values):
                 mids.setdefault(v, ([], []))[0].append([u - 2, amt])
             else:
                 adds.append((u - 2, v - rbase, amt))
-        elif u < mid0:  # out of a range: a backward edge
-            subs.append((v - 2, u - rbase, amt))
         else:  # a pout
             mids.setdefault(u, ([], []))[1].append([v - rbase, amt])
     for v in sorted(mids):  # in vertex order
         adds += _pair_part(*mids[v])
-    return adds, subs
+    return adds
 
 
 def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
@@ -406,7 +398,7 @@ def flow_to_matching(flow: Flow, net: FlowNetwork, cover) -> Matching:
     if net.n_points != cover.left_count or net.n_ranges != cover.right_count:
         raise InternalError("network does not fit the cover")
     merged = defaultdict(int)
-    for p, r, amt in project_flow(net, flow.values)[0]:
+    for p, r, amt in project_flow(net, flow.values):
         merged[(p, r)] += amt
     return [(p, r, amt) for (p, r), amt in sorted(merged.items()) if amt > 0]
 

@@ -4,34 +4,35 @@ graph held implicitly as a biclique cover.
 The engine builds the cover's flow network once (``flow.build_network``).
 A part with two or more points and two or more ranges passes through one
 middle vertex there, so the network has O(n + sigma) edges however dense
-the incidences are.  The running flow lives in its support, a dict of
-(point, range) pairs, and not on the network.  Each phase:
+the incidences are.  The running flow lives on that network alone, as
+capacities: the feeders hold the unused supplies, the drains the unmet
+demands, and every (point, range) pair that has carried flow has one
+backward edge r -> p, whose capacity is the pair's current flow.  A pair's
+edge is appended the first time the pair is seen and kept for the rest of
+the call, at capacity 0 while the pair carries nothing.  Each phase:
 
-- sets the feeders to the unused supplies and the drains to the unmet
-  demands, and gives each support pair's backward edge r -> p its flow as
-  capacity and every other backward edge 0 (``expand_level_graph``); a
-  pair gets its edge appended the first time it enters the support and
-  keeps it for the rest of the call;
+- appends the backward edges of the pairs that the last phase saw first
+  (``expand_level_graph``);
 - runs ``flow``'s BFS on that network from the empty flow
   (``build_level_graph``) and ``flow``'s DFS for a blocking flow
   (``blocking_flow``);
-- reads the blocking flow back as (point, range) pairs with
-  ``flow.project_flow`` and folds them into the support
-  (``augment_and_project``).
+- leaves on every edge the residual capacity the blocking flow left it,
+  and reads its flow on the cover's edges back as (point, range) pairs
+  with ``flow.project_flow``, each adding its amount to its pair's backward
+  edge (``augment_and_project``).
 
-So a phase costs O(n + sigma) plus one edge per pair that was ever in the
-support.  Between phases the flow support is pruned to a forest (rblct
-module), in place and only in the components where the phase closed a
-cycle, which keeps the support linear in the node count.
+So a phase costs O(n + sigma) plus one edge per pair ever seen.  At the end
+the pairs whose backward edges carry flow are the matching's support, and
+one prune to a forest (rblct module) cancels its cycles, which leaves at
+most |P| + |R| - 1 pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cover import BicliqueCover
-from .flow import Flow, FlowNetwork, Matching, SupplyDemand
+from .flow import FlowNetwork, Matching, SupplyDemand
 from .flow import _blocking_flow, build_network, level_graph, project_flow, unscaled
 from .numeric import InputError, InternalError
 from .rblct import prune_to_forest
@@ -41,51 +42,14 @@ from .rblct import prune_to_forest
 Done = None
 
 
-@dataclass
-class PhaseState:
-    """Flow accumulated so far plus the per-phase bookkeeping.  ``backward``
-    maps every pair that has been in the support during the call to the id
-    of its backward edge on the phase network; a pair that left the support
-    keeps its edge, at capacity 0, and gets it back if it returns."""
-
-    flow: dict  # (point, range) -> positive amount
-    used: list  # shipped supply per point
-    met: list  # received demand per range
-    t_levels: list = field(default_factory=list)  # one per phase
-    backward: dict = field(default_factory=dict)  # (point, range) -> edge id
-
-
-def new_phase_state(n_points: int, n_ranges: int) -> PhaseState:
-    return PhaseState({}, [0] * n_points, [0] * n_ranges)
-
-
-def expand_level_graph(f: PhaseState, net: FlowNetwork, sd: SupplyDemand, m: int) -> FlowNetwork:
-    """One phase's network: ``net``, the network of the cover from
-    ``flow.build_network``, whose edges past its first ``m``, the cover's,
-    are backward edges from a range r to a point p, one per pair in
-    ``f.backward``.  The feeders get the unused supplies and the drains the
-    unmet demands; every backward edge is zeroed, a pair new to the support
-    gets its edge appended (``add_backward``), and each support pair's edge
-    gets its flow f(p, r) as capacity.  So a pair that left the support
-    keeps an edge that can carry nothing, and the edges follow the order in
-    which the pairs were first seen.  The cover's edges carry no flow, so a
-    phase starts from the empty flow on this network.  Returns ``net``."""
-    net.set_supply_demand(
-        [s - u for s, u in zip(sd.supplies, f.used)],
-        [d - got for d, got in zip(sd.demands, f.met)],
-    )
-    ecap, back = net.ecap, f.backward
-    ecap[2 * m :] = [0] * (len(ecap) - 2 * m)
-    new = {}
-    for key, amt in f.flow.items():
-        e = back.get(key)
-        if e is None:
-            new[key] = amt
-        else:
-            ecap[e] = amt
-    if new:
-        back.update(zip(new, range(len(ecap), len(ecap) + 2 * len(new), 2)))
-        net.add_backward(new)
+def expand_level_graph(net: FlowNetwork, backward: dict, new: dict) -> FlowNetwork:
+    """One phase's network: ``net`` with a backward edge from range r to
+    point p appended for each (p, r): a of ``new``, in its order, at
+    capacity a (``FlowNetwork.add_backward``).  ``backward`` maps every pair
+    seen so far to its edge's id and gets the new ones.  Returns ``net``."""
+    e0 = 2 * net.edge_count
+    backward.update(zip(new, range(e0, e0 + 2 * len(new), 2)))
+    net.add_backward(new)
     return net
 
 
@@ -98,47 +62,41 @@ def build_level_graph(net: FlowNetwork, res: list):
     return Done if level[net.sink] < 0 else level
 
 
-def blocking_flow(net: FlowNetwork, res: list, level: list) -> Flow:
+def blocking_flow(net: FlowNetwork, res: list, level: list):
     """Blocking flow on a phase network: ``flow``'s DFS, which augments
-    ``res`` and retires dead ends in ``level`` in place.  The levels rise
-    along every edge of the level graph and the reverse slots start empty,
-    so every found path is a shortest one and every s-t path of the level
-    graph ends up saturated."""
-    total = _blocking_flow(net.head, net.eto, res, level, net.source, net.sink)
-    return Flow(res[1::2], total)
+    ``res`` and retires dead ends in ``level`` in place, and returns the
+    amount pushed.  The levels rise along every edge of the level graph and
+    the reverse slots start empty, so every found path is a shortest one
+    and every s-t path of the level graph ends up saturated."""
+    return _blocking_flow(net.head, net.eto, res, level, net.source, net.sink)
 
 
-def augment_and_project(f: PhaseState, g: Flow, net: FlowNetwork) -> PhaseState:
-    """Fold a blocking flow on the phase network ``net`` into ``f``:
-    the pairs of ``flow.project_flow`` subtract and add, and by conservation
-    each pair moves the supply/demand bookkeeping of its point and range by
-    its amount.  Returns ``f``."""
-    adds, subs = project_flow(net, g.values)
-    used, met = f.used, f.met
-    pushed = 0
-    for p, r, amt in subs:
-        used[p] -= amt
-        met[r] -= amt
-        pushed -= amt
-        cur = f.flow.get((p, r))
-        if cur is None:
-            raise InternalError("backward flow on a pair with no stored flow")
-        cur = cur - amt
-        if cur < 0:
-            raise InternalError("backward flow exceeds the stored pair flow")
-        if cur > 0:
-            f.flow[(p, r)] = cur
-        else:
-            del f.flow[(p, r)]
-    for p, r, amt in adds:
-        used[p] += amt
-        met[r] += amt
-        pushed += amt
+def augment_and_project(net: FlowNetwork, res: list, pushed, m: int, backward: dict) -> dict:
+    """Keep on the phase network ``net``, whose first ``m`` edges are the
+    cover's, the blocking flow of value ``pushed`` that left the residual
+    ``res``.  Every edge takes the capacity the phase left it, which is
+    the unused supply on a feeder, the unmet demand on a drain and the
+    pair's flow less what the phase pushed back on a backward edge, while
+    the uncapacitated edges stay so.  The flow on the cover's edges, read
+    back as (point, range) pairs by ``flow.project_flow``, then adds each
+    pair's amount to its backward edge in ``backward``.  Returns the pairs
+    that have none yet, with their amounts, for ``expand_level_graph``."""
+    ecap, b = net.ecap, 2 * m
+    ecap[::2] = res[::2]
+    # the flow pushed back along a backward edge sits on its twin
+    total = -sum(res[b + 1 :: 2])
+    new = {}
+    for p, r, amt in project_flow(net, res[1:b:2]):
+        total += amt
         key = (p, r)
-        f.flow[key] = f.flow.get(key, 0) + amt
-    if pushed != g.value:
+        e = backward.get(key)
+        if e is None:
+            new[key] = new.get(key, 0) + amt
+        else:
+            ecap[e] += amt
+    if total != pushed:
         raise InternalError("projected pairs do not carry the blocking flow")
-    return f
+    return new
 
 
 def max_matching_implicit(
@@ -153,11 +111,12 @@ def max_matching_implicit(
 
     ``P`` and ``R`` are the point and range collections (or their counts).
     Builds the cover's network once, then runs expand -> levels -> blocking
-    flow -> project on it per phase, pruning the support to a forest after
-    every phase.  The t-level, 2k + 1 in a phase with k range layers,
+    flow -> project on it per phase, and prunes the final support to a
+    forest once.  The t-level, 2k + 1 in a phase with k range layers,
     strictly increases, so at most min(|P|, |R|) phases occur.  Pass a list
     as ``trace`` to receive one (t_level, pushed value, support size) triple
-    per phase.
+    per phase, where the support counts the pairs that carry flow after the
+    phase, before the prune.
 
     Supplies and demands are read once as ints (``SupplyDemand.scaled``),
     so every phase adds, subtracts and compares ints; with some weight that
@@ -174,26 +133,27 @@ def max_matching_implicit(
     sd, scale = sd.scaled()
     net = build_network(c, sd)
     m = net.edge_count
-    state = new_phase_state(n_points, n_ranges)
+    backward, new, t_levels = {}, {}, []
     max_phases = min(n_points, n_ranges)
     while True:
-        net = expand_level_graph(state, net, sd, m)
+        net = expand_level_graph(net, backward, new)
         res = list(net.ecap)
         level = build_level_graph(net, res)
         if level is Done:
             break
         t_level = level[net.sink] // 2 + 1
-        if state.t_levels and t_level <= state.t_levels[-1]:
+        if t_levels and t_level <= t_levels[-1]:
             raise InternalError("t-level failed to increase between phases")
-        state.t_levels.append(t_level)
-        g = blocking_flow(net, res, level)
-        if not g.value > 0:
+        t_levels.append(t_level)
+        pushed = blocking_flow(net, res, level)
+        if not pushed > 0:
             raise InternalError("reachable t but empty blocking flow")
-        augment_and_project(state, g, net)
-        state = prune_to_forest(state)
+        new = augment_and_project(net, res, pushed, m, backward)
         if trace is not None:
-            pushed = g.value if scale is None else Fraction(g.value, scale)
-            trace.append((t_level, pushed, len(state.flow)))
-        if len(state.t_levels) > max_phases:
+            support = len(new) + sum(net.ecap[e] > 0 for e in backward.values())
+            trace.append((t_level, pushed if scale is None else Fraction(pushed, scale), support))
+        if len(t_levels) > max_phases:
             raise InternalError("phase count exceeded the layer bound")
-    return unscaled(sorted((p, r, a) for (p, r), a in state.flow.items()), scale)
+    ecap = net.ecap
+    support = prune_to_forest({k: ecap[e] for k, e in backward.items() if ecap[e] > 0})
+    return unscaled(sorted((p, r, a) for (p, r), a in support.items()), scale)

@@ -422,19 +422,18 @@ class RbForest:
         return out
 
 
-def prune_to_forest(f):
+def prune_to_forest(f: dict) -> dict:
     """Cancel all cycles in the bipartite flow-support graph.
 
-    ``f`` maps (point index, range index) to a positive amount; a phase-state
-    object carrying such a mapping as ``f.flow`` is pruned in place and
-    returned, and a bare mapping is copied first and the copy returned.  The
-    result's support is a forest over the same nodes, with every per-node
-    total preserved: an edge that would close a cycle is instead pushed
-    along the existing tree path (red edges up, blue edges down), and blue
-    edges driven to zero are cut.  Only the components that hold a cycle
-    (found by a union-find pass) are searched for bridges, and only their
-    edges that lie on some cycle enter the link-cut forest.  A support that
-    is already a forest comes back as it went in.
+    ``f`` maps (point index, range index) to an amount; its positive ones
+    are copied and the copy is pruned and returned.  The result's support
+    is a forest over the same nodes, with every per-node total preserved:
+    an edge that would close a cycle is instead pushed along the existing
+    tree path (red edges up, blue edges down), and blue edges driven to
+    zero are cut.  Only the components that hold a cycle (found by a
+    union-find pass) are searched for bridges, and only their edges that
+    lie on some cycle enter the link-cut forest.  A support that is already
+    a forest comes back as it went in.
 
     The forest never sees a ``Fraction``: every value is multiplied once by
     the LCM of the denominators, the prune runs on the resulting ints (it
@@ -442,15 +441,7 @@ def prune_to_forest(f):
     surviving value is divided back as ``Fraction(v, scale)``.  An all-int
     flow comes back as ints.
     """
-    if hasattr(f, "flow"):
-        f.flow = _prune_exact(f.flow)
-        return f
-    return _prune_exact({k: v for k, v in f.items() if v > 0})
-
-
-def _prune_exact(flow: dict) -> dict:
-    """``flow`` pruned: in place when every value is an int, else a new
-    dict of ``Fraction`` values from one scaled int copy."""
+    flow = {k: v for k, v in f.items() if v > 0}
     values = flow.values()
     if all(isinstance(v, int) for v in values):
         _prune(flow)
@@ -476,13 +467,7 @@ def _cyclic_components(pairs) -> list:
 
     closing = []
     for p, r in pairs:
-        # find(p) and find(-1 - r), inlined: this loop runs every phase
-        a = p
-        while a != (up := parent.get(a, a)):
-            parent[a] = a = parent.get(up, up)
-        b = -1 - r
-        while b != (up := parent.get(b, b)):
-            parent[b] = b = parent.get(up, up)
+        a, b = find(p), find(-1 - r)
         if a == b:
             closing.append(p)
         else:

@@ -16,7 +16,7 @@ from geomatch.flow import (
     validate_matching,
 )
 from geomatch.geometry import Box, Point
-from geomatch.implicit_dinitz import build_level_graph, expand_level_graph, new_phase_state
+from geomatch.implicit_dinitz import build_level_graph, expand_level_graph
 from geomatch.numeric import InputError, InternalError
 
 from helpers import assert_blocking, rand_boxes, rand_fraction, rand_points, rand_sd
@@ -276,7 +276,7 @@ def test_first_phase_levels_follow_the_vertex_blocks(monkeypatch):
         net = build_network(cover, sd)
         max_flow_dinitz(net)
         assert firsts[0] == want
-        engine = expand_level_graph(new_phase_state(n, m), net, sd, net.edge_count)
+        engine = expand_level_graph(net, {}, {})
         assert build_level_graph(engine, list(engine.ecap)) == want
 
 

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from geomatch.cover import BicliqueCover, box_cover
-from geomatch.flow import FlowNetwork, SupplyDemand, build_network, matching_value
+from geomatch.flow import (
+    Flow,
+    FlowNetwork,
+    SupplyDemand,
+    build_network,
+    matching_value,
+    project_flow,
+)
+from geomatch.geometry import Box, Point
 from geomatch.implicit_dinitz import (
     Done,
     augment_and_project,
@@ -13,10 +21,8 @@ from geomatch.implicit_dinitz import (
     build_level_graph,
     expand_level_graph,
     max_matching_implicit,
-    new_phase_state,
 )
 from geomatch.numeric import SCALE_LIMIT_BITS, InputError, InternalError, integer_scale
-from geomatch.rblct import prune_to_forest
 
 from helpers import (
     assert_blocking,
@@ -40,36 +46,29 @@ CHAIN_PAIRS = [(0, 1), (1, 0), (0, 2), (0, 3), (2, 1), (3, 0), (1, 2)]
 
 
 def first_phase(cover, sd):
-    """(empty phase state, the cover's network set up for the first phase,
-    the cover's edge count)."""
+    """(the cover's network set up for the first phase, the cover's edge
+    count, the map from every pair seen to its backward edge, still
+    empty)."""
     net = build_network(cover, sd)
-    m = net.edge_count
-    st = new_phase_state(cover.left_count, cover.right_count)
-    return st, expand_level_graph(st, net, sd, m), m
+    backward = {}
+    return expand_level_graph(net, backward, {}), net.edge_count, backward
 
 
-def run_phase(st, net, sd, m):
-    """Expand, level and block one phase; (levels as the BFS left them,
-    blocking flow), or Done."""
-    expand_level_graph(st, net, sd, m)
+def run_phase(net, backward, new):
+    """Expand by the pairs ``new``, level and block one phase; (levels as
+    the BFS left them, blocking flow, residual), or Done."""
+    expand_level_graph(net, backward, new)
     res = list(net.ecap)
     level = build_level_graph(net, res)
     if level is Done:
         return Done
     levels = list(level)
-    return levels, blocking_flow(net, res, level)
-
-
-def test_phase_state_shape():
-    st = new_phase_state(3, 2)
-    assert st.flow == {}
-    assert st.used == [0, 0, 0]
-    assert st.met == [0, 0]
-    assert st.t_levels == []
+    pushed = blocking_flow(net, res, level)
+    return levels, Flow(res[1::2], pushed), res
 
 
 def test_first_level_graph_shape():
-    st, net, m = first_phase(TRIANGLE, TRIANGLE_SD)
+    net, m, _backward = first_phase(TRIANGLE, TRIANGLE_SD)
     level = build_level_graph(net, list(net.ecap))
     assert level is not Done
     # source, sink (t-level 4 // 2 + 1 = 3), points 0-1, ranges 0-1
@@ -77,17 +76,22 @@ def test_first_level_graph_shape():
     assert net.edge_count == m  # no support, so no backward edge
 
 
-def assert_backward_edges(st, net, m):
+def assert_backward_edges(net, m, backward, sd):
     """The edges past the cover's first ``m`` are one backward edge r -> p
-    per pair ever in the support, in the order first seen, each with its
-    pair's current flow as capacity and 0 for a pair that left."""
-    assert net.edge_count == m + len(st.backward)
-    assert list(st.backward.values()) == list(range(2 * m, 2 * net.edge_count, 2))
-    rbase = 2 + net.n_points
-    for (p, r), e in st.backward.items():
-        assert (net.eto[e + 1], net.eto[e]) == (rbase + r, 2 + p)
-        assert net.ecap[e] == st.flow.get((p, r), 0)
-    assert set(st.flow) <= set(st.backward)
+    per pair in ``backward``, in its order, with an empty reverse slot; and
+    the feeders and drains hold the supplies and demands less the per-node
+    totals of the backward edges' capacities, the flow by pair."""
+    assert net.edge_count == m + len(backward)
+    assert list(backward.values()) == list(range(2 * m, 2 * net.edge_count, 2))
+    np_, nr = net.n_points, net.n_ranges
+    used, met = [0] * np_, [0] * nr
+    for (p, r), e in backward.items():
+        assert (net.eto[e + 1], net.eto[e]) == (2 + np_ + r, 2 + p)
+        assert net.ecap[e] >= 0 and net.ecap[e + 1] == 0
+        used[p] += net.ecap[e]
+        met[r] += net.ecap[e]
+    assert net.ecap[: 2 * np_ : 2] == [s - u for s, u in zip(sd.supplies, used)]
+    assert net.ecap[2 * np_ : 2 * (np_ + nr) : 2] == [d - x for d, x in zip(sd.demands, met)]
 
 
 def test_expanded_network_vertex_count():
@@ -96,23 +100,23 @@ def test_expanded_network_vertex_count():
     # cover, then one backward edge per pair that was ever in the support
     full = BicliqueCover(3, 3, [([0, 1], [0, 1]), ([2], [1, 2]), ([1, 2], [2])])
     for cover, sd in ((TRIANGLE, TRIANGLE_SD), (full, SupplyDemand.unit(3, 3))):
-        st, net, m = first_phase(cover, sd)
+        net, m, backward = first_phase(cover, sd)
         mids = sum(len(a) > 1 and len(b) > 1 for a, b in cover.parts)
         assert net.n == 2 + cover.left_count + cover.right_count + mids
         assert mids == (cover is full)
-        while (phase := run_phase(st, net, sd, m)) is not Done:
-            st = prune_to_forest(augment_and_project(st, phase[1], net))
-            expand_level_graph(st, net, sd, m)
+        while (phase := run_phase(net, backward, {})) is not Done:
+            _level, g, res = phase
+            expand_level_graph(net, backward, augment_and_project(net, res, g.value, m, backward))
             assert net.n == 2 + cover.left_count + cover.right_count + mids
-            assert_backward_edges(st, net, m)
+            assert_backward_edges(net, m, backward, sd)
 
 
 def test_blocking_flow_single_path():
     # s -> p -> part -> r -> t with caps 2 on supply, 3 on demand
     cover = BicliqueCover(1, 1, [([0], [0])])
     sd = SupplyDemand((2,), (3,))
-    st, net, m = first_phase(cover, sd)
-    level, g = run_phase(st, net, sd, m)
+    net, _m, backward = first_phase(cover, sd)
+    level, g, _res = run_phase(net, backward, {})
     assert g.value == 2
     assert_blocking(net, g, level)
 
@@ -120,8 +124,8 @@ def test_blocking_flow_single_path():
 def test_blocking_flow_two_disjoint_paths():
     cover = BicliqueCover(2, 2, [([0], [0]), ([1], [1])])
     sd = SupplyDemand((1, 5), (4, 2))
-    st, net, m = first_phase(cover, sd)
-    level, g = run_phase(st, net, sd, m)
+    net, _m, backward = first_phase(cover, sd)
+    level, g, _res = run_phase(net, backward, {})
     assert g.value == 1 + 2
     assert_blocking(net, g, level)
 
@@ -132,7 +136,7 @@ def test_blocking_flow_is_blocking_on_random_level_graphs():
     # phase of the matching is checked, so the later ones run with backward
     # edges
     rng = random.Random(31)
-    mids = backward = 0
+    mids = reversals = 0
     for trial in range(180):
         shape = ("any", "full", "mixed")[trial // 60]
         least = 1 if shape == "any" else 2
@@ -145,41 +149,72 @@ def test_blocking_flow_is_blocking_on_random_level_graphs():
             parts.append((pts, rngs))
         cover = BicliqueCover(n_p, n_r, parts)
         sd = rand_sd(rng, n_p, n_r, integral=rng.random() < 0.5)
-        st, net, m = first_phase(cover, sd)
+        net, m, backward = first_phase(cover, sd)
         mid0 = 2 + n_p + n_r
-        while (phase := run_phase(st, net, sd, m)) is not Done:
-            level, g = phase
+        # the flow by pair, kept apart from the network: every pair seen,
+        # in the order first seen, 0 for a pair that carries nothing
+        flow, new = {}, {}
+        while (phase := run_phase(net, backward, new)) is not Done:
+            level, g, res = phase
             # feeders first, then drains, then the cover's edges, then one
-            # backward edge from a range to a point per pair ever in the
-            # support, its capacity the pair's flow or 0
+            # backward edge from a range to a point per pair ever seen, its
+            # capacity the pair's flow
             ends = list(zip(net.eto[1::2], net.eto[0::2]))
             roles = ["feeder" if u == 0 else "drain" if v == 1 else "cover" for u, v in ends[:m]]
             assert roles == ["feeder"] * n_p + ["drain"] * n_r + ["cover"] * (m - n_p - n_r)
-            assert_backward_edges(st, net, m)
-            assert all(g.on(e) == 0 for k, e in st.backward.items() if k not in st.flow)
+            assert_backward_edges(net, m, backward, sd)
+            assert list(backward) == list(flow)
+            assert [net.ecap[e] for e in backward.values()] == list(flow.values())
+            assert all(g.on(e) == 0 for k, e in backward.items() if not flow[k])
             back = [(u, v) for (u, v), cap in zip(ends[m:], net.ecap[2 * m :: 2]) if cap > 0]
             # the middle vertices and backward edges on this phase's level graph
             mids += sum(lv >= 0 for lv in level[mid0:])
-            backward += sum(level[v] == level[u] + 2 for u, v in back if level[u] >= 0)
+            reversals += sum(level[v] == level[u] + 2 for u, v in back if level[u] >= 0)
             assert_blocking(net, g, level)
-            st = prune_to_forest(augment_and_project(st, g, net))
-            # the supply/demand bookkeeping is the flow's per-node totals
-            used, met = [0] * n_p, [0] * n_r
-            for (p, r), amt in st.flow.items():
-                used[p] += amt
-                met[r] += amt
-            assert (st.used, st.met) == (used, met)
+            for k, e in backward.items():
+                flow[k] -= g.on(e)
+            for p, r, amt in project_flow(net, g.values[:m]):
+                flow[(p, r)] = flow.get((p, r), 0) + amt
+            new = augment_and_project(net, res, g.value, m, backward)
         g = ExplicitBipartite(n_p, n_r, sorted({(p, r) for a, b in parts for p in a for r in b}))
-        assert sum(st.used) == reference_max_flow(g, sd.supplies, sd.demands)
-    assert mids > 100 and backward > 20
+        want = reference_max_flow(g, sd.supplies, sd.demands)
+        assert sum(flow.values()) == sum(net.ecap[e] for e in backward.values()) == want
+    assert mids > 100 and reversals > 20
 
 
 def test_projection_short_of_the_blocking_flow_raises():
-    st, net, m = first_phase(TRIANGLE, TRIANGLE_SD)
-    _level, g = run_phase(st, net, TRIANGLE_SD, m)
-    g.value += 1  # one unit more than the pairs carry
+    net, m, backward = first_phase(TRIANGLE, TRIANGLE_SD)
+    _level, g, res = run_phase(net, backward, {})
     with pytest.raises(InternalError):
-        augment_and_project(st, g, net)
+        # one unit more than the pairs carry
+        augment_and_project(net, res, g.value + 1, m, backward)
+
+
+def test_pushing_a_pair_back_and_forward_keeps_its_net_amount():
+    # p0 sends 2 to r0 already.  A hand-made phase pushes one unit back
+    # along that pair's backward edge (s -> p1 -> r0 -> p0 -> r1 -> t) and
+    # one forward onto it through its part (s -> p0 -> r0 -> t).  No level
+    # graph admits both, as the first needs r0 below p0 and the second p0
+    # below r0, but the flow is feasible, and the pair keeps 2 - 1 + 1.
+    cover = BicliqueCover(2, 2, [([0], [0, 1]), ([1], [0])])
+    sd = SupplyDemand((3, 1), (3, 1))
+    net = build_network(cover, sd)
+    m, backward = net.edge_count, {}
+    expand_level_graph(net, backward, {(0, 0): 2})
+    net.ecap[0] = net.ecap[4] = 1  # p0's feeder and r0's drain
+    assert_backward_edges(net, m, backward, sd)
+    res = list(net.ecap)
+    for path in ((0, 3, 4, 2, 5, 1), (0, 2, 4, 1)):
+        for u, v in zip(path, path[1:]):
+            e = next(e for e in net.head[u] if e % 2 == 0 and net.eto[e] == v)
+            res[e] -= 1
+            res[e + 1] += 1
+    new = augment_and_project(net, res, 2, m, backward)
+    assert net.ecap[backward[(0, 0)]] == 2
+    assert new == {(0, 1): 1, (1, 0): 1}
+    expand_level_graph(net, backward, new)
+    assert_backward_edges(net, m, backward, sd)
+    assert net.ecap[:8:2] == [0, 0, 0, 0]
 
 
 def test_triangle_instance_value():
@@ -245,32 +280,32 @@ def test_retired_backward_edge_carries_no_flow():
     # with that pair's edge still in the network
     cover = BicliqueCover(4, 4, [([p], [r]) for p, r in CHAIN_PAIRS])
     sd = SupplyDemand.unit(4, 4)
-    st, net, m = first_phase(cover, sd)
-    levels = []
-    while (phase := run_phase(st, net, sd, m)) is not Done:
-        level, g = phase
+    net, m, backward = first_phase(cover, sd)
+    levels, new = [], {}
+    while (phase := run_phase(net, backward, new)) is not Done:
+        level, g, res = phase
         levels.append(level[net.sink] // 2 + 1)
-        assert_backward_edges(st, net, m)
+        assert_backward_edges(net, m, backward, sd)
         if len(levels) == 3:
-            assert (0, 1) not in st.flow
-            assert g.on(st.backward[(0, 1)]) == 0
-        st = prune_to_forest(augment_and_project(st, g, net))
+            assert net.ecap[backward[(0, 1)]] == 0
+            assert g.on(backward[(0, 1)]) == 0
+        new = augment_and_project(net, res, g.value, m, backward)
     assert levels == [3, 5, 7]
-    assert sum(st.used) == 4
+    assert sum(net.ecap[e] for e in backward.values()) == 4
 
 
 def test_backward_edges_stay_inside_levels():
     sd = SupplyDemand.unit(2, 2)
-    st, net, m = first_phase(REROUTE, sd)
-    _level, g = run_phase(st, net, sd, m)
-    st = augment_and_project(st, g, net)
-    level, _g = run_phase(st, net, sd, m)
+    net, m, backward = first_phase(REROUTE, sd)
+    _level, g, res = run_phase(net, backward, {})
+    pairs = project_flow(net, g.values[:m])
+    new = augment_and_project(net, res, g.value, m, backward)
+    level, _g, _res = run_phase(net, backward, new)
     assert level[net.sink] // 2 + 1 == 5
     back = range(2 * m, 2 * net.edge_count, 2)
     assert back, "rerouting phase must expose flow-reversal edges"
-    for e, ((p, r), amt) in zip(back, st.flow.items()):
-        u, v = net.eto[e + 1], net.eto[e]
-        assert (u, v, net.ecap[e]) == (4 + r, 2 + p, amt)
+    got = [(net.eto[e + 1], net.eto[e], net.ecap[e]) for e in back]
+    assert got == [(4 + r, 2 + p, amt) for p, r, amt in pairs]
     # the reversal runs from range layer 0 (level 3) to point layer 1 (level 5)
     assert any(level[net.eto[e]] == level[net.eto[e + 1]] + 2 == 5 for e in back)
 
@@ -278,11 +313,11 @@ def test_backward_edges_stay_inside_levels():
 def test_done_when_supplies_exhausted():
     cover = BicliqueCover(1, 1, [([0], [0])])
     sd = SupplyDemand.unit(1, 1)
-    st, net, m = first_phase(cover, sd)
-    st.flow[(0, 0)] = 1
-    st.used[0] = 1
-    st.met[0] = 1
-    assert run_phase(st, net, sd, m) is Done
+    net, m, backward = first_phase(cover, sd)
+    # the one pair carries the one unit, which uses up p0's supply and r0's demand
+    net.ecap[0] = net.ecap[2] = 0
+    assert run_phase(net, backward, {(0, 0): 1}) is Done
+    assert_backward_edges(net, m, backward, sd)
 
 
 def test_done_when_no_ranges():
@@ -345,6 +380,22 @@ def test_phase_support_stays_forest():
         sd = rand_sd(rng, n, n, integral=False)
         matching = max_matching_implicit(n, n, sd, cover)
         assert uf_is_forest([(("p", p), ("r", r)) for p, r, _ in matching])
+
+
+def test_the_one_prune_cancels_a_cycle_of_the_last_phase():
+    # p0 and p1 lie in both boxes and p2 in the second only; the second
+    # phase leaves flow on all four pairs of p0, p1 and the two boxes, a
+    # cycle, and the prune after it leaves a forest of the same value
+    pts = [Point((2, 1)), Point((2, 1)), Point((1, 1))]
+    boxes = [Box(Point((2, 1)), Point((3, 2))), Box(Point((0, 0)), Point((2, 1)))]
+    sd = SupplyDemand((1, Fraction(3, 2), Fraction(1, 2)), (2, Fraction(3, 2)))
+    trace = []
+    matching = max_matching_implicit(pts, boxes, sd, box_cover(pts, boxes), trace=trace)
+    assert [(t, s) for t, _, s in trace] == [(3, 3), (5, 5)]
+    assert len(matching) == 3
+    assert uf_is_forest([(("p", p), ("r", r)) for p, r, _ in matching])
+    g = brute_force_incidences(pts, boxes)
+    assert matching_value(matching) == reference_max_flow(g, sd.supplies, sd.demands) == 3
 
 
 def test_input_validation():

@@ -5,7 +5,6 @@ import pytest
 
 from geomatch.numeric import InputError
 import geomatch.rblct as rblct_mod
-from geomatch.implicit_dinitz import new_phase_state
 from geomatch.rblct import RbForest, _bridges, _cyclic_components, prune_to_forest
 
 from helpers import MirroredForests, node_totals, rand_support_flow, uf_is_forest
@@ -267,12 +266,10 @@ def test_prune_of_a_forest_state_changes_nothing(monkeypatch):
     monkeypatch.setattr(rblct_mod, "_bridges", lambda pairs: calls.append("bridges"))
     rng = random.Random(29)
     for _ in range(50):
-        st = new_phase_state(10, 10)
-        st.flow.update(rand_forest_flow(rng, 10, 10, 0))
-        flow, items = st.flow, list(st.flow.items())
-        assert prune_to_forest(st) is st
-        assert st.flow is flow
-        assert list(st.flow.items()) == items
+        flow = rand_forest_flow(rng, 10, 10, 0)
+        items = list(flow.items())
+        assert list(prune_to_forest(flow).items()) == items
+        assert list(flow.items()) == items
     assert calls == []
 
 
@@ -284,15 +281,14 @@ def test_bridges_run_on_the_cyclic_components_only(monkeypatch):
     # and a separate tree on points 3-4 and ranges 2-3
     cycle = {(0, 0): 2, (0, 1): 5, (1, 0): 3, (1, 1): 4, (2, 1): 6}
     tree = {(3, 2): 1, (4, 2): 7, (4, 3): 2}
-    st = new_phase_state(5, 4)
-    st.flow.update({**tree, **cycle})
-    flow = st.flow
-    prune_to_forest(st)
+    flow = {**tree, **cycle}
+    out = prune_to_forest(flow)
     assert seen == [sorted(cycle)]
-    assert st.flow is flow
+    assert flow == {**tree, **cycle}
     # the tree and the bridge keep their place; the core moves to the end
-    assert list(st.flow.items())[:4] == [*tree.items(), ((2, 1), 6)]
-    assert node_totals(st.flow) == node_totals({**tree, **cycle})
+    assert list(out.items())[:4] == [*tree.items(), ((2, 1), 6)]
+    assert node_totals(out) == node_totals(flow)
+    assert uf_is_forest([(("p", p), ("r", r)) for p, r in out])
 
 
 def test_prune_links_only_the_cyclic_core(monkeypatch):
